@@ -31,10 +31,10 @@ from .events import (
     read_events,
     write_events,
 )
-from .fewshot import DatasetError, run_episode, run_mplusn, format_report, split_shots, classify
+from .fewshot import DatasetError, classify, evaluate, format_report, run_episode, run_mplusn, split_shots
 from .network import TopologyError, build_network
 from .oracle import TrajectoryRecord, dump_trajectory
-from .readout import CalibrationError, ErrorCompartment, calibrate_bias, solve_baseline_bias, wire_targets
+from .readout import CalibrationError, ErrorCompartment, calibrate_bias, solve_baseline_bias
 from .ruledsl import RuleError
 from .weightio import WeightFileError, load_weights, save_weights
 
@@ -220,15 +220,8 @@ def cmd_eval(args) -> int:
         raise DatasetError(f"{args.split} split is empty")
     classes = sorted({s.label for s in dataset})
     class_to_out = {c: i for i, c in enumerate(classes)}
-    routing = wire_targets(net.n_out, None, "test", 0)
-    correct = 0
-    for sample in samples:
-        net.reset_state()
-        dense = sample.to_dense()
-        for t in range(sample.duration):
-            net.step(dense[t], routing.spikes_at(t), learn=False)
-        if classify(net.spike_counts()) == class_to_out[sample.label]:
-            correct += 1
+    counts = evaluate(net, samples)
+    correct = sum(classify(c) == class_to_out[s.label] for c, s in zip(counts, samples))
     acc = correct / len(samples)
     print(f"EVAL split={args.split} seed={seed} n={len(samples)} accuracy={acc:.6f}")
     return EXIT_OK

@@ -7,6 +7,22 @@ Classification is the argmax of proximal spike counts, ties resolved to the
 lowest index. Neuron states and traces are zeroed between samples; weights
 persist. Everything is derived from the episode seed.
 
+Only the readout learns, so an episode runs in three phases:
+
+1. Frozen pass. Every sample, train and test, goes through the frozen
+   layers once, all samples stepped together along a leading batch axis.
+   The readout's input spike streams are cached, ``[B, T, fan_in]``.
+2. Training. The readout steps through each training sample's cached
+   stream, one sample at a time, since the weights carry over.
+3. Evaluation. The readout steps every stream at once with plasticity off.
+
+Each sample's trajectory is bit-identical to stepping it alone: every
+operation is elementwise or a per-sample contraction (a stacked gemv for
+dense weights, an einsum over windows for convolutions). Samples shorter
+than the batch's longest are padded with silent steps, and their spike
+counts are read at their own last step; the dynamics are causal, so the
+padding never reaches them.
+
 The M+N variant reuses the same loop on novel classes after resetting the
 plastic layer, with the frozen features carrying a provenance note naming
 the classes they were prepared on.
@@ -20,8 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .events import LabeledSample
-from .readout import CalibrationReport, wire_targets
-from .ruledsl import parse_rule
+from .readout import CalibrationReport, ReadoutLayer, wire_targets
+from .ruledsl import RuleError, SumOfProductsRule, parse_rule
 
 DEFAULT_RULE = "dw = -1*(y1*(x2 - x1) + {b}*(x1 - x2))"
 
@@ -111,12 +127,76 @@ def classify(spike_counts) -> int:
     return int(np.argmax(counts))
 
 
-def _run_sample(net, sample: LabeledSample, routing, learn: bool) -> np.ndarray:
-    net.reset_state()
-    dense = sample.to_dense()
-    for t in range(sample.duration):
-        net.step(dense[t], routing.spikes_at(t), learn=learn)
-    return np.asarray(net.spike_counts())
+def _event_index(samples: list[LabeledSample], n_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Time-major index of the samples' events into a step's ``[B, n_in]`` input.
+
+    Step t's events are ``flat[bounds[t]:bounds[t + 1]]``, each the flat
+    position ``b * n_in + neuron``. Each sample's events are already in time
+    order, so they are placed by counting instead of sorting.
+    """
+    n_b, n_t = len(samples), max((s.duration for s in samples), default=0)
+    times = [np.fromiter((e.t for e in s.events), np.int32, len(s.events)) for s in samples]
+    counts = np.array([np.bincount(t, minlength=n_t) for t in times]).reshape(n_b, n_t)
+    per_step = counts.T.ravel()
+    starts = (np.cumsum(per_step) - per_step).reshape(n_t, n_b)
+    dtype = np.int32 if n_b * n_in < 2**31 else np.int64
+    flat = np.empty(int(per_step.sum()), dtype=dtype)
+    for b, (sample, ts) in enumerate(zip(samples, times)):
+        first = np.cumsum(counts[b]) - counts[b]  # sample b's first event of each step
+        neurons = np.fromiter((e.neuron for e in sample.events), dtype, len(ts))
+        flat[starts[ts, b] + np.arange(len(ts)) - first[ts]] = b * n_in + neurons
+    return flat, np.append(starts[:, 0], len(flat))
+
+
+def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
+    """The readout's input streams of all samples, ``[B, T, fan_in]``.
+
+    One batched pass through the frozen layers; T is the longest duration.
+    A stream past its sample's duration is padding and is never read. The
+    streams are spikes (bool), or input counts when there is no frozen layer.
+    """
+    for s in samples:
+        if s.size != net.n_in:
+            raise ValueError(f"expected {net.n_in} input channels, got {s.size}")
+    n_b, n_t = len(samples), max((s.duration for s in samples), default=0)
+    flat, bounds = _event_index(samples, net.n_in)
+    streams = np.empty((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
+    net.reset_state(batch=n_b)
+    x = np.zeros(n_b * net.n_in)
+    for t in range(n_t):
+        x.fill(0.0)
+        np.add.at(x, flat[bounds[t] : bounds[t + 1]], 1.0)  # counts duplicates, as to_dense does
+        streams[:, t] = net.frozen_step(x)
+    return streams
+
+
+def evaluate_streams(readout: ReadoutLayer, streams: np.ndarray, durations) -> np.ndarray:
+    """Plasticity-off spike counts, ``[B, n_out]``, of cached streams in one
+    batched readout pass; each row is read at its sample's last step."""
+    durations = np.asarray(durations)
+    n_b = len(durations)
+    readout.reset_state(batch=n_b)
+    no_targets = np.zeros((n_b, readout.n_out), dtype=bool)
+    counts = np.zeros((n_b, readout.n_out), dtype=np.int64)
+    for t in range(streams.shape[1]):
+        readout.step(streams[:, t], no_targets)
+        done = durations == t + 1
+        counts[done] = readout.spike_count[done]
+    return counts
+
+
+def evaluate(net, samples: list[LabeledSample]) -> np.ndarray:
+    """Plasticity-off spike counts of each sample, ``[B, n_out]``."""
+    return evaluate_streams(net.readout, frozen_pass(net, samples), [s.duration for s in samples])
+
+
+def _baseline_rule(text: str, b_y1: float) -> SumOfProductsRule:
+    """Parse the rule text with ``{b}`` replaced by the calibrated baseline."""
+    try:
+        filled = text.format(b=repr(b_y1))
+    except (KeyError, IndexError, ValueError, AttributeError, TypeError) as e:
+        raise RuleError(f"rule {text!r}: the only placeholder allowed is {{b}} ({type(e).__name__}: {e})")
+    return parse_rule(filled)
 
 
 def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> EpisodeReport:
@@ -132,36 +212,34 @@ def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> Episod
     _, order_rng = _episode_rngs(cfg.seed)
 
     calibration = net.calibrate(cfg.calibration_window)
-    rule = parse_rule(cfg.rule.format(b=repr(calibration.b_y1)))
-    net.set_rule(rule, cfg.lr_exp, cfg.learn_period)
+    net.set_rule(_baseline_rule(cfg.rule, calibration.b_y1), cfg.lr_exp, cfg.learn_period)
 
-    test_routing = wire_targets(net.n_out, None, "test", 0)
+    samples = train + test
+    streams = frozen_pass(net, samples)
+
+    readout = net.readout
     for _ in range(cfg.epochs):
         order = order_rng.permutation(len(train))
         for idx in order:
             sample = train[idx]
             routing = wire_targets(net.n_out, class_to_out[sample.label], "train", cfg.target_period)
-            _run_sample(net, sample, routing, learn=True)
+            readout.reset_state()
+            for t in range(sample.duration):
+                readout.step(streams[idx, t], routing.spikes_at(t), learn=True)
 
+    counts = evaluate_streams(readout, streams, [s.duration for s in samples])
     n = cfg.n_way
     train_confusion = np.zeros((n, n), dtype=np.int64)
-    for sample in train:
-        pred = classify(_run_sample(net, sample, test_routing, learn=False))
-        train_confusion[class_to_out[sample.label], pred] += 1
+    for sample, c in zip(train, counts[: len(train)]):
+        train_confusion[class_to_out[sample.label], classify(c)] += 1
 
+    counts_matrix = counts[len(train) :]
     confusion = np.zeros((n, n), dtype=np.int64)
-    counts_matrix = np.zeros((len(test), net.n_out), dtype=np.int64)
-    labels, preds = [], []
-    zero = 0
-    for k, sample in enumerate(test):
-        counts = _run_sample(net, sample, test_routing, learn=False)
-        counts_matrix[k] = counts
-        pred = classify(counts)
-        labels.append(class_to_out[sample.label])
-        preds.append(pred)
-        confusion[class_to_out[sample.label], pred] += 1
-        if counts.sum() == 0:
-            zero += 1
+    labels = [class_to_out[s.label] for s in test]
+    preds = [classify(c) for c in counts_matrix]
+    for label, pred in zip(labels, preds):
+        confusion[label, pred] += 1
+    zero = int(np.count_nonzero(counts_matrix.sum(axis=1) == 0))
 
     return EpisodeReport(
         seed=cfg.seed,

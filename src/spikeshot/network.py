@@ -108,7 +108,12 @@ def parse_topology(input_shape, layer_tokens: list[str], n_out: int) -> Topology
 
 
 class _FrozenLayer:
-    """Shared stepping pipeline; subclasses define the weight contraction."""
+    """Shared stepping pipeline; subclasses define the weight contraction.
+
+    State arrays carry an optional leading batch axis (see ``reset_state``):
+    every operation is elementwise or a per-sample contraction, so each
+    sample of a batch follows exactly the trajectory it has on its own.
+    """
 
     kind: str
 
@@ -117,26 +122,35 @@ class _FrozenLayer:
         self.params = params
         self.reset_state()
 
-    def reset_state(self):
-        self.q = np.zeros(self.spec.in_shape)
-        self.p = np.zeros(self.spec.in_shape)
-        self.u = np.zeros(self.spec.out_shape)
-        self.v = np.zeros(self.spec.out_shape)
-        self.r = np.zeros(self.spec.out_shape)
-        self.spiked = np.zeros(self.spec.out_shape, dtype=bool)
+    def reset_state(self, batch: int | None = None):
+        """Zero the state; ``batch`` prepends an axis of that many samples."""
+        lead = () if batch is None else (batch,)
+        self.q = np.zeros(lead + self.spec.in_shape)
+        self.p = np.zeros(lead + self.spec.in_shape)
+        self.v = np.zeros(lead + self.spec.out_shape)
+        self.r = np.zeros(lead + self.spec.out_shape)
+        self.spiked = np.zeros(lead + self.spec.out_shape, dtype=bool)
 
     def _contract(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def step(self, in_spikes: np.ndarray) -> np.ndarray:
-        s = np.asarray(in_spikes, dtype=np.float64).reshape(self.spec.in_shape)
+        s = np.asarray(in_spikes, dtype=np.float64).reshape(self.q.shape)
         prm = self.params
-        self.q = prm.alpha_q * self.q + s / prm.tau_u
-        self.u = self._contract(self.q) + prm.bias
-        self.p = prm.alpha_p * self.p + self.q / prm.tau_v
-        self.r = prm.alpha_r * self.r - self.spiked * prm.v_th
-        self.v = self._contract(self.p) + self.r + prm.bias
-        self.spiked = self.v >= prm.v_th
+        # in place, with the same IEEE operations in the same order as
+        # q = a_q*q + s/tau_u etc.: the state is the frozen pass's memory peak
+        q, p, r = self.q, self.p, self.r
+        np.multiply(q, prm.alpha_q, out=q)
+        q += s / prm.tau_u
+        np.multiply(p, prm.alpha_p, out=p)
+        p += q / prm.tau_v
+        np.multiply(r, prm.alpha_r, out=r)
+        r -= self.spiked * prm.v_th
+        v = self._contract(p)
+        v += r
+        v += prm.bias
+        self.v = v
+        self.spiked = v >= prm.v_th
         return self.spiked
 
 
@@ -154,7 +168,9 @@ class DenseLayer(_FrozenLayer):
         super().__init__(spec, params)
 
     def _contract(self, x):
-        return self.w_eff @ x.ravel()
+        # one gemv per sample, bit-identical to w_eff @ x; x @ w_eff.T (gemm) is not
+        lead = x.shape[: x.ndim - len(self.spec.in_shape)]
+        return np.matmul(self.w_eff, x.reshape(lead + (-1, 1)))[..., 0]
 
 
 class ConvLayer(_FrozenLayer):
@@ -173,10 +189,10 @@ class ConvLayer(_FrozenLayer):
 
     def _contract(self, x):
         pad = self._pad
-        xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (self.spec.kernel, self.spec.kernel), axis=(0, 1))
-        # win: [H, W, C_in, kh, kw]; kernel: [C_out, kh, kw, C_in]
-        return np.einsum("hwckl,oklc->hwo", win, self.w_eff)
+        xp = np.pad(x, [(0, 0)] * (x.ndim - 3) + [(pad, pad), (pad, pad), (0, 0)])
+        win = np.lib.stride_tricks.sliding_window_view(xp, (self.spec.kernel, self.spec.kernel), axis=(-3, -2))
+        # win: [..., H, W, C_in, kh, kw]; kernel: [C_out, kh, kw, C_in]
+        return np.einsum("...hwckl,oklc->...hwo", win, self.w_eff)
 
 
 class PoolLayer(_FrozenLayer):
@@ -191,7 +207,7 @@ class PoolLayer(_FrozenLayer):
     def _contract(self, x):
         k = self._k
         h, w, c = self.spec.in_shape
-        return x.reshape(h // k, k, w // k, k, c).sum(axis=(1, 3))
+        return x.reshape(x.shape[:-3] + (h // k, k, w // k, k, c)).sum(axis=(-4, -2))
 
 
 # --- network ------------------------------------------------------------------
@@ -217,7 +233,8 @@ class Network:
     One global timestep steps every layer once, in order, each consuming the
     spikes the previous layer produced in the same global step. A single
     stepping context owns the instance; independent instances are fully
-    isolated.
+    isolated. ``reset_state(batch)`` steps that many samples side by side
+    along a leading axis of every input, state and output.
     """
 
     def __init__(self, topology: Topology, layers: list, readout: ReadoutLayer, provenance: str = ""):
@@ -228,26 +245,33 @@ class Network:
         self.n_in = math.prod(topology.input_shape)
         self.n_out = readout.n_out
         self.layer_spikes: list[np.ndarray] = []
+        self._lead: tuple[int, ...] = ()
 
-    def reset_state(self):
+    def reset_state(self, batch: int | None = None):
         for layer in self.layers:
-            layer.reset_state()
-        self.readout.reset_state()
+            layer.reset_state(batch)
+        self.readout.reset_state(batch)
         self.layer_spikes = []
+        self._lead = () if batch is None else (batch,)
+
+    def frozen_step(self, in_spikes: np.ndarray) -> np.ndarray:
+        """Advance the frozen layers one timestep; returns the readout's
+        input, ``[batch..., fan_in]``, and records each layer's spikes."""
+        x = np.asarray(in_spikes, dtype=np.float64)
+        if x.size != self.n_in * math.prod(self._lead):
+            raise ValueError(f"expected {self.n_in} input channels, got {x.size}")
+        self.layer_spikes = []
+        for layer in self.layers:
+            x = layer.step(x)
+            self.layer_spikes.append(x)
+        return x.reshape(self._lead + (-1,))
 
     def step(self, in_spikes: np.ndarray, target_spikes: np.ndarray | None = None, learn: bool = False) -> np.ndarray:
         """Advance the whole network one timestep; returns proximal spikes."""
-        x = np.asarray(in_spikes, dtype=np.float64)
-        if x.size != self.n_in:
-            raise ValueError(f"expected {self.n_in} input channels, got {x.size}")
-        record = []
-        for layer in self.layers:
-            x = layer.step(x).astype(np.float64)
-            record.append(layer.spiked)
-        tgt = np.zeros(self.n_out, dtype=bool) if target_spikes is None else target_spikes
-        out = self.readout.step(x.ravel(), tgt, learn=learn)
-        record.append(out)
-        self.layer_spikes = record
+        x = self.frozen_step(in_spikes)
+        tgt = np.zeros(self._lead + (self.n_out,), dtype=bool) if target_spikes is None else target_spikes
+        out = self.readout.step(x, tgt, learn=learn)
+        self.layer_spikes.append(out)
         return out
 
     def forward_step(self, in_spikes: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -260,9 +284,6 @@ class Network:
         return [l for l in self.layers if l.kind in (KIND_DENSE, KIND_CONV)] + [self.readout]
 
     # harness protocol -----------------------------------------------------
-
-    def spike_counts(self) -> np.ndarray:
-        return self.readout.spike_count.copy()
 
     def set_rule(self, rule, lr_exp: int, learn_period: int):
         self.readout.attach_engine(rule, lr_exp, learn_period)

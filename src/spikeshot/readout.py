@@ -329,36 +329,47 @@ class ReadoutLayer:
     def attach_engine(self, rule: SumOfProductsRule, lr_exp: int, learn_period: int = 1):
         self.engine = PlasticityEngine(self.store, rule, lr_exp, learn_period)
 
-    def reset_state(self):
-        self.q_pre = np.zeros(self.fan_in)
-        self.p_pre = np.zeros(self.fan_in)
-        self.q_tgt = np.zeros(self.n_out)
-        self.p_tgt = np.zeros(self.n_out)
-        self.v_err = np.zeros(self.n_out)
-        self.r_err = np.zeros(self.n_out)
-        self.u_err = np.zeros(self.n_out)
-        self.spiked_err = np.zeros(self.n_out, dtype=bool)
-        self.q_err = np.zeros(self.n_out)
-        self.p_err = np.zeros(self.n_out)
-        self.x0 = np.zeros(self.fan_in)
-        self.x1 = np.zeros(self.fan_in)
-        self.x2 = np.zeros(self.fan_in)
-        self.y1 = np.zeros(self.n_out)
-        self.y2 = np.zeros(self.n_out)
-        self.p_out = np.zeros(self.n_out)
-        self.v_out = np.zeros(self.n_out)
-        self.r_out = np.zeros(self.n_out)
-        self.spiked_out = np.zeros(self.n_out, dtype=bool)
-        self.spike_count = np.zeros(self.n_out, dtype=np.int64)
+    def reset_state(self, batch: int | None = None):
+        """Zero the state; ``batch`` prepends an axis of that many samples,
+        which only plasticity-off steps accept."""
+        lead = () if batch is None else (batch,)
+        pre, post = lead + (self.fan_in,), lead + (self.n_out,)
+        self.q_pre = np.zeros(pre)
+        self.p_pre = np.zeros(pre)
+        self.q_tgt = np.zeros(post)
+        self.p_tgt = np.zeros(post)
+        self.v_err = np.zeros(post)
+        self.r_err = np.zeros(post)
+        self.u_err = np.zeros(post)
+        self.spiked_err = np.zeros(post, dtype=bool)
+        self.q_err = np.zeros(post)
+        self.p_err = np.zeros(post)
+        self.x0 = np.zeros(pre)
+        self.x1 = np.zeros(pre)
+        self.x2 = np.zeros(pre)
+        self.y1 = np.zeros(post)
+        self.y2 = np.zeros(post)
+        self.p_out = np.zeros(post)
+        self.v_out = np.zeros(post)
+        self.r_out = np.zeros(post)
+        self.spiked_out = np.zeros(post, dtype=bool)
+        self.spike_count = np.zeros(post, dtype=np.int64)
         if self.engine is not None:
             self.engine.reset_counter()
 
     def step(self, in_spikes: np.ndarray, target_spikes: np.ndarray, learn: bool = False) -> np.ndarray:
-        """One global timestep; returns the proximal (output) spike vector."""
+        """One global timestep; returns the proximal (output) spike vector.
+
+        Inputs, targets and outputs carry the batch axis of the state, if
+        any. Learning needs unbatched state: the weights a sample leaves
+        behind are the next sample's starting point.
+        """
         s = np.asarray(in_spikes, dtype=np.float64)
         tgt = np.asarray(target_spikes, dtype=np.float64)
-        if s.shape != (self.fan_in,) or tgt.shape != (self.n_out,):
+        if s.shape != self.q_pre.shape or tgt.shape != self.q_tgt.shape:
             raise ValueError("readout input/target shape mismatch")
+        if learn and s.ndim > 1:
+            raise ValueError("learning steps one sample at a time; reset_state() without a batch")
         prm = self.params
         n = prm.neuron
 
@@ -370,7 +381,8 @@ class ReadoutLayer:
         self.p_tgt = n.alpha_p * self.p_tgt + self.q_tgt / n.tau_v
 
         # distal compartment
-        drive = self.store.effective() @ self.p_pre
+        # one gemv per sample, bit-identical to effective() @ p_pre
+        drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
         self.r_err = n.alpha_r * self.r_err - self.spiked_err * n.v_th
         base = drive - prm.w_tgt * self.p_tgt + self.b_err
         self.u_err = base + (self.r_err if prm.include_reset_in_u_err else 0.0)

@@ -22,6 +22,7 @@ post-synaptic, w is the current effective weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 RULE_VARS = ("x0", "x1", "x2", "y0", "y1", "y2", "w")
@@ -120,9 +121,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             while j < n and (text[j].isdigit() or text[j] in ".eE" or (text[j] in "+-" and text[j - 1] in "eE")):
                 j += 1
             try:
-                float(text[i:j])
+                value = float(text[i:j])
             except ValueError:
                 raise RuleError(f"bad number {text[i:j]!r}", i)
+            if not math.isfinite(value):
+                raise RuleError(f"non-finite number {text[i:j]!r}", i)
             toks.append(("num", text[i:j], i))
             i = j
             continue
@@ -232,6 +235,8 @@ def _canonicalize(terms: _Terms) -> SumOfProductsRule:
     for c, factors in terms:
         key = tuple(sorted(factors))
         combined[key] = combined.get(key, 0.0) + c
+    if not all(math.isfinite(c) for c in combined.values()):
+        raise RuleError("constant folding overflows to a non-finite coefficient")
     products = [
         Product(constant=c, factors=tuple(Factor(n) for n in key))
         for key, c in combined.items()

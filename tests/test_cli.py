@@ -54,6 +54,17 @@ def test_bad_rule_is_config_error(cfg_file, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("rule, message", [
+    ("dw = {c}*x1", "placeholder"),
+    ("dw = 1e400*x1*y1", "non-finite"),
+])
+def test_rule_text_holes_are_config_errors(cfg_file, tmp_path, capsys, rule, message):
+    rc = main(["train", "--config", cfg_file, "--rule", rule, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_calibrate_writes_manifest(cfg_file, tmp_path, capsys):
     out = tmp_path / "cal"
     rc = main(["calibrate", "--config", cfg_file, "--out", str(out)])

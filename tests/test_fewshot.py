@@ -9,6 +9,7 @@ from spikeshot.fewshot import (
     DatasetError,
     EpisodeConfig,
     classify,
+    evaluate,
     format_report,
     run_episode,
     run_mplusn,
@@ -139,12 +140,7 @@ def test_evaluation_does_not_mutate_weights():
     snapshot = net.readout.store.weights.tobytes()
     data = small_dataset()
     _, test = split_shots(data, small_cfg())
-    from spikeshot.fewshot import _run_sample
-    from spikeshot.readout import wire_targets
-
-    routing = wire_targets(net.n_out, None, "test", 0)
-    for s in test:
-        _run_sample(net, s, routing, learn=False)
+    evaluate(net, test)
     assert net.readout.store.weights.tobytes() == snapshot
     del report
 

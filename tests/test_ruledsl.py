@@ -95,6 +95,16 @@ def test_errors_report_position():
         parse_rule("dw = x1 x2")
 
 
+def test_non_finite_constants_rejected():
+    with pytest.raises(RuleError, match="non-finite") as exc:
+        parse_rule("dw = 1e400*x1*y1")
+    assert exc.value.pos == 5
+    with pytest.raises(RuleError, match="non-finite"):
+        parse_rule("dw = 1e200*1e200*x1")
+    with pytest.raises(RuleError, match="non-finite"):
+        parse_rule("dw = 1e308*x1 + 1e308*x1")
+
+
 def test_rule_must_have_products():
     with pytest.raises(RuleError):
         SumOfProductsRule(products=())
