@@ -139,11 +139,11 @@ def _event_index(samples: list[LabeledSample], n_in: int) -> tuple[np.ndarray, n
     counts = np.array([np.bincount(t, minlength=n_t) for t in times]).reshape(n_b, n_t)
     per_step = counts.T.ravel()
     starts = (np.cumsum(per_step) - per_step).reshape(n_t, n_b)
-    dtype = np.int32 if n_b * n_in < 2**31 else np.int64
-    flat = np.empty(int(per_step.sum()), dtype=dtype)
+    # int32 holds b * n_in + neuron while the float64 [B, n_in] step input is under 16 GB
+    flat = np.empty(int(per_step.sum()), dtype=np.int32)
     for b, (sample, ts) in enumerate(zip(samples, times)):
         first = np.cumsum(counts[b]) - counts[b]  # sample b's first event of each step
-        neurons = np.fromiter((e.neuron for e in sample.events), dtype, len(ts))
+        neurons = np.fromiter((e.neuron for e in sample.events), np.int32, len(ts))
         flat[starts[ts, b] + np.arange(len(ts)) - first[ts]] = b * n_in + neurons
     return flat, np.append(starts[:, 0], len(flat))
 
