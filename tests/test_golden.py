@@ -4,10 +4,16 @@ The reruns-agree check (acceptance criterion 9) cannot see a change that
 moves every run the same way. These digests pin the outputs themselves, so
 a refactor either keeps them or announces new ones together with the
 acceptance accuracies before and after.
+
+The second case adds a weight-dependent term to the shipped rule and trains
+three epochs, so the rule's ``w`` products and the weights carried across
+epochs are pinned too.
 """
 
 import hashlib
 from pathlib import Path
+
+import yaml
 
 from spikeshot.cli import main
 
@@ -19,8 +25,28 @@ GOLDEN_SHA256 = {
     "manifest.yaml": "e87ad3f2d20d45f3daf5429488ef17668ac6d57387fbac1089ac8757a108bb61",
 }
 
+W_RULE = "dw = -1*(y1*(x2 - x1) + {b}*(x1 - x2)) - 0.1*w*y1*x2"
+
+W_RULE_GOLDEN_SHA256 = {
+    "weights_seed0.ssw": "2204f6efc201400256b8ba34138293da67648dc160545f427577a80313e626e4",
+    "report_seed0.txt": "5752353451f6c1bbaa74620590de102f90c32fb5f0cae80a7edb7015530cf050",
+    "manifest.yaml": "7f2fbee14fafc3c3feea92b9ae744c35242f659bded3509bd7aa1649b1931ce7",
+}
+
+
+def _train_digests(config: Path, out: Path) -> dict[str, str]:
+    assert main(["train", "--config", str(config), "--seed", "0", "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+
 
 def test_train_outputs_match_golden_digest(tmp_path):
-    assert main(["train", "--config", str(CONFIG), "--seed", "0", "--out", str(tmp_path)]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
-    assert digests == GOLDEN_SHA256
+    assert _train_digests(CONFIG, tmp_path) == GOLDEN_SHA256
+
+
+def test_w_rule_three_epochs_match_golden_digest(tmp_path):
+    cfg = yaml.safe_load(CONFIG.read_text())
+    cfg["learning"]["rule"] = W_RULE
+    cfg["episode"]["epochs"] = 3
+    config = tmp_path / "w_rule.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    assert _train_digests(config, tmp_path / "out") == W_RULE_GOLDEN_SHA256
