@@ -18,7 +18,7 @@ from .readout import (
     wire_targets,
 )
 from .ruledsl import Factor, Product, RuleError, SumOfProductsRule, evaluate_rule, parse_rule
-from .traces import TraceConfig, TraceState, psp_matched_trace_configs, update_trace
+from .traces import TraceConfig, psp_matched_trace_configs, update_trace
 from .weightio import load_weights, read_weight_file, save_weights
 
 __version__ = "0.1.0"

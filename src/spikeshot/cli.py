@@ -31,7 +31,16 @@ from .events import (
     read_events,
     write_events,
 )
-from .fewshot import DatasetError, classify, evaluate, format_report, run_episode, run_mplusn, split_shots
+from .fewshot import (
+    DatasetError,
+    check_input_size,
+    classify,
+    evaluate,
+    format_report,
+    run_episode,
+    run_mplusn,
+    split_shots,
+)
 from .network import TopologyError, build_network
 from .oracle import TrajectoryRecord, dump_trajectory
 from .readout import CalibrationError, ErrorCompartment, calibrate_bias, solve_baseline_bias
@@ -232,6 +241,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(cfg, args.out)
     samples = read_events(args.events)
     net = _build_net(cfg, int(cfg["episode"]["seeds"][0]))
+    check_input_size(net, samples)
     rasters = []
     for k, sample in enumerate(samples):
         net.reset_state()

@@ -43,6 +43,8 @@ class LabeledSample:
         return math.prod(self.shape)
 
     def validate(self):
+        if self.duration < 0:
+            raise EventFormatError(f"negative duration {self.duration}")
         last_t = -1
         for ev in self.events:
             if not (0 <= ev.t < self.duration):

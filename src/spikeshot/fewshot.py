@@ -12,8 +12,11 @@ Only the readout learns, so an episode runs in three phases:
 1. Frozen pass. Every sample, train and test, goes through the frozen
    layers once, all samples stepped together along a leading batch axis.
    The readout's input spike streams are cached, ``[B, T, fan_in]``.
-2. Training. The readout steps through each training sample's cached
-   stream, one sample at a time, since the weights carry over.
+2. Training. ``ReadoutLayer.train`` runs each training sample's cached
+   stream, one sample at a time, since the weights carry over. Its loop
+   computes only what learning reads: the pre-synaptic filters, the distal
+   compartment, the traces the rule references and the rule's update. The
+   proximal compartment only matters for evaluation and is not stepped.
 3. Evaluation. The readout steps every stream at once with plasticity off.
 
 Each sample's trajectory is bit-identical to stepping it alone: every
@@ -36,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .events import LabeledSample
-from .readout import CalibrationReport, ReadoutLayer, wire_targets
+from .readout import CalibrationReport, ReadoutLayer
 from .ruledsl import RuleError, SumOfProductsRule, parse_rule
 
 DEFAULT_RULE = "dw = -1*(y1*(x2 - x1) + {b}*(x1 - x2))"
@@ -148,6 +151,15 @@ def _event_index(samples: list[LabeledSample], n_in: int) -> tuple[np.ndarray, n
     return flat, np.append(starts[:, 0], len(flat))
 
 
+def check_input_size(net, samples: list[LabeledSample]):
+    """Raise DatasetError unless every sample has the network's input size."""
+    for k, s in enumerate(samples):
+        if s.size != net.n_in:
+            raise DatasetError(
+                f"sample {k} (label {s.label}) has {s.size} input channels; the network expects {net.n_in}"
+            )
+
+
 def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     """The readout's input streams of all samples, ``[B, T, fan_in]``.
 
@@ -155,9 +167,7 @@ def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     A stream past its sample's duration is padding and is never read. The
     streams are spikes (bool), or input counts when there is no frozen layer.
     """
-    for s in samples:
-        if s.size != net.n_in:
-            raise ValueError(f"expected {net.n_in} input channels, got {s.size}")
+    check_input_size(net, samples)
     n_b, n_t = len(samples), max((s.duration for s in samples), default=0)
     flat, bounds = _event_index(samples, net.n_in)
     streams = np.empty((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
@@ -219,13 +229,9 @@ def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> Episod
 
     readout = net.readout
     for _ in range(cfg.epochs):
-        order = order_rng.permutation(len(train))
-        for idx in order:
+        for idx in order_rng.permutation(len(train)):
             sample = train[idx]
-            routing = wire_targets(net.n_out, class_to_out[sample.label], "train", cfg.target_period)
-            readout.reset_state()
-            for t in range(sample.duration):
-                readout.step(streams[idx, t], routing.spikes_at(t), learn=True)
+            readout.train(streams[idx, : sample.duration], class_to_out[sample.label], cfg.target_period)
 
     counts = evaluate_streams(readout, streams, [s.duration for s in samples])
     n = cfg.n_way

@@ -266,17 +266,19 @@ class Network:
             self.layer_spikes.append(x)
         return x.reshape(self._lead + (-1,))
 
-    def step(self, in_spikes: np.ndarray, target_spikes: np.ndarray | None = None, learn: bool = False) -> np.ndarray:
-        """Advance the whole network one timestep; returns proximal spikes."""
+    def step(self, in_spikes: np.ndarray, target_spikes: np.ndarray | None = None) -> np.ndarray:
+        """Advance the whole network one plasticity-off timestep; returns
+        proximal spikes. Learning runs through ``ReadoutLayer.train`` on the
+        readout's input stream."""
         x = self.frozen_step(in_spikes)
         tgt = np.zeros(self._lead + (self.n_out,), dtype=bool) if target_spikes is None else target_spikes
-        out = self.readout.step(x, tgt, learn=learn)
+        out = self.readout.step(x, tgt)
         self.layer_spikes.append(out)
         return out
 
     def forward_step(self, in_spikes: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Inference-only step: no targets, no learning; returns spikes + per-layer record."""
-        out = self.step(in_spikes, None, learn=False)
+        out = self.step(in_spikes)
         return out, self.layer_spikes
 
     def weighted_layers(self) -> list:

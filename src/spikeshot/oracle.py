@@ -141,10 +141,7 @@ class OracleDenseLayer:
 
 
 def _trace_step(t: float, spike: float, cfg: TraceConfig) -> float:
-    t = math.exp(-1.0 / cfg.tau) * t + spike * cfg.increment
-    if cfg.saturation is not None and t > cfg.saturation:
-        t = cfg.saturation
-    return t
+    return math.exp(-1.0 / cfg.tau) * t + spike * cfg.increment
 
 
 def _eval_rule(rule: SumOfProductsRule, values: dict[str, float]) -> float:
@@ -152,7 +149,7 @@ def _eval_rule(rule: SumOfProductsRule, values: dict[str, float]) -> float:
     for prod in rule.products:
         term = prod.constant
         for f in prod.factors:
-            term *= values[f.name] + f.offset
+            term *= values[f.name]
         total += term
     return total
 

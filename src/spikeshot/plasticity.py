@@ -6,14 +6,17 @@ increment Delta; the candidate integer weight w + Delta * 2**lr_exp is
 stochastically rounded (floor with probability 1 - frac, ceil otherwise) and
 clamped to [-128, 127]. Every rounding consumes exactly one uniform draw from
 the store's counter-based stream, assigned in row-major synapse order, so
-trajectories are reproducible regardless of how evaluation is batched.
+trajectories are reproducible regardless of how evaluation is batched. A
+candidate that is NaN or infinite is refused, never cast into the store.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .ruledsl import SumOfProductsRule, evaluate_rule
+from .ruledsl import RuleError, SumOfProductsRule, evaluate_rule
 
 WEIGHT_MIN = -128
 WEIGHT_MAX = 127
@@ -21,8 +24,17 @@ WEIGHT_MAX = 127
 _ZERO = np.zeros(1)
 
 
+class NonFiniteUpdateError(ValueError):
+    """A weight update that is NaN or infinite; the store refuses it."""
+
+
 class QuantizedWeightStore:
-    """Signed 8-bit weight matrix with a power-of-two scale and rounding stream."""
+    """Signed 8-bit weight matrix with a power-of-two scale and rounding stream.
+
+    The store keeps a float64 copy of the integer weights, and the effective
+    weights, so that a learning step converts nothing. Assigning a new array
+    to ``weights`` refreshes both; writing into the array in place does not.
+    """
 
     def __init__(self, shape: tuple[int, int], scale_exp: int, seed: int, init: np.ndarray | None = None):
         self.shape = tuple(shape)
@@ -40,12 +52,26 @@ class QuantizedWeightStore:
         self._rng = np.random.Generator(np.random.Philox(self.rng_seed))
 
     @property
+    def weights(self) -> np.ndarray:
+        return self._weights
+
+    @weights.setter
+    def weights(self, value: np.ndarray):
+        self._weights = value
+        self._float = np.asarray(value).astype(np.float64)
+        self._eff_exp = None
+
+    @property
     def scale(self) -> float:
         return 2.0**self.scale_exp
 
     def effective(self) -> np.ndarray:
-        """Real-valued weights: integer * 2**scale_exp."""
-        return self.weights.astype(np.float64) * self.scale
+        """Real-valued weights: integer * 2**scale_exp (read-only, cached)."""
+        if self._eff_exp != self.scale_exp:
+            self._eff = self._float * self.scale
+            self._eff.flags.writeable = False
+            self._eff_exp = self.scale_exp
+        return self._eff
 
     def reseed(self, seed: int | None = None):
         """Rewind (or replace) the rounding stream; weights are untouched."""
@@ -64,11 +90,15 @@ class QuantizedWeightStore:
         n, m = self.shape
         if not (0 <= i < n and 0 <= j < m):
             raise IndexError(f"synapse ({i},{j}) out of range for {self.shape}")
-        candidate = float(self.weights[i, j]) + raw_delta * 2.0**lr_exp
+        candidate = float(self._float[i, j]) + raw_delta * 2.0**lr_exp
+        if not math.isfinite(candidate):
+            raise NonFiniteUpdateError(f"non-finite update {candidate!r} at synapse ({i},{j})")
         floor = np.floor(candidate)
         frac = candidate - floor
         rounded = floor + (self._rng.random() < frac)
-        self.weights[i, j] = np.int8(np.clip(rounded, WEIGHT_MIN, WEIGHT_MAX))
+        self._float[i, j] = np.clip(rounded, WEIGHT_MIN, WEIGHT_MAX)
+        self._weights[i, j] = np.int8(self._float[i, j])
+        self._eff_exp = None
 
     def apply_update_matrix(self, raw_deltas: np.ndarray, lr_exp: int):
         """Vectorized update of every synapse; draws consumed row-major.
@@ -79,12 +109,22 @@ class QuantizedWeightStore:
         deltas = np.asarray(raw_deltas, dtype=np.float64)
         if deltas.shape != self.shape:
             raise ValueError(f"delta shape {deltas.shape} != store shape {self.shape}")
-        candidate = self.weights.astype(np.float64) + deltas * 2.0**lr_exp
+        candidate = self._float + deltas * 2.0**lr_exp
         floor = np.floor(candidate)
         frac = candidate - floor
+        # frac lies in [0, 1) where the candidate is finite and is NaN where it is not
+        if math.isnan(np.add.reduce(frac, axis=None)):
+            bad = np.count_nonzero(~np.isfinite(candidate))
+            raise NonFiniteUpdateError(f"{bad} of {candidate.size} weight updates are not finite")
         draws = self._rng.random(self.shape)
         rounded = floor + (draws < frac)
-        self.weights = np.clip(rounded, WEIGHT_MIN, WEIGHT_MAX).astype(np.int8)
+        # clamped in place: integers in [-128, 127], never -0.0, so exactly
+        # the new int8 weights as floats
+        np.maximum(rounded, WEIGHT_MIN, out=rounded)
+        np.minimum(rounded, WEIGHT_MAX, out=rounded)
+        self._float = rounded
+        self._weights = rounded.astype(np.int8)
+        self._eff_exp = None
 
 
 def synapse_view(pre: dict[str, np.ndarray], post: dict[str, np.ndarray], w_eff: float, i: int, j: int) -> dict[str, float]:
@@ -108,19 +148,24 @@ def evaluate_rule_matrix(
     ``pre`` maps x-variable names to [fan_in] arrays, ``post`` maps
     y-variable names to [n_out] arrays; w_eff is the [n_out, fan_in]
     effective weight matrix. Missing variables read as zero.
+
+    Each product multiplies its factors left to right, as ``evaluate_rule``
+    does per synapse, but on the smallest shape broadcasting allows: the
+    constant and pre-synaptic factors stay [fan_in] vectors, the first
+    post-synaptic factor makes the outer product, and a ``w`` factor makes
+    the term a matrix. The per-synapse operations and their order are those
+    of the scalar rule, so the result is bit for bit the same.
     """
-    n_out, fan_in = w_eff.shape
-    total = np.zeros((n_out, fan_in))
+    total = np.zeros(w_eff.shape)
     for prod in rule.products:
-        term = np.full((n_out, fan_in), prod.constant)
+        term = prod.constant
         for f in prod.factors:
-            if f.name.startswith("x"):
-                val = np.asarray(pre.get(f.name, _ZERO))[np.newaxis, :]
-            elif f.name.startswith("y"):
-                val = np.asarray(post.get(f.name, _ZERO))[:, np.newaxis]
-            else:  # w
-                val = w_eff
-            term = term * (val + f.offset)
+            if f.name == "w":
+                term = term * w_eff
+            elif f.name[0] == "x":
+                term = term * pre.get(f.name, _ZERO)
+            else:
+                term = term * post.get(f.name, _ZERO)[:, np.newaxis]
         total += term
     return total
 
@@ -150,7 +195,8 @@ class PlasticityEngine:
     ``tick`` is called once per global timestep with the current trace
     values; on period boundaries it evaluates the rule for every synapse
     (row-major) and applies stochastically rounded updates. Off-boundary
-    ticks leave the store untouched.
+    ticks leave the store untouched. A rule whose updates are not finite is
+    a ``RuleError`` naming the rule.
     """
 
     def __init__(
@@ -177,5 +223,8 @@ class PlasticityEngine:
         if self.step_count % self.learn_period != 0:
             return False
         deltas = evaluate_rule_matrix(self.rule, pre, post, self.store.effective())
-        self.store.apply_update_matrix(deltas, self.lr_exp)
+        try:
+            self.store.apply_update_matrix(deltas, self.lr_exp)
+        except NonFiniteUpdateError as e:
+            raise RuleError(f"rule {self.rule.pretty()!r} gives non-finite weight updates: {e}") from None
         return True

@@ -297,6 +297,10 @@ class ReadoutLayer:
     filters, per-neuron distal and proximal state, the plasticity traces and
     optionally a plasticity engine. Scalar semantics match ``step_error``
     applied per neuron with weighted_input = (effective weights) @ p_pre.
+
+    ``step`` is the plasticity-off timestep, with an optional batch axis;
+    ``train`` presents one sample with plasticity on. Both run the same
+    pre-synaptic filter and distal compartment code.
     """
 
     kind = "plastic-output"
@@ -323,6 +327,7 @@ class ReadoutLayer:
         self.x1_cfg, self.x2_cfg = params.pre_trace_configs()
         self.y1_cfg = params.y1_config()
         self.y2_cfg = params.y2_config()
+        self._a_q, self._a_p, self._a_r = n.alpha_q, n.alpha_p, n.alpha_r
         self.engine: PlasticityEngine | None = None
         self.reset_state()
 
@@ -357,42 +362,49 @@ class ReadoutLayer:
         if self.engine is not None:
             self.engine.reset_counter()
 
-    def step(self, in_spikes: np.ndarray, target_spikes: np.ndarray, learn: bool = False) -> np.ndarray:
-        """One global timestep; returns the proximal (output) spike vector.
+    def _psp(self, q, p, drive):
+        """PSC then PSP filter: q' = a_q*q + drive, p' = a_p*p + q'/tau_v,
+        where drive is the input spikes over tau_u. Returns (q', p')."""
+        q = self._a_q * q + drive
+        return q, self._a_p * p + q / self.params.neuron.tau_v
+
+    def _distal(self, label_drive):
+        """Advance the distal compartment by one step; ``label_drive`` is
+        w_tgt * p_tgt. Returns its potential without the reset term."""
+        v_th = self.params.neuron.v_th
+        # one gemv per sample, bit-identical to effective() @ p_pre
+        drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
+        self.r_err = self._a_r * self.r_err - self.spiked_err * v_th
+        base = drive - label_drive + self.b_err
+        self.v_err = base + self.r_err
+        self.spiked_err = self.v_err >= v_th
+        return base
+
+    def step(self, in_spikes: np.ndarray, target_spikes: np.ndarray) -> np.ndarray:
+        """One plasticity-off timestep; returns the proximal (output) spike vector.
 
         Inputs, targets and outputs carry the batch axis of the state, if
-        any. Learning needs unbatched state: the weights a sample leaves
-        behind are the next sample's starting point.
+        any. Besides the distal compartment it steps the proximal one, whose
+        spikes are counted for classification, and every trace.
         """
         s = np.asarray(in_spikes, dtype=np.float64)
         tgt = np.asarray(target_spikes, dtype=np.float64)
         if s.shape != self.q_pre.shape or tgt.shape != self.q_tgt.shape:
             raise ValueError("readout input/target shape mismatch")
-        if learn and s.ndim > 1:
-            raise ValueError("learning steps one sample at a time; reset_state() without a batch")
         prm = self.params
         n = prm.neuron
 
-        # pre-synaptic filters shared by all neurons
-        self.q_pre = n.alpha_q * self.q_pre + s / n.tau_u
-        self.p_pre = n.alpha_p * self.p_pre + self.q_pre / n.tau_v
-        # label-spike filter per neuron
-        self.q_tgt = n.alpha_q * self.q_tgt + tgt / n.tau_u
-        self.p_tgt = n.alpha_p * self.p_tgt + self.q_tgt / n.tau_v
+        # pre-synaptic filters shared by all neurons; label-spike filter per neuron
+        self.q_pre, self.p_pre = self._psp(self.q_pre, self.p_pre, s / n.tau_u)
+        self.q_tgt, self.p_tgt = self._psp(self.q_tgt, self.p_tgt, tgt / n.tau_u)
 
-        # distal compartment
-        # one gemv per sample, bit-identical to effective() @ p_pre
-        drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
-        self.r_err = n.alpha_r * self.r_err - self.spiked_err * n.v_th
-        base = drive - prm.w_tgt * self.p_tgt + self.b_err
+        base = self._distal(prm.w_tgt * self.p_tgt)
         self.u_err = base + (self.r_err if prm.include_reset_in_u_err else 0.0)
-        self.v_err = base + self.r_err
-        self.spiked_err = self.v_err >= n.v_th
         err = self.spiked_err.astype(np.float64)
 
         # post traces (two-stage diagnostic pair plus the rule traces)
-        self.q_err = n.alpha_q * self.q_err + err
-        self.p_err = n.alpha_p * self.p_err + self.q_err
+        self.q_err = self._a_q * self.q_err + err
+        self.p_err = self._a_p * self.p_err + self.q_err
         self.y1 = update_trace(self.y1, err, self.y1_cfg)
         self.y2 = update_trace(self.y2, err, self.y2_cfg)
 
@@ -404,18 +416,74 @@ class ReadoutLayer:
         # proximal compartment: integrates the copied current; the label
         # drive re-enters with opposite sign through the same filter, so
         # label spikes cancel exactly
-        self.p_out = n.alpha_p * self.p_out + self.u_err + prm.w_tgt * self.p_tgt
-        self.r_out = n.alpha_r * self.r_out - self.spiked_out * n.v_th
+        self.p_out = self._a_p * self.p_out + self.u_err + prm.w_tgt * self.p_tgt
+        self.r_out = self._a_r * self.r_out - self.spiked_out * n.v_th
         self.v_out = self.p_out + self.r_out + self.b_out
         self.spiked_out = self.v_out >= n.v_th
         self.spike_count += self.spiked_out
-
-        if learn and self.engine is not None:
-            self.engine.tick(
-                pre={"x0": self.x0, "x1": self.x1, "x2": self.x2},
-                post={"y0": err, "y1": self.y1, "y2": self.y2},
-            )
         return self.spiked_out
+
+    def _label_drive(self, label: int, period: int, n_t: int) -> np.ndarray:
+        """w_tgt * p_tgt at every step of a training sample, ``[n_t, n_out]``:
+        a label spike every ``period`` steps from t = 0 (none for period 0)
+        through the PSC/PSP filters of the label's neuron."""
+        if not 0 <= label < self.n_out:
+            raise IndexError(f"label {label} out of range for {self.n_out} outputs")
+        tau_u, w_tgt = self.params.neuron.tau_u, self.params.w_tgt
+        drive = np.zeros((n_t, self.n_out))
+        q = p = 0.0
+        for t in range(n_t):
+            q, p = self._psp(q, p, (1.0 if period > 0 and t % period == 0 else 0.0) / tau_u)
+            drive[t, label] = w_tgt * p
+        return drive
+
+    def train(self, stream: np.ndarray, label: int, target_period: int) -> None:
+        """Present one training sample with plasticity on.
+
+        ``stream`` is the sample's readout input, ``[T, fan_in]``. The
+        ``label``'s neuron receives a label spike every ``target_period``
+        steps from t = 0 (none for 0). The state is reset first; the weights
+        carry over from the previous sample.
+
+        Decays, increments, the float input and the label drive are computed
+        once per sample. Each step then computes only what learning reads:
+        the pre-synaptic filters, the distal compartment, the traces the rule
+        references, and the engine's tick. The proximal compartment and the
+        other traces are not stepped, so ``spike_count`` stays zero. The
+        weights and the distal trajectory are bit for bit those of ``step``
+        with the engine ticked after every step.
+        """
+        engine = self.engine
+        if engine is None:
+            raise RuntimeError("train() needs a learning rule: attach_engine() first")
+        s_all = np.asarray(stream, dtype=np.float64)
+        if s_all.ndim != 2 or s_all.shape[1] != self.fan_in:
+            raise ValueError(f"readout stream shape {s_all.shape} != (T, {self.fan_in})")
+        n_t = len(s_all)
+        label_drive = self._label_drive(label, target_period, n_t)
+        self.reset_state()
+
+        used = engine.rule.variables
+        s_in = s_all / self.params.neuron.tau_u
+        # (name, decay, increment per step or per spike) of each referenced trace
+        x_traces = [(k, c.alpha, s_all * c.increment) for k, c in (("x1", self.x1_cfg), ("x2", self.x2_cfg)) if k in used]
+        y_traces = [(k, c.alpha, c.increment) for k, c in (("y1", self.y1_cfg), ("y2", self.y2_cfg)) if k in used]
+        pre = {k: np.zeros(self.fan_in) for k, _, _ in x_traces}
+        post = {k: np.zeros(self.n_out) for k, _, _ in y_traces}
+        use_x0, use_y0 = "x0" in used, "y0" in used
+        for t in range(n_t):
+            self.q_pre, self.p_pre = self._psp(self.q_pre, self.p_pre, s_in[t])
+            self._distal(label_drive[t])
+            err = self.spiked_err.astype(np.float64)
+            for k, alpha, inc in x_traces:
+                pre[k] = alpha * pre[k] + inc[t]
+            for k, alpha, inc in y_traces:
+                post[k] = alpha * post[k] + err * inc
+            if use_x0:
+                pre["x0"] = s_all[t]
+            if use_y0:
+                post["y0"] = err
+            engine.tick(pre, post)
 
     def make_compartment(self) -> ErrorCompartment:
         """Fresh isolated scalar compartment with this layer's parameters."""

@@ -40,20 +40,16 @@ class RuleError(ValueError):
 
 @dataclass(frozen=True)
 class Factor:
-    """One multiplicand: a variable, optionally shifted by a constant."""
+    """One multiplicand: a variable."""
 
     name: str
-    offset: float = 0.0
 
     def __post_init__(self):
         if self.name not in RULE_VARS:
             raise RuleError(f"unknown variable {self.name!r}")
 
     def __str__(self):
-        if self.offset == 0.0:
-            return self.name
-        sign = "+" if self.offset > 0 else "-"
-        return f"({self.name} {sign} {_fmt(abs(self.offset))})"
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -73,6 +69,11 @@ class SumOfProductsRule:
     def __post_init__(self):
         if not self.products:
             raise RuleError("rule must contain at least one product term")
+
+    @property
+    def variables(self) -> frozenset[str]:
+        """The names of the variables the rule reads."""
+        return frozenset(f.name for prod in self.products for f in prod.factors)
 
     def pretty(self) -> str:
         """Render back to rule text; re-parsing yields an identical rule."""
@@ -254,6 +255,6 @@ def evaluate_rule(rule: SumOfProductsRule, values: dict[str, float]) -> float:
     for prod in rule.products:
         term = prod.constant
         for f in prod.factors:
-            term *= values[f.name] + f.offset
+            term *= values[f.name]
         total += term
     return total

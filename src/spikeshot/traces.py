@@ -24,24 +24,17 @@ import numpy as np
 class TraceConfig:
     """Decay/increment parameters of one first-order trace.
 
-    tau is in timesteps; the decay factor is exp(-1/tau). ``saturation``
-    clamps the trace from above; ``quant_bits`` optionally snaps the trace
-    to the integer grid [0, 2**quant_bits - 1] after each update, mimicking
-    low-precision hardware trace storage.
+    tau is in timesteps; the decay factor is exp(-1/tau).
     """
 
     tau: float
     increment: float = 1.0
-    saturation: float | None = None
-    quant_bits: int | None = None
 
     def __post_init__(self):
         if self.tau < 1.0:
             raise ValueError(f"trace tau must be >= 1 timestep, got {self.tau}")
         if self.increment <= 0.0:
             raise ValueError(f"trace increment must be > 0, got {self.increment}")
-        if self.saturation is not None and self.saturation <= 0.0:
-            raise ValueError("trace saturation must be positive when set")
 
     @property
     def alpha(self) -> float:
@@ -52,33 +45,12 @@ def update_trace(t, spiked, cfg: TraceConfig):
     """Advance a trace one step: t' = alpha*t + spiked*increment.
 
     Works elementwise on scalars or arrays; ``spiked`` may be boolean or a
-    spike count. Clamps to ``cfg.saturation`` when configured.
+    spike count.
     """
     t = cfg.alpha * np.asarray(t, dtype=np.float64) + np.asarray(spiked, dtype=np.float64) * cfg.increment
-    if cfg.saturation is not None:
-        t = np.minimum(t, cfg.saturation)
-    if cfg.quant_bits is not None:
-        t = np.clip(np.round(t), 0.0, float(2**cfg.quant_bits - 1))
     if t.ndim == 0:
         return float(t)
     return t
-
-
-@dataclass
-class TraceState:
-    """Pre-synaptic traces per input channel and post-synaptic trace per neuron."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    y1: np.ndarray
-
-    @classmethod
-    def zeros(cls, fan_in: int, n_out: int) -> "TraceState":
-        return cls(
-            x1=np.zeros(fan_in),
-            x2=np.zeros(fan_in),
-            y1=np.zeros(n_out),
-        )
 
 
 def psp_matched_trace_configs(tau_u: float, tau_v: float) -> tuple[TraceConfig, TraceConfig]:
@@ -91,7 +63,7 @@ def psp_matched_trace_configs(tau_u: float, tau_v: float) -> tuple[TraceConfig, 
     with a_q = exp(-1/tau_u), a_p = exp(-1/tau_v). Splitting this into two
     geometric kernels gives a fast trace x1 (decay a_q) and a slow trace x2
     (decay a_p) with increments a_q*c and a_p*c, c = 1/(tau_u*tau_v*(a_p-a_q)),
-    so that x2 - x1 equals P for any spike train (absent saturation).
+    so that x2 - x1 equals P for any spike train.
 
     Requires tau_v > tau_u so both increments are positive.
     """

@@ -9,8 +9,7 @@ from spikeshot.dynamics import NeuronParams
 from spikeshot.events import LabeledSample, SpikeEvent
 from spikeshot.fewshot import evaluate_streams, frozen_pass
 from spikeshot.network import BuildConfig, build_network, parse_topology
-from spikeshot.plasticity import QuantizedWeightStore
-from spikeshot.readout import ReadoutLayer, ReadoutParams
+from spikeshot.readout import ReadoutParams
 
 NEURON = NeuronParams(tau_u=2, tau_v=4, v_th=0.5)
 READOUT = ReadoutParams(neuron=NeuronParams(tau_u=2, tau_v=4))
@@ -85,12 +84,3 @@ def test_batched_equals_per_sample(data):
         assert np.array_equal(streams[b, : durations[b]], stream)
     counts = evaluate_streams(net.readout, streams, durations)
     assert np.array_equal(counts, np.array([c for _, _, c in solo]))
-
-
-def test_learning_with_a_batch_axis_raises():
-    layer = ReadoutLayer(4, 2, QuantizedWeightStore((2, 4), -6, 0), READOUT)
-    layer.reset_state(batch=3)
-    no_targets = np.zeros((3, 2), dtype=bool)
-    layer.step(np.ones((3, 4)), no_targets)
-    with pytest.raises(ValueError, match="one sample at a time"):
-        layer.step(np.ones((3, 4)), no_targets, learn=True)

@@ -57,9 +57,12 @@ def test_bad_rule_is_config_error(cfg_file, capsys):
 @pytest.mark.parametrize("rule, message", [
     ("dw = {c}*x1", "placeholder"),
     ("dw = 1e400*x1*y1", "non-finite"),
+    ("dw = 1e308*w*y1", "non-finite weight updates"),  # overflows at the first update
 ])
-def test_rule_text_holes_are_config_errors(cfg_file, tmp_path, capsys, rule, message):
-    rc = main(["train", "--config", cfg_file, "--rule", rule, "--out", str(tmp_path / "o")])
+def test_rule_text_holes_are_config_errors(tmp_path, capsys, rule, message):
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(SMALL_CONFIG + "weights:\n  plastic_init: random\n")  # w-rules see non-zero weights
+    rc = main(["train", "--config", str(cfg_file), "--rule", rule, "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
@@ -168,6 +171,21 @@ def test_simulate_zero_events_empty_raster(cfg_file, tmp_path):
     assert main(["simulate", "--config", cfg_file, "--events", str(empty), "--out", str(out)]) == 0
     raster = read_events(out / "raster.events")
     assert raster[0].events == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_event_file_for_another_topology_is_data_error(cfg_file, tmp_path, capsys, command):
+    from spikeshot.events import LabeledSample, SpikeEvent, write_events
+
+    path = tmp_path / "seven.events"
+    write_events([LabeledSample(shape=(7,), duration=20, label=c, events=[SpikeEvent(t=0, neuron=6)])
+                  for c in range(3) for _ in range(3)], path)
+    cfg = tmp_path / "file.yaml"
+    cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {path}\n")
+    args = ["--events", str(path)] if command == "simulate" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "7 input channels" in err
 
 
 def test_missing_dataset_file_is_data_error(tmp_path, capsys):

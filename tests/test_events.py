@@ -68,6 +68,13 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         read_events(path)
 
 
+def test_negative_duration_rejected(tmp_path):
+    path = tmp_path / "bad.events"
+    path.write_text("shape=3 duration=-3 label=0\n")
+    with pytest.raises(EventFormatError, match="negative duration"):
+        read_events(path)
+
+
 def test_to_dense_counts_multiplicity():
     s = LabeledSample(shape=(2,), duration=3, label=0,
                       events=[SpikeEvent(1, 0), SpikeEvent(1, 0), SpikeEvent(2, 1)])

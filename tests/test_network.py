@@ -176,8 +176,9 @@ def test_frozen_weights_untouched_by_learning():
     net.set_rule(parse_rule("dw = x1*y1"), 4, 1)
     frozen_before = net.layers[0].weights.tobytes()
     rng = np.random.default_rng(5)
-    for t in range(300):
-        net.step((rng.random(8) < 0.4).astype(float), np.array([t % 4 == 0, False, False]), learn=True)
+    net.reset_state()
+    stream = np.array([net.frozen_step((rng.random(8) < 0.4).astype(float)) for _ in range(300)])
+    net.readout.train(stream, label=0, target_period=4)  # label spikes at t % 4 == 0
     assert net.layers[0].weights.tobytes() == frozen_before
     assert net.readout.store.weights.any()  # plastic layer did learn
 

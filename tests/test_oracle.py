@@ -144,10 +144,10 @@ def test_quantized_drift_bounded_by_rounding_budget():
     orc.set_rule(rule, lr_exp=0, learn_period=1)
     rng = np.random.default_rng(10)
     n_updates = 1000
+    stream = np.array([(rng.random(2) < 0.4).astype(float) for _ in range(n_updates)])
     for t in range(n_updates):
-        s = (rng.random(2) < 0.4).astype(float)
-        sim.step(s, np.array([t % 5 == 0]), learn=True)
-        orc.step(s.tolist(), [t % 5 == 0], learn=True)
+        orc.step(stream[t].tolist(), [t % 5 == 0], learn=True)
+    sim.train(stream, label=0, target_period=5)  # label spikes at t % 5 == 0
     dev = np.abs(store.effective() - np.array(orc.w)).max()
     assert dev <= n_updates * 2.0**-6
     assert dev > 0  # rounding really happened
@@ -171,8 +171,7 @@ def test_rounding_drift_unbiased_across_seeds():
         store = QuantizedWeightStore((1, 2), -6, seed)
         sim = ReadoutLayer(2, 1, store, params, b_err=b_err)
         sim.attach_engine(rule, 0, 1)
-        for t in range(400):
-            sim.step(inputs[t], np.array([targets[t]]), learn=True)
+        sim.train(inputs, label=0, target_period=5)  # the targets above
         mean_devs.append(float((store.effective() - reference).mean()))
     mean_devs = np.array(mean_devs)
     # feedback through spiking makes the per-seed deviation discrete; the

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from spikeshot.plasticity import (
+    NonFiniteUpdateError,
     PlasticityEngine,
     QuantizedWeightStore,
     apply_rule_rowmajor,
     evaluate_rule_matrix,
     synapse_view,
 )
-from spikeshot.ruledsl import evaluate_rule, parse_rule
+from spikeshot.ruledsl import RuleError, evaluate_rule, parse_rule
 
 GOLDEN = parse_rule("dw = 2*y1*(x2 - x1) + 2*x1 - 2*x2")
 
@@ -177,3 +178,40 @@ def test_reseed_rewinds_stream():
     s.reseed()
     s.apply_update_matrix(np.full((1, 8), 0.5), 0)
     assert np.array_equal(s.weights, first)
+
+
+def test_effective_follows_assignments_scale_and_updates():
+    s = QuantizedWeightStore((1, 2), -6, 0)
+    assert not s.effective().any()
+    s.weights = np.array([[64, -32]], dtype=np.int8)
+    assert np.array_equal(s.effective(), [[1.0, -0.5]])
+    s.scale_exp = -5
+    assert np.array_equal(s.effective(), [[2.0, -1.0]])
+    s.apply_update(0, 0, 1.0, 0)  # candidate 65.0 exactly
+    assert np.array_equal(s.effective(), [[65 / 32, -1.0]])
+    s.apply_update_matrix(np.array([[-1.0, 2.0]]), 0)
+    assert np.array_equal(s.effective(), [[2.0, -30 / 32]])
+    assert np.array_equal(s.weights, [[64, -30]]) and s.weights.dtype == np.int8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_non_finite_updates_are_refused(bad):
+    s = QuantizedWeightStore((2, 3), -6, 5, init=np.full((2, 3), 7))
+    untouched = s.clone()
+    deltas = np.full((2, 3), 0.3)
+    deltas[1, 2] = bad  # 1e308 is finite but overflows once scaled by 2**3
+    with pytest.raises(NonFiniteUpdateError, match="1 of 6"):
+        s.apply_update_matrix(deltas, 3)
+    with pytest.raises(NonFiniteUpdateError):
+        s.apply_update(1, 2, bad, 3)
+    assert np.array_equal(s.weights, untouched.weights)
+    # no rounding draw was consumed
+    s.apply_update_matrix(np.full((2, 3), 0.3), 0)
+    untouched.apply_update_matrix(np.full((2, 3), 0.3), 0)
+    assert np.array_equal(s.weights, untouched.weights)
+
+
+def test_engine_names_the_rule_with_non_finite_updates():
+    eng = PlasticityEngine(QuantizedWeightStore((1, 2), -6, 0), parse_rule("dw = 1e308*x1"), lr_exp=3)
+    with pytest.raises(RuleError, match=r"'dw = 1e\+308\*x1' gives non-finite weight updates"):
+        eng.tick({"x1": np.ones(2)}, {})

@@ -110,12 +110,6 @@ def test_rule_must_have_products():
         SumOfProductsRule(products=())
 
 
-def test_factor_offsets_evaluate_and_print():
-    rule = SumOfProductsRule(products=(Product(constant=2.0, factors=(Factor("x1", offset=0.5),)),))
-    assert evaluate_rule(rule, {"x1": 1.0}) == pytest.approx(3.0)
-    assert "(x1 + 0.5)" in rule.pretty()
-
-
 def test_evaluation_examples():
     rule = SumOfProductsRule(products=(Product(constant=2.0, factors=(Factor("y1"), Factor("x1"))),))
     assert evaluate_rule(rule, {"x1": 3.0, "y1": 4.0}) == pytest.approx(24.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spikeshot.dynamics import NeuronParams, NeuronState, step_neuron
-from spikeshot.traces import TraceConfig, TraceState, psp_matched_trace_configs, update_trace
+from spikeshot.traces import TraceConfig, psp_matched_trace_configs, update_trace
 
 
 def test_spike_sets_increment_from_zero():
@@ -20,18 +20,11 @@ def test_decay_without_spike():
     assert update_trace(1.0, False, cfg) == pytest.approx(0.95123, abs=1e-5)
 
 
-def test_saturation_clamps():
-    cfg = TraceConfig(tau=20, increment=0.5, saturation=2.0)
-    assert update_trace(1.9, True, cfg) == pytest.approx(2.0)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         TraceConfig(tau=0.5)
     with pytest.raises(ValueError):
         TraceConfig(tau=5, increment=0.0)
-    with pytest.raises(ValueError):
-        TraceConfig(tau=5, saturation=-1.0)
 
 
 def test_vector_update():
@@ -61,15 +54,6 @@ def test_linearity_in_spike_trains():
         tb = update_trace(tb, b[k], cfg)
         tab = update_trace(tab, a[k] + b[k], cfg)  # multiplicity counts
         assert tab == pytest.approx(ta + tb, abs=1e-12)
-
-
-def test_quantized_trace_snaps_to_integer_grid():
-    cfg = TraceConfig(tau=10, increment=13.0, quant_bits=7)
-    t = 0.0
-    for k in range(100):
-        t = update_trace(t, k % 3 == 0, cfg)
-        assert t == int(t)
-        assert 0 <= t <= 127
 
 
 def test_matched_configs_require_slower_psp():
@@ -102,9 +86,3 @@ def test_difference_kernel_matches_psp_random_train():
         x1 = update_trace(x1, s, c1)
         x2 = update_trace(x2, s, c2)
         assert (x2 - x1) == pytest.approx(state.p[0], abs=1e-6)
-
-
-def test_trace_state_zeros():
-    ts = TraceState.zeros(5, 3)
-    assert ts.x1.shape == (5,) and ts.x2.shape == (5,) and ts.y1.shape == (3,)
-    assert not ts.x1.any() and not ts.y1.any()
