@@ -117,7 +117,7 @@ class QuantizedWeightStore:
             bad = np.count_nonzero(~np.isfinite(candidate))
             raise NonFiniteUpdateError(f"{bad} of {candidate.size} weight updates are not finite")
         draws = self._rng.random(self.shape)
-        rounded = floor + (draws < frac)
+        rounded = floor + (draws < frac).astype(np.float64)  # a same-type add is the faster loop
         # clamped in place: integers in [-128, 127], never -0.0, so exactly
         # the new int8 weights as floats
         np.maximum(rounded, WEIGHT_MIN, out=rounded)

@@ -427,8 +427,7 @@ class ReadoutLayer:
         """w_tgt * p_tgt at every step of a training sample, ``[n_t, n_out]``:
         a label spike every ``period`` steps from t = 0 (none for period 0)
         through the PSC/PSP filters of the label's neuron."""
-        if not 0 <= label < self.n_out:
-            raise IndexError(f"label {label} out of range for {self.n_out} outputs")
+        period = wire_targets(self.n_out, label, "train", period).period  # checks the label
         tau_u, w_tgt = self.params.neuron.tau_u, self.params.w_tgt
         drive = np.zeros((n_t, self.n_out))
         q = p = 0.0
@@ -466,7 +465,8 @@ class ReadoutLayer:
         used = engine.rule.variables
         s_in = s_all / self.params.neuron.tau_u
         # (name, decay, increment per step or per spike) of each referenced trace
-        x_traces = [(k, c.alpha, s_all * c.increment) for k, c in (("x1", self.x1_cfg), ("x2", self.x2_cfg)) if k in used]
+        x_cfgs = (("x1", self.x1_cfg), ("x2", self.x2_cfg))
+        x_traces = [(k, c.alpha, s_all * c.increment) for k, c in x_cfgs if k in used]
         y_traces = [(k, c.alpha, c.increment) for k, c in (("y1", self.y1_cfg), ("y2", self.y2_cfg)) if k in used]
         pre = {k: np.zeros(self.fan_in) for k, _, _ in x_traces}
         post = {k: np.zeros(self.n_out) for k, _, _ in y_traces}
