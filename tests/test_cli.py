@@ -174,7 +174,7 @@ def test_simulate_zero_events_empty_raster(cfg_file, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "train"])
-def test_event_file_for_another_topology_is_data_error(cfg_file, tmp_path, capsys, command):
+def test_event_file_for_another_topology_is_data_error(tmp_path, capsys, command):
     from spikeshot.events import LabeledSample, SpikeEvent, write_events
 
     path = tmp_path / "seven.events"
