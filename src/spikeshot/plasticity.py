@@ -31,9 +31,10 @@ class NonFiniteUpdateError(ValueError):
 class QuantizedWeightStore:
     """Signed 8-bit weight matrix with a power-of-two scale and rounding stream.
 
-    The store keeps a float64 copy of the integer weights, and the effective
-    weights, so that a learning step converts nothing. Assigning a new array
-    to ``weights`` refreshes both; writing into the array in place does not.
+    The store learns on a float64 copy of the integer weights and caches the
+    effective weights, so that a learning step converts nothing. ``weights``
+    is a read-only int8 array, rebuilt from the float copy when it is read
+    after an update; to change the weights, assign a new array to it.
     """
 
     def __init__(self, shape: tuple[int, int], scale_exp: int, seed: int, init: np.ndarray | None = None):
@@ -53,12 +54,20 @@ class QuantizedWeightStore:
 
     @property
     def weights(self) -> np.ndarray:
+        """The int8 weights (read-only; writing into them raises)."""
+        if self._weights is None:
+            self._weights = self._float.astype(np.int8)
+            self._weights.flags.writeable = False
         return self._weights
 
     @weights.setter
     def weights(self, value: np.ndarray):
-        self._weights = value
-        self._float = np.asarray(value).astype(np.float64)
+        w = np.array(value, dtype=np.int8)
+        if w.shape != self.shape:
+            raise ValueError(f"weights shape {w.shape} != store shape {self.shape}")
+        w.flags.writeable = False
+        self._weights = w
+        self._float = w.astype(np.float64)
         self._eff_exp = None
 
     @property
@@ -97,7 +106,7 @@ class QuantizedWeightStore:
         frac = candidate - floor
         rounded = floor + (self._rng.random() < frac)
         self._float[i, j] = np.clip(rounded, WEIGHT_MIN, WEIGHT_MAX)
-        self._weights[i, j] = np.int8(self._float[i, j])
+        self._weights = None
         self._eff_exp = None
 
     def apply_update_matrix(self, raw_deltas: np.ndarray, lr_exp: int):
@@ -123,7 +132,7 @@ class QuantizedWeightStore:
         np.maximum(rounded, WEIGHT_MIN, out=rounded)
         np.minimum(rounded, WEIGHT_MAX, out=rounded)
         self._float = rounded
-        self._weights = rounded.astype(np.int8)
+        self._weights = None
         self._eff_exp = None
 
 

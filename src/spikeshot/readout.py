@@ -28,7 +28,7 @@ import numpy as np
 from .dynamics import NeuronParams
 from .plasticity import PlasticityEngine, QuantizedWeightStore
 from .ruledsl import SumOfProductsRule
-from .traces import TraceConfig, psp_matched_trace_configs, update_trace
+from .traces import TraceConfig, advance_trace, psp_matched_trace_configs, update_trace
 
 
 class CalibrationError(RuntimeError):
@@ -427,12 +427,12 @@ class ReadoutLayer:
         """w_tgt * p_tgt at every step of a training sample, ``[n_t, n_out]``:
         a label spike every ``period`` steps from t = 0 (none for period 0)
         through the PSC/PSP filters of the label's neuron."""
-        period = wire_targets(self.n_out, label, "train", period).period  # checks the label
+        routing = wire_targets(self.n_out, label, "train", period)  # checks the label
         tau_u, w_tgt = self.params.neuron.tau_u, self.params.w_tgt
         drive = np.zeros((n_t, self.n_out))
         q = p = 0.0
         for t in range(n_t):
-            q, p = self._psp(q, p, (1.0 if period > 0 and t % period == 0 else 0.0) / tau_u)
+            q, p = self._psp(q, p, float(routing.spikes_at(t)[label]) / tau_u)
             drive[t, label] = w_tgt * p
         return drive
 
@@ -476,9 +476,9 @@ class ReadoutLayer:
             self._distal(label_drive[t])
             err = self.spiked_err.astype(np.float64)
             for k, alpha, inc in x_traces:
-                pre[k] = alpha * pre[k] + inc[t]
+                pre[k] = advance_trace(pre[k], alpha, inc[t])
             for k, alpha, inc in y_traces:
-                post[k] = alpha * post[k] + err * inc
+                post[k] = advance_trace(post[k], alpha, err * inc)
             if use_x0:
                 pre["x0"] = s_all[t]
             if use_y0:

@@ -41,13 +41,20 @@ class TraceConfig:
         return math.exp(-1.0 / self.tau)
 
 
+def advance_trace(t, alpha: float, jump):
+    """One trace step, t' = alpha*t + jump, with the decay and the jump
+    (spikes times increment) computed by the caller."""
+    return alpha * t + jump
+
+
 def update_trace(t, spiked, cfg: TraceConfig):
     """Advance a trace one step: t' = alpha*t + spiked*increment.
 
     Works elementwise on scalars or arrays; ``spiked`` may be boolean or a
     spike count.
     """
-    t = cfg.alpha * np.asarray(t, dtype=np.float64) + np.asarray(spiked, dtype=np.float64) * cfg.increment
+    jump = np.asarray(spiked, dtype=np.float64) * cfg.increment
+    t = advance_trace(np.asarray(t, dtype=np.float64), cfg.alpha, jump)
     if t.ndim == 0:
         return float(t)
     return t

@@ -212,12 +212,16 @@ def test_mplusn_mismatched_provenance_warns(tmp_path):
 def test_mplusn_resets_plastic_weights():
     data = small_dataset(n_classes=6)
     net = small_net()
-    net.readout.store.weights[:] = 55
+    shape = net.readout.store.shape
+    net.readout.store.weights = np.where(np.indices(shape).sum(axis=0) % 2, 55, -55)
     with pytest.warns(UserWarning):
         report = run_mplusn(net, {0, 1, 2}, {3, 4, 5}, small_cfg(), {"novel": data})
+    with pytest.warns(UserWarning):
+        fresh = run_mplusn(small_net(), {0, 1, 2}, {3, 4, 5}, small_cfg(), {"novel": data})
     # weights were zeroed before training, so the report snapshot reflects
-    # only what the novel shots taught
+    # only what the novel shots taught: the same as from a fresh network
     assert report.weights.max() < 55 or report.weights.min() > -55
+    assert np.array_equal(report.weights, fresh.weights)
 
 
 def test_epochs_repeat_presentation():

@@ -194,6 +194,20 @@ def test_effective_follows_assignments_scale_and_updates():
     assert np.array_equal(s.weights, [[64, -30]]) and s.weights.dtype == np.int8
 
 
+def test_weights_are_read_only_and_assignments_are_copied():
+    s = QuantizedWeightStore((1, 2), 0, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        s.weights[0, 0] = 5
+    mine = np.array([[3, -4]], dtype=np.int8)
+    s.weights = mine
+    mine[0, 0] = 100  # the store took a copy
+    assert np.array_equal(s.effective(), [[3.0, -4.0]])
+    s.apply_update(0, 1, 1.0, 0)
+    assert np.array_equal(s.weights, [[3, -3]]) and not s.weights.flags.writeable
+    with pytest.raises(ValueError, match="shape"):
+        s.weights = np.zeros((2, 1), dtype=np.int8)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
 def test_non_finite_updates_are_refused(bad):
     s = QuantizedWeightStore((2, 3), -6, 5, init=np.full((2, 3), 7))

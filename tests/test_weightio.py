@@ -32,8 +32,9 @@ def test_save_load_roundtrip_bit_identical(tmp_path):
 
 def test_extreme_values_survive(tmp_path):
     net = fresh_net()
-    net.readout.store.weights[0, 0] = 127
-    net.readout.store.weights[0, 1] = -128
+    extremes = net.readout.store.weights.copy()
+    extremes[0, 0], extremes[0, 1] = 127, -128
+    net.readout.store.weights = extremes
     path = tmp_path / "w.ssw"
     save_weights(net, path)
     other = fresh_net(seed=7)
