@@ -19,12 +19,13 @@ Only the readout learns, so an episode runs in three phases:
    proximal compartment only matters for evaluation and is not stepped.
 3. Evaluation. The readout steps every stream at once with plasticity off.
 
-Each sample's trajectory is bit-identical to stepping it alone: every
-operation is elementwise or a per-sample contraction (a stacked gemv for
-dense weights, an einsum over windows for convolutions). Samples shorter
-than the batch's longest are padded with silent steps, and their spike
-counts are read at their own last step; the dynamics are causal, so the
-padding never reaches them.
+Each sample's trajectory is bit-identical to stepping it alone. Frozen
+layers contract integer counts with int8 weights, which float64 sums
+exactly in any order, so one gemm over the whole batch gives each sample's
+bits; the readout's contraction is a stacked gemv, one per sample; all else
+is elementwise. Samples shorter than the batch's longest are padded with
+silent steps, and their spike counts are read at their own last step; the
+dynamics are causal, so the padding never reaches them.
 
 The M+N variant reuses the same loop on novel classes after resetting the
 plastic layer, with the frozen features carrying a provenance note naming

@@ -7,6 +7,13 @@ neurons. The final layer is always the plastic multi-compartment readout.
 All feature weights are signed 8-bit integers with a per-layer power-of-two
 scale, loaded from a weight file or drawn seeded-uniform, and are frozen:
 only the readout store ever changes.
+
+Frozen layers accumulate on the post-synaptic side: each step contracts
+the integer input counts with the integer weights, then filters per output
+neuron (see ``_FrozenLayer``). That contraction is exact in float64, so a
+batch of samples shares one contraction and still follows each sample's own
+bits. The readout keeps the pre-synaptic form, since its weights change
+every step.
 """
 
 from __future__ import annotations
@@ -110,9 +117,19 @@ def parse_topology(input_shape, layer_tokens: list[str], n_out: int) -> Topology
 class _FrozenLayer:
     """Shared stepping pipeline; subclasses define the weight contraction.
 
-    State arrays carry an optional leading batch axis (see ``reset_state``):
-    every operation is elementwise or a per-sample contraction, so each
-    sample of a batch follows exactly the trajectory it has on its own.
+    Accumulation is post-synaptic. Each step first contracts the step's
+    input counts with the layer's integer weights, ``c = W ⊛ s`` scaled by
+    ``2**scale_exp``, then filters per output neuron:
+    ``q = a_q*q + c/tau_u``, ``p = a_p*p + q/tau_v``, ``v = p + r + bias``.
+    The filters are linear, so this is the pre-synaptic ``v = W·p_in`` up to
+    rounding, with ``q`` and ``p`` on ``out_shape``.
+
+    The contraction is exact. Frozen inputs are integer counts (events into
+    the first layer, 0/1 spikes after it) and the weights are int8, so every
+    partial sum is an integer far below ``2**53`` times ``2**scale_exp``:
+    float64 holds it exactly in any summation order. Any gemm, gemv or
+    window layout gives the same bits, and each sample of a batch (see
+    ``reset_state``) follows exactly the trajectory it has on its own.
     """
 
     kind: str
@@ -124,75 +141,88 @@ class _FrozenLayer:
 
     def reset_state(self, batch: int | None = None):
         """Zero the state; ``batch`` prepends an axis of that many samples."""
-        lead = () if batch is None else (batch,)
-        self.q = np.zeros(lead + self.spec.in_shape)
-        self.p = np.zeros(lead + self.spec.in_shape)
-        self.v = np.zeros(lead + self.spec.out_shape)
-        self.r = np.zeros(lead + self.spec.out_shape)
-        self.spiked = np.zeros(lead + self.spec.out_shape, dtype=bool)
+        self._lead = () if batch is None else (batch,)
+        shape = self._lead + self.spec.out_shape
+        self.q = np.zeros(shape)
+        self.p = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.r = np.zeros(shape)
+        self.spiked = np.zeros(shape, dtype=bool)
 
-    def _contract(self, x: np.ndarray) -> np.ndarray:
+    def _contract(self, s: np.ndarray) -> np.ndarray:
+        """``W ⊛ s`` of ``[batch..., *in_shape]`` counts: a new float64
+        ``[batch..., *out_shape]`` array."""
         raise NotImplementedError
 
     def step(self, in_spikes: np.ndarray) -> np.ndarray:
-        s = np.asarray(in_spikes, dtype=np.float64).reshape(self.q.shape)
+        c = self._contract(np.asarray(in_spikes).reshape(self._lead + self.spec.in_shape))
         prm = self.params
-        # in place, with the same IEEE operations in the same order as
-        # q = a_q*q + s/tau_u etc.: the state is the frozen pass's memory peak
+        # in place: the state is the frozen pass's memory peak
         q, p, r = self.q, self.p, self.r
         np.multiply(q, prm.alpha_q, out=q)
-        q += s / prm.tau_u
+        c /= prm.tau_u
+        q += c
         np.multiply(p, prm.alpha_p, out=p)
         p += q / prm.tau_v
         np.multiply(r, prm.alpha_r, out=r)
         r -= self.spiked * prm.v_th
-        v = self._contract(p)
-        v += r
+        v = p + r
         v += prm.bias
         self.v = v
         self.spiked = v >= prm.v_th
         return self.spiked
 
 
-class DenseLayer(_FrozenLayer):
+class _WeightedLayer(_FrozenLayer):
+    """A frozen layer with stored int8 weights and a power-of-two scale."""
+
+    def __init__(self, spec: LayerSpec, params: NeuronParams, weights: np.ndarray, scale_exp: int):
+        super().__init__(spec, params)
+        self.set_weights(weights, scale_exp)
+
+    def _weight_shape(self) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def set_weights(self, weights: np.ndarray, scale_exp: int):
+        """Replace the weights (stored as a read-only int8 copy) and scale,
+        and rebuild the contraction matrix ``[n_in, n_out]`` derived from them."""
+        weights = np.asarray(weights)
+        if weights.shape != self._weight_shape():
+            raise TopologyError(f"{self.kind} weights {weights.shape} != {self._weight_shape()}")
+        self.weights = weights.astype(np.int8)
+        self.weights.flags.writeable = False
+        self.scale_exp = int(scale_exp)
+        n_out = self.weights.shape[0]
+        self._w = (self.weights.reshape(n_out, -1) * 2.0**self.scale_exp).T
+
+
+class DenseLayer(_WeightedLayer):
     kind = KIND_DENSE
 
-    def __init__(self, spec: LayerSpec, params: NeuronParams, weights: np.ndarray, scale_exp: int):
-        n_in = math.prod(spec.in_shape)
-        weights = np.asarray(weights)
-        if weights.shape != (spec.out_shape[0], n_in):
-            raise TopologyError(f"dense weights {weights.shape} != ({spec.out_shape[0]}, {n_in})")
-        self.weights = weights.astype(np.int8)
-        self.scale_exp = int(scale_exp)
-        self.w_eff = self.weights.astype(np.float64) * 2.0**self.scale_exp
-        super().__init__(spec, params)
+    def _weight_shape(self):
+        return (self.spec.out_shape[0], math.prod(self.spec.in_shape))
 
-    def _contract(self, x):
-        # one gemv per sample, bit-identical to w_eff @ x; x @ w_eff.T (gemm) is not
-        lead = x.shape[: x.ndim - len(self.spec.in_shape)]
-        return np.matmul(self.w_eff, x.reshape(lead + (-1, 1)))[..., 0]
+    def _contract(self, s):
+        return s.reshape(self._lead + (-1,)) @ self._w
 
 
-class ConvLayer(_FrozenLayer):
+class ConvLayer(_WeightedLayer):
+    """Same-size zero-padded convolution; weights ``[C_out, k, k, C_in]``."""
+
     kind = KIND_CONV
 
-    def __init__(self, spec: LayerSpec, params: NeuronParams, weights: np.ndarray, scale_exp: int):
-        k, c_out, c_in = spec.kernel, spec.channels, spec.in_shape[2]
-        weights = np.asarray(weights)
-        if weights.shape != (c_out, k, k, c_in):
-            raise TopologyError(f"conv weights {weights.shape} != ({c_out}, {k}, {k}, {c_in})")
-        self.weights = weights.astype(np.int8)
-        self.scale_exp = int(scale_exp)
-        self.w_eff = self.weights.astype(np.float64) * 2.0**self.scale_exp
-        self._pad = k // 2
-        super().__init__(spec, params)
+    def _weight_shape(self):
+        k = self.spec.kernel
+        return (self.spec.channels, k, k, self.spec.in_shape[2])
 
-    def _contract(self, x):
-        pad = self._pad
-        xp = np.pad(x, [(0, 0)] * (x.ndim - 3) + [(pad, pad), (pad, pad), (0, 0)])
-        win = np.lib.stride_tricks.sliding_window_view(xp, (self.spec.kernel, self.spec.kernel), axis=(-3, -2))
-        # win: [..., H, W, C_in, kh, kw]; kernel: [C_out, kh, kw, C_in]
-        return np.einsum("...hwckl,oklc->...hwo", win, self.w_eff)
+    def _contract(self, s):
+        # im2col over the whole batch, one gemm: [..., H, W, k*k*C_in] @ [k*k*C_in, C_out]
+        k = self.spec.kernel
+        pad = k // 2
+        sp = np.pad(s, [(0, 0)] * len(self._lead) + [(pad, pad), (pad, pad), (0, 0)])
+        win = np.lib.stride_tricks.sliding_window_view(sp, (k, k), axis=(-3, -2))
+        cols = np.moveaxis(win, -3, -1).reshape(-1, self._w.shape[0])  # [kh, kw, C_in] order
+        return (cols @ self._w).reshape(self._lead + self.spec.out_shape)
 
 
 class PoolLayer(_FrozenLayer):
@@ -200,14 +230,19 @@ class PoolLayer(_FrozenLayer):
 
     kind = KIND_POOL
 
-    def __init__(self, spec: LayerSpec, params: NeuronParams):
-        self._k = spec.kernel
-        super().__init__(spec, params)
-
-    def _contract(self, x):
-        k = self._k
+    def _contract(self, s):
+        # k-1 slab additions along rows, then along columns
+        k = self.spec.kernel
         h, w, c = self.spec.in_shape
-        return x.reshape(x.shape[:-3] + (h // k, k, w // k, k, c)).sum(axis=(-4, -2))
+        rows = s.reshape(self._lead + (h // k, k, w, c))
+        acc = rows[..., 0, :, :].astype(np.float64)  # spikes arrive as bool, and bool + bool is or
+        for i in range(1, k):
+            acc += rows[..., i, :, :]
+        cols = acc.reshape(self._lead + (h // k, w // k, k, c))
+        out = cols[..., 0, :].copy()
+        for i in range(1, k):
+            out += cols[..., i, :]
+        return out
 
 
 # --- network ------------------------------------------------------------------

@@ -20,6 +20,7 @@ pretraining class set) and travels with the file; it is advisory only.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -92,7 +93,10 @@ def read_weight_file(path) -> tuple[str, list[tuple[str, np.ndarray, int]]]:
     version, n_layers, plen = r.unpack("<HHH")
     if version != FILE_VERSION:
         raise WeightFileError(f"unsupported weight file version {version}")
-    provenance = r.take(plen).decode("utf-8")
+    try:
+        provenance = r.take(plen).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise WeightFileError(f"provenance is not UTF-8 ({e})")
     entries = []
     crc = 0
     for _ in range(n_layers):
@@ -100,7 +104,7 @@ def read_weight_file(path) -> tuple[str, list[tuple[str, np.ndarray, int]]]:
         if tag not in _TAG_KINDS:
             raise WeightFileError(f"unknown layer kind tag {tag}")
         dims = r.unpack(f"<{ndim}I")
-        payload = r.take(int(np.prod(dims)))
+        payload = r.take(math.prod(dims))  # a Python int: take checks it against the bytes left
         crc = zlib.crc32(payload, crc)
         weights = np.frombuffer(payload, dtype=np.int8).reshape(dims)
         entries.append((_TAG_KINDS[tag], weights, scale_exp))
@@ -134,8 +138,6 @@ def load_weights(net, path) -> str:
         else:
             if weights.shape != layer.weights.shape:
                 raise WeightFileError(f"{kind} shape mismatch: {weights.shape} vs {layer.weights.shape}")
-            layer.weights = weights.copy()
-            layer.scale_exp = int(scale_exp)
-            layer.w_eff = layer.weights.astype(np.float64) * 2.0**layer.scale_exp
+            layer.set_weights(weights, scale_exp)
     net.provenance = provenance
     return provenance

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeshot.dynamics import LifLayer, NeuronParams
 from spikeshot.network import (
     BuildConfig,
     ConvLayer,
+    DenseLayer,
     LayerSpec,
     PoolLayer,
     TopologyError,
@@ -116,13 +119,75 @@ def test_conv_equals_dense_expansion_small_shape():
                             for c in range(c_in):
                                 dense_w[row, (yy * w + xx) * c_in + c] = kernel[o, dy, dx, c] * scale
     dense = LifLayer(dense_w, NEURON)
+    dense_int = DenseLayer(LayerSpec("dense", (n_in,), (n_out,)), NEURON, (dense_w / scale).astype(np.int8), -4)
 
     for t in range(120):
         s = (rng.random((h, w, c_in)) < 0.15).astype(float)
         conv.step(s)
         dense.step(s.ravel())
+        dense_int.step(s.ravel())
         assert np.allclose(conv.v.reshape(-1), dense.v, atol=1e-10)
         assert np.array_equal(conv.spiked.reshape(-1), dense.spiked)
+        assert np.array_equal(conv.v.reshape(-1), dense_int.v)
+
+
+def _reference_contraction(layer, s):
+    """``W ⊛ s`` of one sample in int64, by another route than the layer's."""
+    s = s.astype(np.int64)
+    if layer.kind == "dense":
+        return layer.weights.astype(np.int64) @ s.ravel()
+    k = layer.spec.kernel
+    h, w, c = s.shape
+    if layer.kind == "pool":
+        return s.reshape(h // k, k, w // k, k, c).sum(axis=(1, 3))
+    pad = np.pad(s, [(k // 2, k // 2), (k // 2, k // 2), (0, 0)])
+    out = np.zeros((h, w, layer.spec.channels), dtype=np.int64)
+    for dy in range(k):
+        for dx in range(k):
+            out += pad[dy : dy + h, dx : dx + w] @ layer.weights[:, dy, dx, :].T.astype(np.int64)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contraction_is_exact_integer_arithmetic(data):
+    # Frozen layers contract integer counts with int8 weights, which float64
+    # holds exactly; so the contraction equals the int64 one bit for bit,
+    # batched or not, and the first step's PSC is that exact value over tau_u.
+    kind = data.draw(st.sampled_from(["dense", "conv", "pool"]))
+    seed = data.draw(st.integers(0, 2**16))
+    batch = data.draw(st.integers(1, 6))
+    max_count = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    scale_exp = int(rng.integers(-8, 1))
+    params = NeuronParams(tau_u=3, tau_v=5)
+    if kind == "dense":
+        n_in, n_out = int(rng.integers(1, 40)), int(rng.integers(1, 20))
+        spec = LayerSpec("dense", (n_in,), (n_out,))
+        layer = DenseLayer(spec, params, rng.integers(-128, 128, size=(n_out, n_in)), scale_exp)
+    elif kind == "conv":
+        h, w, c_in, c_out, k = (int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 4)),
+                                int(rng.integers(1, 5)), int(rng.choice([1, 3, 5])))
+        spec = LayerSpec("conv2d", (h, w, c_in), (h, w, c_out), kernel=k, channels=c_out)
+        layer = ConvLayer(spec, params, rng.integers(-128, 128, size=(c_out, k, k, c_in)), scale_exp)
+    else:
+        k = int(rng.integers(1, 4))
+        h, w, c = k * int(rng.integers(1, 4)), k * int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        spec = LayerSpec("pool", (h, w, c), (h // k, w // k, c), kernel=k)
+        layer, scale_exp = PoolLayer(spec, params), 0
+    s = rng.integers(0, max_count + 1, size=(batch,) + spec.in_shape)
+    s = s.astype(bool) if max_count == 1 else s.astype(np.float64)  # spikes, or event counts
+    expect = [_reference_contraction(layer, x).astype(np.float64) * 2.0**scale_exp for x in s]
+
+    layer.reset_state(batch)
+    assert np.array_equal(layer._contract(s), np.array(expect).reshape((batch,) + spec.out_shape))
+    layer.step(s)
+    assert np.array_equal(layer.q, np.array(expect).reshape(layer.q.shape) / params.tau_u)
+    for x, e in zip(s, expect):
+        layer.reset_state()
+        assert np.array_equal(layer._contract(x), e.reshape(spec.out_shape))
+        layer.step(x)
+        assert np.array_equal(layer.q, e.reshape(spec.out_shape) / params.tau_u)
 
 
 def test_zero_input_forever_zero_output():

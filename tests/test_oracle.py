@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikeshot.dynamics import LifLayer, NeuronParams
+from spikeshot.network import DenseLayer, LayerSpec
 from spikeshot.oracle import (
     OracleDenseLayer,
     OracleNetwork,
@@ -74,6 +75,28 @@ def test_spike_rasters_identical_5_random_configs_10k_steps():
             a = sim.step(s)
             b = orc.step(s.tolist())
             assert np.array_equal(a, np.array(b)), f"raster diverged at step {t}"
+
+
+def test_network_dense_layer_rasters_match_oracle_5_random_int8_configs():
+    # the layer Network runs (post-synaptic, int8 weights) against the scalar
+    # pre-synaptic oracle with the same real-valued weights
+    rng = np.random.default_rng(2024)
+    for _ in range(5):
+        fan_in, n_out = int(rng.integers(4, 17)), int(rng.integers(2, 7))
+        params = NeuronParams(tau_u=float(rng.uniform(2, 12)), tau_v=float(rng.uniform(12, 30)),
+                              v_th=float(rng.uniform(0.2, 1.0)), bias=float(rng.uniform(-0.1, 0.1)))
+        w = rng.integers(-128, 128, size=(n_out, fan_in))
+        w[:, : fan_in // 2] = np.abs(w[:, : fan_in // 2])  # excitatory enough to spike
+        scale_exp = int(rng.integers(-6, -3))
+        sim = DenseLayer(LayerSpec("dense", (fan_in,), (n_out,)), params, w, scale_exp)
+        orc = OracleDenseLayer((w * 2.0**scale_exp).tolist(), params)
+        inputs = rng.random((3000, fan_in)) < 0.2
+        raster = []
+        for t, s in enumerate(inputs):
+            raster.append(sim.step(s).copy())
+            assert np.array_equal(raster[-1], np.array(orc.step(s.astype(float).tolist()))), f"raster diverged at step {t}"
+            assert np.allclose(sim.v, orc.v, rtol=0, atol=1e-9)
+        assert 0 < np.count_nonzero(raster) < np.size(raster)
 
 
 def test_readout_matches_oracle_readout():
