@@ -157,7 +157,6 @@ class _FrozenLayer:
     def step(self, in_spikes: np.ndarray) -> np.ndarray:
         c = self._contract(np.asarray(in_spikes).reshape(self._lead + self.spec.in_shape))
         prm = self.params
-        # in place: the state is the frozen pass's memory peak
         q, p, r = self.q, self.p, self.r
         np.multiply(q, prm.alpha_q, out=q)
         c /= prm.tau_u
@@ -216,7 +215,7 @@ class ConvLayer(_WeightedLayer):
         return (self.spec.channels, k, k, self.spec.in_shape[2])
 
     def _contract(self, s):
-        # im2col over the whole batch, one gemm: [..., H, W, k*k*C_in] @ [k*k*C_in, C_out]
+        # im2col over the whole batch, one gemm: [B*H*W, k*k*C_in] @ [k*k*C_in, C_out]
         k = self.spec.kernel
         pad = k // 2
         sp = np.pad(s, [(0, 0)] * len(self._lead) + [(pad, pad), (pad, pad), (0, 0)])
