@@ -21,9 +21,9 @@ Only the readout learns, so an episode runs in three phases:
 
 Each sample's trajectory is bit-identical to stepping it alone. Frozen
 layers contract integer counts with int8 weights, which float64 sums
-exactly in any order, so one gemm over the whole batch gives each sample's
-bits; the readout's contraction is a stacked gemv, one per sample; all else
-is elementwise. Samples shorter than the batch's longest are padded with
+exactly in any order, so one contraction over the whole batch gives each
+sample's bits; the readout's contraction is a stacked gemv, one per sample;
+all else is elementwise. Samples shorter than the batch's longest are padded with
 silent steps, and their spike counts are read at their own last step; the
 dynamics are causal, so the padding never reaches them.
 
