@@ -1,20 +1,16 @@
 """spikeshot: deterministic spiking-network simulation with on-chip-style plasticity."""
 
-from .dynamics import LayerIO, LifLayer, NeuronParams, NeuronState, StateQuant
+from .dynamics import NeuronParams
 from .events import LabeledSample, SpikeEvent, gen_synthetic_task, rate_encode, read_events, write_events
 from .fewshot import EpisodeConfig, EpisodeReport, classify, run_episode, run_mplusn, split_shots
 from .network import BuildConfig, LayerSpec, Network, Topology, build_network, parse_topology
 from .plasticity import PlasticityEngine, QuantizedWeightStore
 from .readout import (
     CalibrationReport,
-    ErrorCompartment,
-    OutputCompartment,
     ReadoutLayer,
     ReadoutParams,
     calibrate_bias,
     solve_baseline_bias,
-    step_error,
-    step_output,
     wire_targets,
 )
 from .ruledsl import Factor, Product, RuleError, SumOfProductsRule, evaluate_rule, parse_rule

@@ -37,13 +37,14 @@ from .fewshot import (
     classify,
     evaluate,
     format_report,
+    replace_label,
     run_episode,
     run_mplusn,
     split_shots,
 )
 from .network import TopologyError, build_network
 from .oracle import TrajectoryRecord, dump_trajectory
-from .readout import CalibrationError, ErrorCompartment, calibrate_bias, solve_baseline_bias
+from .readout import CalibrationError, calibrate_bias, solve_baseline_bias
 from .ruledsl import RuleError
 from .weightio import WeightFileError, load_weights, save_weights
 
@@ -149,8 +150,7 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(cfg, args.out)
     params = cfgmod.readout_params(cfg)
     b_err = params.b_err if params.b_err is not None else solve_baseline_bias(params)
-    comp = ErrorCompartment(params=params, b_err=b_err)
-    report = calibrate_bias(comp, int(cfg["episode"]["calibration_window"]))
+    report = calibrate_bias(params, b_err, int(cfg["episode"]["calibration_window"]))
     _write_manifest(cfg, out, {
         "calibration": {
             "b": report.b,
@@ -217,11 +217,7 @@ def cmd_eval(args) -> int:
         classes = sorted({s.label for s in dataset})
         novel = classes[ecfg.m_pretrained :]
         keep = {c: i for i, c in enumerate(novel)}
-        dataset = [
-            LabeledSample(shape=s.shape, duration=s.duration, label=keep[s.label], events=s.events)
-            for s in dataset
-            if s.label in keep
-        ]
+        dataset = [replace_label(s, keep[s.label]) for s in dataset if s.label in keep]
         ecfg = cfgmod.episode_config(cfg, seed, n_way=len(novel))
     train, test = split_shots(dataset, ecfg)
     samples = train if args.split == "train" else test

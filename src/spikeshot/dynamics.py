@@ -1,32 +1,30 @@
-"""Discrete-time current-based LIF neuron dynamics.
+"""Neuron parameters of the discrete-time current-based LIF.
 
-Each input channel j drives two unweighted first-order filters: a fast
-post-synaptic current (PSC) state q[j] and a slower post-synaptic potential
-(PSP) state p[j]. The membrane potential is an instantaneous weighted sum of
-the PSP states plus a reset trace (spike-response form), so v needs no
-recursion of its own.
+Every spiking layer runs the same recursion per neuron. A post-synaptic
+current (PSC) state q filters the weighted input spikes, a post-synaptic
+potential (PSP) state p filters q, and a reset trace r collects -v_th after
+each spike:
 
-One timestep applies a fixed pipeline, each stage seeing the values already
-updated this step:
-
-    q  <- a_q * q + (1/tau_u) * s_in
-    u  <- w . q + bias
+    q  <- a_q * q + (1/tau_u) * (w . s_in)
     p  <- a_p * p + (1/tau_v) * q
     r  <- a_r * r - spiked_prev * v_th
-    v  <- w . p + r + bias
+    v  <- p + r + bias
     spiked <- v >= v_th            (spike at exact equality)
 
-with a_q = exp(-1/tau_u), a_p = exp(-1/tau_v), a_r = exp(-1/tau_r). The
-reset trace r only ever receives -v_th decrements, so r <= 0 always and a
-spike depresses v by at least v_th on the following step.
+with a_q = exp(-1/tau_u), a_p = exp(-1/tau_v), a_r = exp(-1/tau_r). r only
+ever receives -v_th decrements, so r <= 0 always and a spike depresses v by
+at least v_th on the following step.
+
+The filters are linear, so filtering the weighted sum equals weighting the
+filtered inputs: ``network._FrozenLayer`` keeps q and p per output neuron
+(post-synaptic), while ``readout.ReadoutLayer``, whose weights change every
+step, keeps them per input channel and computes v from ``w . p``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -63,153 +61,3 @@ class NeuronParams:
     @property
     def alpha_r(self) -> float:
         return math.exp(-1.0 / (self.tau_r if self.tau_r is not None else self.tau_v))
-
-
-@dataclass(frozen=True)
-class StateQuant:
-    """Optional fixed-point grid for the u/v state variables (opt-in)."""
-
-    bits: int = 16
-    frac_bits: int = 12
-
-    def apply(self, x):
-        scale = float(2**self.frac_bits)
-        lim = (2 ** (self.bits - 1) - 1) / scale
-        return np.clip(np.round(np.asarray(x) * scale) / scale, -lim, lim)
-
-
-@dataclass
-class NeuronState:
-    """Dynamic variables of one neuron: filters per input, scalars otherwise."""
-
-    q: np.ndarray
-    p: np.ndarray
-    u: float = 0.0
-    v: float = 0.0
-    r: float = 0.0
-    spiked: bool = False
-
-    @classmethod
-    def zeros(cls, fan_in: int) -> "NeuronState":
-        return cls(q=np.zeros(fan_in), p=np.zeros(fan_in))
-
-
-@dataclass
-class LayerIO:
-    """Spike vectors crossing a layer boundary in one timestep."""
-
-    in_spikes: np.ndarray
-    out_spikes: np.ndarray | None = None
-
-
-def step_psc(q: np.ndarray, in_spikes: np.ndarray, params: NeuronParams) -> np.ndarray:
-    """Advance the unweighted PSC filters: q' = a_q*q + (1/tau_u)*s."""
-    q = np.asarray(q, dtype=np.float64)
-    s = np.asarray(in_spikes, dtype=np.float64)
-    if q.shape != s.shape:
-        raise ValueError(f"PSC/spike shape mismatch: {q.shape} vs {s.shape}")
-    return params.alpha_q * q + s / params.tau_u
-
-
-def step_current(q: np.ndarray, weights: np.ndarray, bias: float) -> float:
-    """Synaptic current u = w . q + bias."""
-    q = np.asarray(q, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if q.shape != w.shape:
-        raise ValueError(f"weight/PSC shape mismatch: {w.shape} vs {q.shape}")
-    return float(w @ q + bias)
-
-
-def step_potential(state: NeuronState, weights: np.ndarray, params: NeuronParams) -> NeuronState:
-    """Advance PSP, reset trace and potential; threshold at v >= v_th.
-
-    The reset update consumes the previous step's spike flag; the PSP update
-    consumes the state's current (already advanced) PSC values.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != state.p.shape:
-        raise ValueError(f"weight/PSP shape mismatch: {w.shape} vs {state.p.shape}")
-    p = params.alpha_p * state.p + state.q / params.tau_v
-    r = params.alpha_r * state.r - (1.0 if state.spiked else 0.0) * params.v_th
-    v = float(w @ p + r + params.bias)
-    return NeuronState(q=state.q, p=p, u=state.u, v=v, r=r, spiked=v >= params.v_th)
-
-
-def step_neuron(
-    state: NeuronState, in_spikes: np.ndarray, weights: np.ndarray, params: NeuronParams
-) -> NeuronState:
-    """One full pipeline step for a single neuron."""
-    q = step_psc(state.q, in_spikes, params)
-    u = step_current(q, weights, params.bias)
-    mid = replace(state, q=q, u=u)
-    return step_potential(mid, weights, params)
-
-
-def step_layer(
-    states: list[NeuronState],
-    weight_matrix: np.ndarray,
-    io: LayerIO,
-    params: NeuronParams,
-) -> tuple[list[NeuronState], np.ndarray]:
-    """Step every neuron of a layer once; reference (per-neuron) semantics.
-
-    ``weight_matrix`` is [n_neurons, fan_in]; row i feeds neuron i. Returns
-    the new states and the boolean output spike vector, also written to
-    ``io.out_spikes``.
-    """
-    w = np.asarray(weight_matrix, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != len(states):
-        raise ValueError(f"weight matrix {w.shape} does not match {len(states)} neurons")
-    new_states = [step_neuron(s, io.in_spikes, w[i], params) for i, s in enumerate(states)]
-    out = np.array([s.spiked for s in new_states], dtype=bool)
-    io.out_spikes = out
-    return new_states, out
-
-
-class LifLayer:
-    """Vectorized dense LIF layer.
-
-    The PSC/PSP filters depend only on the input spike train, so they are
-    stored once per input channel and shared by all neurons; v, u, r and the
-    spike flags are per neuron. Trajectories are identical to stepping
-    ``step_layer`` neuron by neuron.
-    """
-
-    def __init__(
-        self,
-        weights: np.ndarray,
-        params: NeuronParams,
-        state_quant: StateQuant | None = None,
-    ):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError("weights must be a [n_out, fan_in] matrix")
-        self.w = w
-        self.n_out, self.fan_in = w.shape
-        self.params = params
-        self.state_quant = state_quant
-        self.reset_state()
-
-    def reset_state(self):
-        self.q = np.zeros(self.fan_in)
-        self.p = np.zeros(self.fan_in)
-        self.u = np.zeros(self.n_out)
-        self.v = np.zeros(self.n_out)
-        self.r = np.zeros(self.n_out)
-        self.spiked = np.zeros(self.n_out, dtype=bool)
-
-    def step(self, in_spikes: np.ndarray) -> np.ndarray:
-        s = np.asarray(in_spikes, dtype=np.float64)
-        if s.shape != (self.fan_in,):
-            raise ValueError(f"expected input shape ({self.fan_in},), got {s.shape}")
-        prm = self.params
-        self.q = prm.alpha_q * self.q + s / prm.tau_u
-        self.u = self.w @ self.q + prm.bias
-        self.p = prm.alpha_p * self.p + self.q / prm.tau_v
-        self.r = prm.alpha_r * self.r - self.spiked * prm.v_th
-        self.v = self.w @ self.p + self.r + prm.bias
-        if self.state_quant is not None:
-            self.u = self.state_quant.apply(self.u)
-            self.v = self.state_quant.apply(self.v)
-        self.spiked = self.v >= prm.v_th
-        return self.spiked

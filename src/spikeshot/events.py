@@ -13,6 +13,7 @@ diffability; round-tripping write -> read is exact.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +46,8 @@ class LabeledSample:
     def validate(self):
         if self.duration < 0:
             raise EventFormatError(f"negative duration {self.duration}")
+        if any(d < 1 for d in self.shape):
+            raise EventFormatError(f"shape {self.shape} has a dimension below 1")
         last_t = -1
         for ev in self.events:
             if not (0 <= ev.t < self.duration):
@@ -78,37 +81,53 @@ def write_events(samples: list[LabeledSample], path) -> None:
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _undecodable_line(path) -> int:
+    """Number of the line holding the first bytes of ``path`` that are not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    start = len(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        start = e.start
+    head = data[:start].decode("utf-8") + "?"  # the bad byte's line counts as a line
+    return len(io.StringIO(head, newline=None).readlines())
+
+
 def read_events(path) -> list[LabeledSample]:
     samples: list[LabeledSample] = []
     current: LabeledSample | None = None
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("shape="):
+    with open(path, encoding="utf-8") as f:
+        try:
+            for lineno, raw in enumerate(f, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("shape="):
+                    try:
+                        fields = dict(part.split("=", 1) for part in line.split())
+                        shape = tuple(int(d) for d in fields["shape"].split("x"))
+                        current = LabeledSample(
+                            shape=shape,
+                            duration=int(fields["duration"]),
+                            label=int(fields["label"]),
+                        )
+                    except (KeyError, ValueError):
+                        raise EventFormatError(f"line {lineno}: bad sample header {line!r}")
+                    samples.append(current)
+                    continue
+                if current is None:
+                    raise EventFormatError(f"line {lineno}: event before any sample header")
+                parts = line.split()
+                if len(parts) != 2:
+                    raise EventFormatError(f"line {lineno}: expected '<t> <neuron>', got {line!r}")
                 try:
-                    fields = dict(part.split("=", 1) for part in line.split())
-                    shape = tuple(int(d) for d in fields["shape"].split("x"))
-                    current = LabeledSample(
-                        shape=shape,
-                        duration=int(fields["duration"]),
-                        label=int(fields["label"]),
-                    )
-                except (KeyError, ValueError):
-                    raise EventFormatError(f"line {lineno}: bad sample header {line!r}")
-                samples.append(current)
-                continue
-            if current is None:
-                raise EventFormatError(f"line {lineno}: event before any sample header")
-            parts = line.split()
-            if len(parts) != 2:
-                raise EventFormatError(f"line {lineno}: expected '<t> <neuron>', got {line!r}")
-            try:
-                ev = SpikeEvent(t=int(parts[0]), neuron=int(parts[1]))
-            except ValueError:
-                raise EventFormatError(f"line {lineno}: non-integer event {line!r}")
-            current.events.append(ev)
+                    ev = SpikeEvent(t=int(parts[0]), neuron=int(parts[1]))
+                except ValueError:
+                    raise EventFormatError(f"line {lineno}: non-integer event {line!r}")
+                current.events.append(ev)
+        except UnicodeDecodeError:  # raised by the file iterator
+            raise EventFormatError(f"line {_undecodable_line(path)}: bytes that are not UTF-8 text") from None
     for s in samples:
         try:
             s.validate()

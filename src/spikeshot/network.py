@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import readout as readout_mod
 from .dynamics import NeuronParams
 from .plasticity import QuantizedWeightStore
 from .readout import ReadoutLayer, ReadoutParams
@@ -310,11 +311,6 @@ class Network:
         self.layer_spikes.append(out)
         return out
 
-    def forward_step(self, in_spikes: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Inference-only step: no targets, no learning; returns spikes + per-layer record."""
-        out = self.step(in_spikes)
-        return out, self.layer_spikes
-
     def weighted_layers(self) -> list:
         """Layers carrying stored weights, in network order (readout last)."""
         return [l for l in self.layers if l.kind in (KIND_DENSE, KIND_CONV)] + [self.readout]
@@ -325,9 +321,8 @@ class Network:
         self.readout.attach_engine(rule, lr_exp, learn_period)
 
     def calibrate(self, window: int):
-        from .readout import calibrate_bias
-
-        return calibrate_bias(self.readout.make_compartment(), window)
+        # looked up on the module at call time, where a tracer may wrap it
+        return readout_mod.calibrate_bias(self.readout.params, self.readout.b_err, window)
 
     def plastic_weights(self) -> np.ndarray:
         return self.readout.store.weights.copy()

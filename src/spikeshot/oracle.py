@@ -4,7 +4,8 @@ Everything here re-implements the update recursions with scalar Python
 loops and real-valued weights (no rounding, no clamping, no shared
 arithmetic code with the vectorized simulator), so transcription bugs in
 either side show up as trajectory divergence. Test-only by design; speed is
-a non-goal.
+a non-goal. ``TrajectoryRecord`` and ``dump_trajectory`` also write the
+per-sample traces of ``spikeshot simulate``.
 """
 
 from __future__ import annotations
@@ -33,50 +34,8 @@ class TrajectoryRecord:
         return max((len(v) for v in self.series.values()), default=0)
 
 
-@dataclass(frozen=True)
-class VarDivergence:
-    max_abs_dev: float
-    first_divergence: int | None
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    per_var: dict[str, VarDivergence]
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.per_var.values())
-
-
 def _as_list(x):
     return list(x) if isinstance(x, (list, tuple)) else [x]
-
-
-def compare_trajectories(a: TrajectoryRecord, b: TrajectoryRecord, tolerances: dict[str, float]) -> DivergenceReport:
-    """Per-variable max deviation and first step exceeding its tolerance.
-
-    Variables present in both records are compared; lengths and shapes must
-    match. A variable missing from ``tolerances`` is checked exactly.
-    """
-    per_var = {}
-    for name in sorted(set(a.series) & set(b.series)):
-        sa, sb = a.series[name], b.series[name]
-        if len(sa) != len(sb):
-            raise ValueError(f"series {name!r} lengths differ: {len(sa)} vs {len(sb)}")
-        tol = tolerances.get(name, 0.0)
-        max_dev, first = 0.0, None
-        for t, (va, vb) in enumerate(zip(sa, sb)):
-            la, lb = _as_list(va), _as_list(vb)
-            if len(la) != len(lb):
-                raise ValueError(f"series {name!r} shapes differ at step {t}")
-            dev = max((abs(float(x) - float(y)) for x, y in zip(la, lb)), default=0.0)
-            if dev > max_dev:
-                max_dev = dev
-            if first is None and dev > tol:
-                first = t
-        per_var[name] = VarDivergence(max_abs_dev=max_dev, first_divergence=first, passed=first is None)
-    return DivergenceReport(per_var=per_var)
 
 
 def dump_trajectory(rec: TrajectoryRecord) -> str:
@@ -111,7 +70,6 @@ class OracleDenseLayer:
     def reset_state(self):
         self.q = [0.0] * self.fan_in
         self.p = [0.0] * self.fan_in
-        self.u = [0.0] * self.n_out
         self.v = [0.0] * self.n_out
         self.r = [0.0] * self.n_out
         self.spiked = [False] * self.n_out
@@ -121,13 +79,6 @@ class OracleDenseLayer:
         aq, ap, ar = prm.alpha_q, prm.alpha_p, prm.alpha_r
         for j in range(self.fan_in):
             self.q[j] = aq * self.q[j] + float(s[j]) / prm.tau_u
-        for i in range(self.n_out):
-            acc = prm.bias
-            wi = self.w[i]
-            for j in range(self.fan_in):
-                acc += wi[j] * self.q[j]
-            self.u[i] = acc
-        for j in range(self.fan_in):
             self.p[j] = ap * self.p[j] + self.q[j] / prm.tau_v
         for i in range(self.n_out):
             self.r[i] = ar * self.r[i] - (prm.v_th if self.spiked[i] else 0.0)
@@ -222,7 +173,7 @@ class OracleReadout:
                 drive += wi[j] * self.p_pre[j]
             self.r_err[i] = ar * self.r_err[i] - (n.v_th if self.spiked_err[i] else 0.0)
             base = drive - prm.w_tgt * self.p_tgt[i] + self.b_err
-            self.u_err[i] = base + (self.r_err[i] if prm.include_reset_in_u_err else 0.0)
+            self.u_err[i] = base
             self.v_err[i] = base + self.r_err[i]
             self.spiked_err[i] = self.v_err[i] >= n.v_th
             err = 1.0 if self.spiked_err[i] else 0.0
@@ -264,48 +215,6 @@ class OracleReadout:
                 self.w[i][j] += _eval_rule(self.rule, vals) * lr
 
 
-class OracleNetwork:
-    """Dense-layer stack plus readout, mirroring the simulator's interface."""
-
-    def __init__(self, hidden_weights: list, neuron: NeuronParams, readout_params: ReadoutParams,
-                 n_out: int, b_err: float, w_scale: float = 1.0):
-        self.layers = [OracleDenseLayer(w, neuron) for w in hidden_weights]
-        fan_in = self.layers[-1].n_out if self.layers else None
-        if fan_in is None:
-            raise ValueError("oracle network needs at least one hidden layer")
-        self.readout = OracleReadout(fan_in, n_out, readout_params, b_err, w_scale=w_scale)
-        self.n_in = self.layers[0].fan_in
-        self.n_out = n_out
-
-    def reset_state(self):
-        for layer in self.layers:
-            layer.reset_state()
-        self.readout.reset_state()
-        self.readout.step_count = 0
-
-    def step(self, in_spikes, target_spikes=None, learn: bool = False):
-        x = [float(v) for v in in_spikes]
-        for layer in self.layers:
-            x = [1.0 if sp else 0.0 for sp in layer.step(x)]
-        tgt = [False] * self.n_out if target_spikes is None else list(target_spikes)
-        return self.readout.step(x, tgt, learn=learn)
-
-    def spike_counts(self):
-        return list(self.readout.spike_count)
-
-    def set_rule(self, rule: SumOfProductsRule, lr_exp: int, learn_period: int):
-        self.readout.set_rule(rule, lr_exp, learn_period)
-
-    def plastic_weights(self):
-        return [row[:] for row in self.readout.w]
-
-    def reset_plastic(self):
-        self.readout.w = [[0.0] * self.readout.fan_in for _ in range(self.n_out)]
-
-    def calibrate(self, window: int) -> CalibrationReport:
-        return oracle_calibrate(self.readout.prm, self.readout.b_err, window)
-
-
 def oracle_calibrate(params: ReadoutParams, b_err: float, window: int) -> CalibrationReport:
     """Independent recomputation of the baseline trace averages."""
     comp = OracleReadout(0, 1, params, b_err)
@@ -329,27 +238,3 @@ def oracle_calibrate(params: ReadoutParams, b_err: float, window: int) -> Calibr
         window=window,
         n_spikes=len(spikes),
     )
-
-
-def oracle_simulate(layer_weights: list, params: NeuronParams, input_stream, steps: int) -> TrajectoryRecord:
-    """Run a stack of dense layers at full precision, recording everything.
-
-    ``input_stream`` yields (or indexes) the per-step input spike vector;
-    missing steps read as silence.
-    """
-    layers = [OracleDenseLayer(w, params) for w in layer_weights]
-    rec = TrajectoryRecord(meta={"steps": steps, "n_layers": len(layers)})
-    n_in = layers[0].fan_in
-    for t in range(steps):
-        x = list(input_stream[t]) if t < len(input_stream) else [0.0] * n_in
-        rec.append("input", [float(v) for v in x])
-        for li, layer in enumerate(layers):
-            spikes = layer.step(x)
-            x = [1.0 if sp else 0.0 for sp in spikes]
-            rec.append(f"L{li}.u", layer.u[:])
-            rec.append(f"L{li}.v", layer.v[:])
-            rec.append(f"L{li}.r", layer.r[:])
-            rec.append(f"L{li}.q", layer.q[:])
-            rec.append(f"L{li}.p", layer.p[:])
-            rec.append(f"L{li}.spikes", x[:])
-    return rec

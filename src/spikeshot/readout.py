@@ -50,11 +50,7 @@ class ReadoutParams:
     baseline_period: int = 20
     b_err: float | None = None
     b_out: float | None = None
-    include_reset_in_u_err: bool = False
     y1: TraceConfig | None = None
-    y2: TraceConfig | None = None
-    x1: TraceConfig | None = None
-    x2: TraceConfig | None = None
 
     def __post_init__(self):
         if self.w_tgt <= 0.0:
@@ -66,56 +62,13 @@ class ReadoutParams:
         return self.y1 if self.y1 is not None else TraceConfig(tau=self.neuron.tau_v, increment=1.0)
 
     def y2_config(self) -> TraceConfig:
-        return self.y2 if self.y2 is not None else TraceConfig(tau=self.neuron.tau_u, increment=1.0)
+        return TraceConfig(tau=self.neuron.tau_u, increment=1.0)
 
     def pre_trace_configs(self) -> tuple[TraceConfig, TraceConfig]:
-        if self.x1 is not None and self.x2 is not None:
-            return self.x1, self.x2
         return psp_matched_trace_configs(self.neuron.tau_u, self.neuron.tau_v)
 
 
-# --- scalar error compartment (used in isolation for calibration) -----------
-
-
-@dataclass
-class ErrorCompartment:
-    """One distal compartment with its target filter and post traces."""
-
-    params: ReadoutParams
-    b_err: float
-    q_tgt: float = 0.0
-    p_tgt: float = 0.0
-    v_err: float = 0.0
-    r_err: float = 0.0
-    u_err: float = 0.0
-    spiked: bool = False
-    q_err: float = 0.0
-    p_err: float = 0.0
-    y1: float = 0.0
-
-
-def step_error(c: ErrorCompartment, weighted_input: float, target_spike: bool) -> tuple[ErrorCompartment, bool]:
-    """Advance the distal compartment one step (mutates and returns c).
-
-    ``weighted_input`` is the plastic synaptic drive sum(w * p) computed by
-    the caller. The potential is drive - w_tgt * p_tgt + b_err + reset; the
-    copied current u_err is the same drive without the reset term (unless
-    configured otherwise).
-    """
-    prm = c.params
-    n = prm.neuron
-    c.q_tgt = n.alpha_q * c.q_tgt + (1.0 if target_spike else 0.0) / n.tau_u
-    c.p_tgt = n.alpha_p * c.p_tgt + c.q_tgt / n.tau_v
-    c.r_err = n.alpha_r * c.r_err - (1.0 if c.spiked else 0.0) * n.v_th
-    base = weighted_input - prm.w_tgt * c.p_tgt + c.b_err
-    c.u_err = base + (c.r_err if prm.include_reset_in_u_err else 0.0)
-    c.v_err = base + c.r_err
-    c.spiked = c.v_err >= n.v_th
-    spike = 1.0 if c.spiked else 0.0
-    c.q_err = n.alpha_q * c.q_err + spike
-    c.p_err = n.alpha_p * c.p_err + c.q_err
-    c.y1 = update_trace(c.y1, spike, prm.y1_config())
-    return c, c.spiked
+# --- calibration of the free-running distal compartment -----------------------
 
 
 @dataclass(frozen=True)
@@ -130,46 +83,8 @@ class CalibrationReport:
     n_spikes: int
 
 
-def calibrate_bias(c: ErrorCompartment, window: int) -> CalibrationReport:
-    """Measure the baseline trace averages of an isolated error compartment.
-
-    Runs ``window`` steps with zero input and zero targets, then averages
-    the post traces over an integer number of inter-spike periods in the
-    steady portion of the run (initial transient discarded). Raises
-    CalibrationError when the compartment never fires or fires too rarely
-    for ten full periods to fit in the window.
-    """
-    spikes = []
-    p_err_hist = np.empty(window)
-    y1_hist = np.empty(window)
-    for t in range(window):
-        _, spiked = step_error(c, 0.0, False)
-        p_err_hist[t] = c.p_err
-        y1_hist[t] = c.y1
-        if spiked:
-            spikes.append(t)
-    if not spikes:
-        raise CalibrationError("calibration failure: error compartment never fired (b_err too small)")
-    if len(spikes) < 11:
-        raise CalibrationError(
-            f"calibration failure: only {len(spikes)} baseline spikes in {window} steps; "
-            "need >= 10 full periods (enlarge window or raise b_err)"
-        )
-    warmup = max(2, len(spikes) // 4)
-    t_a, t_b = spikes[warmup], spikes[-1]
-    period = (t_b - t_a) / (len(spikes) - 1 - warmup)
-    return CalibrationReport(
-        b=float(p_err_hist[t_a:t_b].mean()),
-        b_y1=float(y1_hist[t_a:t_b].mean()),
-        b_err=c.b_err,
-        period=float(period),
-        window=window,
-        n_spikes=len(spikes),
-    )
-
-
-def _free_run_period(params: ReadoutParams, b_err: float, steps: int) -> float:
-    """Mean inter-spike interval of the bare compartment (no input/targets).
+def _free_run_spikes(params: ReadoutParams, b_err: float, steps: int) -> list[int]:
+    """Spike steps of the bare distal compartment (no input, no targets).
 
     With zero drive the only dynamics are v = b_err + r and the reset trace,
     so the full trace machinery is skipped.
@@ -183,6 +98,58 @@ def _free_run_period(params: ReadoutParams, b_err: float, steps: int) -> float:
         spiked = b_err + r >= v_th
         if spiked:
             spikes.append(t)
+    return spikes
+
+
+def calibrate_bias(params: ReadoutParams, b_err: float, window: int) -> CalibrationReport:
+    """Measure the baseline trace averages of a free-running error compartment.
+
+    Runs ``window`` steps with zero input and zero targets, filters the
+    spike train into the two-stage post trace P_err and the rule trace y1,
+    then averages both over an integer number of inter-spike periods in the
+    steady portion of the run (initial transient discarded). Raises
+    CalibrationError when the compartment never fires or fires too rarely
+    for ten full periods to fit in the window. The scalar loop gives bit for
+    bit what stepping a silent ``ReadoutLayer`` gives, far faster.
+    """
+    spikes = _free_run_spikes(params, b_err, window)
+    if not spikes:
+        raise CalibrationError("calibration failure: error compartment never fired (b_err too small)")
+    if len(spikes) < 11:
+        raise CalibrationError(
+            f"calibration failure: only {len(spikes)} baseline spikes in {window} steps; "
+            "need >= 10 full periods (enlarge window or raise b_err)"
+        )
+    n = params.neuron
+    y1_cfg = params.y1_config()
+    a_q, a_p, a_y, inc_y = n.alpha_q, n.alpha_p, y1_cfg.alpha, y1_cfg.increment
+    train = np.zeros(window)
+    train[spikes] = 1.0
+    p_err_hist = np.empty(window)
+    y1_hist = np.empty(window)
+    q_err = p_err = y1 = 0.0
+    for t, spike in enumerate(train.tolist()):
+        q_err = a_q * q_err + spike
+        p_err = a_p * p_err + q_err
+        y1 = a_y * y1 + spike * inc_y
+        p_err_hist[t] = p_err
+        y1_hist[t] = y1
+    warmup = max(2, len(spikes) // 4)
+    t_a, t_b = spikes[warmup], spikes[-1]
+    period = (t_b - t_a) / (len(spikes) - 1 - warmup)
+    return CalibrationReport(
+        b=float(p_err_hist[t_a:t_b].mean()),
+        b_y1=float(y1_hist[t_a:t_b].mean()),
+        b_err=b_err,
+        period=float(period),
+        window=window,
+        n_spikes=len(spikes),
+    )
+
+
+def _free_run_period(params: ReadoutParams, b_err: float, steps: int) -> float:
+    """Mean inter-spike interval of the bare compartment (no input/targets)."""
+    spikes = _free_run_spikes(params, b_err, steps)
     if len(spikes) < 6:
         return float("inf")
     tail = spikes[len(spikes) // 2 :]
@@ -212,50 +179,6 @@ def solve_baseline_bias(params: ReadoutParams, target_period: int | None = None)
         else:
             hi = mid
     return float(hi)
-
-
-# --- scalar output compartment ------------------------------------------------
-
-
-@dataclass
-class OutputCompartment:
-    """One proximal compartment driven by a copied distal current.
-
-    ``b_out`` offsets the integrated potential (zero for a standalone
-    compartment; the readout layer uses it to cancel the integrated baseline
-    bias).
-    """
-
-    params: ReadoutParams
-    b_out: float = 0.0
-    q_tgt: float = 0.0
-    p_tgt: float = 0.0
-    p_out: float = 0.0
-    v_out: float = 0.0
-    r_out: float = 0.0
-    spiked: bool = False
-    spike_count: int = 0
-
-
-def step_output(o: OutputCompartment, u_err: float, target_spike: bool) -> tuple[OutputCompartment, bool]:
-    """Advance the proximal compartment one step (mutates and returns o).
-
-    The label train enters through the same PSP filter that shaped it in the
-    distal compartment, with weight +w_tgt, cancelling the -w_tgt component
-    carried inside ``u_err``; label spikes thus never alter the output spike
-    count. No targets arrive in test mode, so the term is simply zero.
-    """
-    prm = o.params
-    n = prm.neuron
-    o.q_tgt = n.alpha_q * o.q_tgt + (1.0 if target_spike else 0.0) / n.tau_u
-    o.p_tgt = n.alpha_p * o.p_tgt + o.q_tgt / n.tau_v
-    o.p_out = n.alpha_p * o.p_out + u_err + prm.w_tgt * o.p_tgt
-    o.r_out = n.alpha_r * o.r_out - (1.0 if o.spiked else 0.0) * n.v_th
-    o.v_out = o.p_out + o.r_out + o.b_out
-    o.spiked = o.v_out >= n.v_th
-    if o.spiked:
-        o.spike_count += 1
-    return o, o.spiked
 
 
 # --- target routing ----------------------------------------------------------
@@ -295,8 +218,7 @@ class ReadoutLayer:
 
     Holds the quantized weight store, the shared pre-synaptic PSC/PSP
     filters, per-neuron distal and proximal state, the plasticity traces and
-    optionally a plasticity engine. Scalar semantics match ``step_error``
-    applied per neuron with weighted_input = (effective weights) @ p_pre.
+    optionally a plasticity engine.
 
     ``step`` is the plasticity-off timestep, with an optional batch axis;
     ``train`` presents one sample with plasticity on. Both run the same
@@ -345,7 +267,6 @@ class ReadoutLayer:
         self.p_tgt = np.zeros(post)
         self.v_err = np.zeros(post)
         self.r_err = np.zeros(post)
-        self.u_err = np.zeros(post)
         self.spiked_err = np.zeros(post, dtype=bool)
         self.q_err = np.zeros(post)
         self.p_err = np.zeros(post)
@@ -398,8 +319,7 @@ class ReadoutLayer:
         self.q_pre, self.p_pre = self._psp(self.q_pre, self.p_pre, s / n.tau_u)
         self.q_tgt, self.p_tgt = self._psp(self.q_tgt, self.p_tgt, tgt / n.tau_u)
 
-        base = self._distal(prm.w_tgt * self.p_tgt)
-        self.u_err = base + (self.r_err if prm.include_reset_in_u_err else 0.0)
+        u_err = self._distal(prm.w_tgt * self.p_tgt)  # the copied current: no reset term
         err = self.spiked_err.astype(np.float64)
 
         # post traces (two-stage diagnostic pair plus the rule traces)
@@ -416,7 +336,7 @@ class ReadoutLayer:
         # proximal compartment: integrates the copied current; the label
         # drive re-enters with opposite sign through the same filter, so
         # label spikes cancel exactly
-        self.p_out = self._a_p * self.p_out + self.u_err + prm.w_tgt * self.p_tgt
+        self.p_out = self._a_p * self.p_out + u_err + prm.w_tgt * self.p_tgt
         self.r_out = self._a_r * self.r_out - self.spiked_out * n.v_th
         self.v_out = self.p_out + self.r_out + self.b_out
         self.spiked_out = self.v_out >= n.v_th
@@ -484,7 +404,3 @@ class ReadoutLayer:
             if use_y0:
                 post["y0"] = err
             engine.tick(pre, post)
-
-    def make_compartment(self) -> ErrorCompartment:
-        """Fresh isolated scalar compartment with this layer's parameters."""
-        return ErrorCompartment(params=self.params, b_err=self.b_err)

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from spikeshot.cli import main as cli_main
-from spikeshot.dynamics import LifLayer, NeuronParams, NeuronState, step_neuron
+from spikeshot.dynamics import NeuronParams
 from spikeshot.events import gen_synthetic_task
 from spikeshot.fewshot import EpisodeConfig, run_episode, run_mplusn
-from spikeshot.network import BuildConfig, build_network, parse_topology
+from spikeshot.network import BuildConfig, DenseLayer, LayerSpec, build_network, parse_topology
 from spikeshot.oracle import OracleDenseLayer
 from spikeshot.plasticity import QuantizedWeightStore, evaluate_rule_matrix
 from spikeshot.readout import ReadoutLayer, ReadoutParams, calibrate_bias
@@ -43,34 +43,39 @@ def _budget(num, t0, limit):
     return elapsed
 
 
+def _unit_dense(params):
+    """One neuron behind one synapse of weight 1: its p is the input's PSP."""
+    return DenseLayer(LayerSpec("dense", (1,), (1,)), params, np.ones((1, 1)), 0)
+
+
 def test_criterion_1_trace_kernel_identities():
     t0 = time.time()
     params = NeuronParams(tau_u=4, tau_v=16)
     aq, ap = params.alpha_q, params.alpha_p
-    state = NeuronState.zeros(1)
+    layer = _unit_dense(params)
     c1, c2 = psp_matched_trace_configs(4, 16)
     x1 = x2 = 0.0
     max_closed, max_diff = 0.0, 0.0
     for t in range(500):
         s = 1.0 if t == 0 else 0.0
-        state = step_neuron(state, np.array([s]), np.array([0.0]), params)
+        layer.step(np.array([s]))
         closed = (ap ** (t + 1) - aq ** (t + 1)) / (params.tau_u * params.tau_v * (ap - aq))
-        max_closed = max(max_closed, abs(state.p[0] - closed))
+        max_closed = max(max_closed, abs(layer.p[0] - closed))
         x1 = update_trace(x1, s, c1)
         x2 = update_trace(x2, s, c2)
-        max_diff = max(max_diff, abs((x2 - x1) - state.p[0]))
+        max_diff = max(max_diff, abs((x2 - x1) - layer.p[0]))
     assert max_closed < 1e-9
     assert max_diff < 1e-6
     # the trace construction must also track P on an arbitrary train
     rng = np.random.default_rng(0)
-    state = NeuronState.zeros(1)
+    layer = _unit_dense(params)
     x1 = x2 = 0.0
     for t in range(500):
         s = float(rng.random() < 0.2)
-        state = step_neuron(state, np.array([s]), np.array([0.0]), params)
+        layer.step(np.array([s]))
         x1 = update_trace(x1, s, c1)
         x2 = update_trace(x2, s, c2)
-        assert abs((x2 - x1) - state.p[0]) < 1e-6
+        assert abs((x2 - x1) - layer.p[0]) < 1e-6
     elapsed = _budget(1, t0, 1.0)
     _report(1, "trace/kernel identities", f"closed-form dev {max_closed:.1e}, trace dev {max_diff:.1e}, {elapsed:.2f}s")
 
@@ -133,7 +138,7 @@ def test_criterion_4_zero_error_stationarity():
     t0 = time.time()
     store = QuantizedWeightStore((1, 1), -6, 0)
     layer = ReadoutLayer(1, 1, store, READOUT_PARAMS)
-    cal = calibrate_bias(layer.make_compartment(), 1200)
+    cal = calibrate_bias(layer.params, layer.b_err, 1200)
     rule = parse_rule(f"dw = -1*(y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2))")
 
     period = cal.period
@@ -168,7 +173,7 @@ def test_criterion_5_delta_rule_sign():
     def mean_raw_delta(weight, with_target):
         store = QuantizedWeightStore((1, 1), -6, 0, init=np.array([[weight]]))
         layer = ReadoutLayer(1, 1, store, READOUT_PARAMS)
-        cal = calibrate_bias(layer.make_compartment(), 1200)
+        cal = calibrate_bias(layer.params, layer.b_err, 1200)
         rule = parse_rule(f"dw = y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2)")
         deltas = []
         for t in range(1200):
@@ -255,13 +260,19 @@ def test_criterion_8_oracle_raster_equivalence():
             v_th=float(rng.uniform(0.2, 1.0)),
         )
         w = rng.normal(size=(n_out, fan_in)) * float(rng.uniform(0.1, 0.6))
-        sim = LifLayer(w, params)
-        orc = OracleDenseLayer(w.tolist(), params)
+        # int8 weights over their full range at scale 2**-5, as Network stores them
+        w_int = np.rint(w / np.abs(w).max() * 127)
+        sim = DenseLayer(LayerSpec("dense", (fan_in,), (n_out,)), params, w_int, -5)
+        orc = OracleDenseLayer((w_int * 2.0**-5).tolist(), params)
         inputs = rng.random((10_000, fan_in)) < 0.2
+        n_spikes = 0
         for t in range(10_000):
             s = inputs[t].astype(float)
-            if not np.array_equal(sim.step(s), np.array(orc.step(s.tolist()))):
+            out = sim.step(s)
+            if not np.array_equal(out, np.array(orc.step(s.tolist()))):
                 pytest.fail(f"raster diverged: config {cfg_idx}, step {t}")
+            n_spikes += np.count_nonzero(out)
+        assert 0 < n_spikes < 10_000 * n_out, f"config {cfg_idx}: raster has {n_spikes} spikes"
     elapsed = _budget(8, t0, 30.0)
     _report(8, "oracle raster equivalence", f"5 configs x 10k steps, {elapsed:.1f}s")
 

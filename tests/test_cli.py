@@ -188,6 +188,18 @@ def test_event_file_for_another_topology_is_data_error(tmp_path, capsys, command
     assert err.startswith("data error:") and "7 input channels" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_non_utf8_event_file_is_data_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.events"
+    path.write_bytes(b"shape=16 duration=20 label=0\n0 1\n3 \xff\xfe\n")
+    cfg = tmp_path / "file.yaml"
+    cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {path}\n")
+    args = ["--events", str(path)] if command == "simulate" else []
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "line 3" in err
+
+
 def test_missing_dataset_file_is_data_error(tmp_path, capsys):
     p = tmp_path / "c.yaml"
     p.write_text("data:\n  kind: file\n  path: /nonexistent/x.events\n")

@@ -1,22 +1,25 @@
-"""Neuron dynamics: recursions, closed forms, invariants."""
+"""Neuron dynamics: recursions, closed forms, invariants.
+
+Every check runs on ``network.DenseLayer``, the layer ``Network`` steps,
+with int8 weights times ``2**scale_exp``; with weight 1 and scale 0 a
+neuron's q and p are exactly the PSC and PSP filters of its input.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from spikeshot.dynamics import (
-    LayerIO,
-    LifLayer,
-    NeuronParams,
-    NeuronState,
-    StateQuant,
-    step_current,
-    step_layer,
-    step_neuron,
-    step_potential,
-    step_psc,
-)
+from spikeshot.dynamics import NeuronParams
+from spikeshot.network import DenseLayer, LayerSpec, TopologyError
+from spikeshot.oracle import OracleDenseLayer
+
+
+def dense(w_int, params, scale_exp=0):
+    """A DenseLayer with weights ``w_int * 2**scale_exp``, ``w_int`` [n_out, fan_in]."""
+    w_int = np.asarray(w_int)
+    spec = LayerSpec("dense", (w_int.shape[1],), (w_int.shape[0],))
+    return DenseLayer(spec, params, w_int, scale_exp)
 
 
 def psp_closed_form(params, m):
@@ -42,82 +45,90 @@ def test_alpha_r_defaults_to_alpha_p():
 
 
 def test_psc_spike_jump():
-    p = NeuronParams(tau_u=4, tau_v=16)
-    q = step_psc(np.array([0.0]), np.array([1.0]), p)
-    assert q[0] == pytest.approx(0.25)
+    layer = dense([[1]], NeuronParams(tau_u=4, tau_v=16))
+    layer.step(np.array([1.0]))
+    assert layer.q[0] == pytest.approx(0.25)
 
 
 def test_psc_decay_without_spike():
-    p = NeuronParams(tau_u=4, tau_v=16)
-    q = step_psc(np.array([0.25]), np.array([0.0]), p)
-    assert q[0] == pytest.approx(0.25 * math.exp(-0.25), abs=1e-12)
-    assert q[0] == pytest.approx(0.19470, abs=1e-5)
+    layer = dense([[1]], NeuronParams(tau_u=4, tau_v=16))
+    layer.step(np.array([1.0]))
+    layer.step(np.array([0.0]))
+    assert layer.q[0] == pytest.approx(0.25 * math.exp(-0.25), abs=1e-12)
+    assert layer.q[0] == pytest.approx(0.19470, abs=1e-5)
 
 
 def test_psc_geometric_decay_closed_form():
     p = NeuronParams(tau_u=6, tau_v=16)
-    q = np.array([0.7, 0.3])
-    expected = q * p.alpha_q**9
+    layer = dense([[7, 0], [0, 3]], p, scale_exp=-1)
+    layer.step(np.array([1.0, 1.0]))
+    expected = layer.q * p.alpha_q**9
     for _ in range(9):
-        q = step_psc(q, np.zeros(2), p)
-    assert np.allclose(q, expected, atol=1e-14)
+        layer.step(np.zeros(2))
+    assert np.allclose(layer.q, expected, atol=1e-14)
 
 
 def test_psc_shape_mismatch():
-    p = NeuronParams()
+    layer = dense(np.ones((2, 3)), NeuronParams())
     with pytest.raises(ValueError):
-        step_psc(np.zeros(3), np.zeros(2), p)
+        layer.step(np.zeros(2))
+    with pytest.raises(TopologyError):  # a ValueError too
+        layer.set_weights(np.ones((3, 2)), 0)
 
 
 def test_current_dot_product():
-    assert step_current(np.array([0.25]), np.array([2.0]), 0.0) == pytest.approx(0.5)
-    assert step_current(np.array([0.3, 0.3]), np.array([1.0, -1.0]), 0.0) == pytest.approx(0.0)
-    assert step_current(np.array([]), np.array([]), 0.1) == pytest.approx(0.1)
+    # post-synaptic form: a neuron's q is the current w . q_in of the inputs' PSCs
+    p = NeuronParams(tau_u=4, tau_v=16)
+    layer = dense([[8], [16], [-32]], p, scale_exp=-2)
+    layer.step(np.array([1.0]))
+    assert np.array_equal(layer.q, np.array([2.0, 4.0, -8.0]) * 0.25)
+    layer = dense([[1, -1]], p)
+    layer.step(np.array([1.0, 1.0]))
+    assert layer.q[0] == 0.0
+    layer = dense(np.zeros((1, 1)), NeuronParams(bias=0.1))
+    layer.step(np.zeros(1))
+    assert layer.q[0] == 0.0 and layer.v[0] == pytest.approx(0.1)  # the bias enters v only
 
 
 def test_current_shape_mismatch():
+    layer = dense(np.ones((3, 2)), NeuronParams())
     with pytest.raises(ValueError):
-        step_current(np.zeros(2), np.zeros(3), 0.0)
+        layer.step(np.zeros(3))
 
 
 def test_zero_state_is_fixed_point():
-    p = NeuronParams(tau_u=4, tau_v=16, bias=0.0)
-    state = NeuronState.zeros(3)
+    layer = dense(np.ones((3, 3)), NeuronParams(tau_u=4, tau_v=16, bias=0.0))
     for _ in range(10):
-        state = step_neuron(state, np.zeros(3), np.ones(3), p)
-    assert state.v == 0.0 and state.u == 0.0 and state.r == 0.0
-    assert not state.spiked
-    assert np.all(state.q == 0.0) and np.all(state.p == 0.0)
+        layer.step(np.zeros(3))
+    assert not layer.v.any() and not layer.r.any()
+    assert not layer.spiked.any()
+    assert not layer.q.any() and not layer.p.any()
 
 
 def test_threshold_boundary_spikes_at_equality():
-    p = NeuronParams(tau_u=4, tau_v=16, v_th=1.0)
     # bias-only neuron: v = r + bias; first step r = 0 so v = bias
-    state = NeuronState.zeros(0)
-    state = step_neuron(state, np.zeros(0), np.zeros(0), NeuronParams(tau_u=4, tau_v=16, v_th=1.0, bias=1.0))
-    assert state.v == pytest.approx(1.0)
-    assert state.spiked
+    layer = dense(np.zeros((1, 1)), NeuronParams(tau_u=4, tau_v=16, v_th=1.0, bias=1.0))
+    layer.step(np.zeros(1))
+    assert layer.v[0] == 1.0
+    assert layer.spiked[0]
 
 
 def test_single_spike_psp_closed_form():
     p = NeuronParams(tau_u=4, tau_v=16)
-    state = NeuronState.zeros(1)
+    layer = dense([[1]], p)
     devs = []
     for t in range(80):
-        s = np.array([1.0 if t == 0 else 0.0])
-        state = step_neuron(state, s, np.array([0.0]), p)
-        devs.append(abs(state.p[0] - psp_closed_form(p, t + 1)))
+        layer.step(np.array([1.0 if t == 0 else 0.0]))
+        devs.append(abs(layer.p[0] - psp_closed_form(p, t + 1)))
     assert max(devs) < 1e-12
 
 
 def test_psp_rises_then_decays():
-    p = NeuronParams(tau_u=4, tau_v=16)
-    state = NeuronState.zeros(1)
+    layer = dense([[1]], NeuronParams(tau_u=4, tau_v=16))
     traj = []
     for t in range(120):
-        s = np.array([1.0 if t == 0 else 0.0])
-        state = step_neuron(state, s, np.array([0.0]), p)
-        traj.append(state.p[0])
+        layer.step(np.array([1.0 if t == 0 else 0.0]))
+        traj.append(layer.p[0])
     peak = int(np.argmax(traj))
     assert 0 < peak < 60
     assert all(traj[i] < traj[i + 1] for i in range(peak - 1))
@@ -127,15 +138,13 @@ def test_psp_rises_then_decays():
 def test_single_spike_to_one_output_spike_with_reset_decay():
     # weight sized so the PSP peak crosses threshold exactly once
     p = NeuronParams(tau_u=4, tau_v=8, v_th=1.0)
-    w = np.array([16.0])
-    state = NeuronState.zeros(1)
+    layer = dense([[16]], p)
     spikes = []
     r_after = []
     for t in range(60):
-        s = np.array([1.0 if t == 0 else 0.0])
-        state = step_neuron(state, s, w, p)
-        spikes.append(state.spiked)
-        r_after.append(state.r)
+        layer.step(np.array([1.0 if t == 0 else 0.0]))
+        spikes.append(bool(layer.spiked[0]))
+        r_after.append(layer.r[0])
     assert sum(spikes) == 1
     k = spikes.index(True)
     # reset trace jumps by -v_th the step after the spike and then decays
@@ -146,8 +155,7 @@ def test_single_spike_to_one_output_spike_with_reset_decay():
 
 def test_refractory_drops_v_by_at_least_threshold():
     p = NeuronParams(tau_u=4, tau_v=8, v_th=0.5)
-    w = np.array([30.0])
-    with_reset = LifLayer(w.reshape(1, 1), p)
+    with_reset = dense([[30]], p)
     counterfactual = []
     v_actual = []
     for t in range(40):
@@ -164,10 +172,10 @@ def test_refractory_drops_v_by_at_least_threshold():
 def test_subthreshold_linearity():
     p = NeuronParams(tau_u=4, tau_v=16, v_th=1e9)  # never spikes
     rng = np.random.default_rng(11)
-    w = rng.normal(size=(3, 5)) * 0.01
+    w = rng.integers(-128, 128, size=(3, 5))
     a = rng.random((50, 5)) < 0.2
     b = rng.random((50, 5)) < 0.2
-    la, lb, lab = LifLayer(w, p), LifLayer(w, p), LifLayer(w, p)
+    la, lb, lab = (dense(w, p, scale_exp=-13) for _ in range(3))
     for t in range(50):
         la.step(a[t].astype(float))
         lb.step(b[t].astype(float))
@@ -177,7 +185,7 @@ def test_subthreshold_linearity():
 
 def test_r_stays_nonpositive():
     p = NeuronParams(tau_u=2, tau_v=4, v_th=0.3)
-    layer = LifLayer(np.full((2, 2), 5.0), p)
+    layer = dense(np.full((2, 2), 5), p)
     rng = np.random.default_rng(3)
     for t in range(200):
         layer.step((rng.random(2) < 0.3).astype(float))
@@ -188,8 +196,8 @@ def test_layer_identity_passthrough_fixed_delay():
     # single-spike probe records the layer latency; a sparse pattern then
     # arrives shifted by exactly that latency, one output spike per input
     p = NeuronParams(tau_u=4, tau_v=8, v_th=1.0)
-    w = np.diag([16.0] * 3)
-    probe = LifLayer(w, p)
+    w = np.diag([16] * 3)
+    probe = dense(w, p)
     delay = None
     for t in range(40):
         s = np.array([1.0, 0.0, 0.0]) if t == 0 else np.zeros(3)
@@ -198,7 +206,7 @@ def test_layer_identity_passthrough_fixed_delay():
             delay = t
     assert delay is not None
 
-    layer = LifLayer(w, p)
+    layer = dense(w, p)
     in_times = [0, 50, 100]
     out_spikes = {0: [], 1: [], 2: []}
     for t in range(140):
@@ -215,7 +223,7 @@ def test_layer_identity_passthrough_fixed_delay():
 
 def test_zero_weights_never_spike():
     p = NeuronParams(tau_u=4, tau_v=16)
-    layer = LifLayer(np.zeros((4, 6)), p)
+    layer = dense(np.zeros((4, 6)), p)
     rng = np.random.default_rng(5)
     for _ in range(100):
         out = layer.step((rng.random(6) < 0.5).astype(float))
@@ -224,8 +232,7 @@ def test_zero_weights_never_spike():
 
 def test_identical_neurons_identical_trajectories():
     p = NeuronParams(tau_u=4, tau_v=16)
-    w = np.vstack([np.ones(3), np.ones(3)])
-    layer = LifLayer(w, p)
+    layer = dense(np.ones((2, 3)), p)
     rng = np.random.default_rng(9)
     for _ in range(100):
         layer.step((rng.random(3) < 0.4).astype(float))
@@ -233,35 +240,16 @@ def test_identical_neurons_identical_trajectories():
         assert layer.spiked[0] == layer.spiked[1]
 
 
-def test_step_layer_matches_vectorized_layer():
+def test_per_neuron_oracle_matches_dense_layer():
+    # the scalar oracle steps neuron by neuron on the pre-synaptic side
     p = NeuronParams(tau_u=3, tau_v=9, v_th=0.2)
     rng = np.random.default_rng(21)
-    w = rng.normal(size=(4, 6)) * 0.5
-    states = [NeuronState.zeros(6) for _ in range(4)]
-    layer = LifLayer(w, p)
+    w = rng.integers(-128, 128, size=(4, 6))
+    orc = OracleDenseLayer((w * 2.0**-7).tolist(), p)
+    layer = dense(w, p, scale_exp=-7)
     for t in range(120):
         s = (rng.random(6) < 0.3).astype(float)
-        states, out_ref = step_layer(states, w, LayerIO(in_spikes=s), p)
+        out_ref = orc.step(s.tolist())
         out_vec = layer.step(s)
-        assert np.array_equal(out_ref, out_vec)
-        assert np.allclose([st.v for st in states], layer.v, atol=1e-12)
-        assert np.allclose([st.u for st in states], layer.u, atol=1e-12)
-
-
-def test_step_potential_carries_u_and_validates_shape():
-    p = NeuronParams(tau_u=4, tau_v=8)
-    state = NeuronState.zeros(2)
-    state = step_neuron(state, np.array([1.0, 0.0]), np.array([0.5, 0.5]), p)
-    assert state.u != 0.0
-    with pytest.raises(ValueError):
-        step_potential(state, np.zeros(3), p)
-
-
-def test_state_quantization_is_optional_and_snaps_grid():
-    p = NeuronParams(tau_u=4, tau_v=16)
-    quant = StateQuant(bits=16, frac_bits=8)
-    layer = LifLayer(np.ones((1, 1)) * 0.7, p, state_quant=quant)
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        layer.step((rng.random(1) < 0.5).astype(float))
-        assert layer.v[0] * 256 == pytest.approx(round(layer.v[0] * 256), abs=1e-9)
+        assert np.array_equal(np.array(out_ref), out_vec)
+        assert np.allclose(orc.v, layer.v, atol=1e-12)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeshot.events import (
     EventFormatError,
@@ -66,6 +68,17 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     path.write_text("shape=3x duration=5 label=0\n")
     with pytest.raises(EventFormatError, match="line 1"):
         read_events(path)
+    path.write_bytes(b"shape=3 duration=5 label=0\r\n0 1\n3 \xff\xfe\n")  # not UTF-8
+    with pytest.raises(EventFormatError, match="line 3"):
+        read_events(path)
+
+
+def test_non_positive_shape_rejected(tmp_path):
+    path = tmp_path / "bad.events"
+    for shape in ("2x-2x-8", "0"):  # 2x-2x-8 still has 32 channels
+        path.write_text(f"shape={shape} duration=3 label=0\n")
+        with pytest.raises(EventFormatError, match="dimension below 1"):
+            read_events(path)
 
 
 def test_negative_duration_rejected(tmp_path):
@@ -175,3 +188,36 @@ def test_balanced_mode_equal_brightness():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         gen_synthetic_task(2, 1, 4, separation=0.1, seed=0, mode="gauss")
+
+
+@pytest.fixture(scope="module")
+def event_file(tmp_path_factory):
+    samples = [
+        LabeledSample(shape=(4,), duration=10, label=2,
+                      events=[SpikeEvent(0, 1), SpikeEvent(3, 0), SpikeEvent(3, 2), SpikeEvent(9, 3)]),
+        LabeledSample(shape=(2, 2, 1), duration=5, label=0, events=[SpikeEvent(1, 3)]),
+        LabeledSample(shape=(3,), duration=0, label=1),
+    ]
+    path = tmp_path_factory.mktemp("events") / "e.events"
+    write_events(samples, path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncated_or_flipped_file_is_format_error_or_valid(event_file, data):
+    good = event_file.read_bytes()
+    bad = event_file.with_name("bad.events")
+    at = data.draw(st.integers(0, len(good) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        bad.write_bytes(good[:at])
+    else:
+        flipped = bytearray(good)
+        flipped[at] ^= data.draw(st.integers(1, 255), label="mask")
+        bad.write_bytes(bytes(flipped))
+    try:
+        samples = read_events(bad)
+    except EventFormatError:
+        return
+    for s in samples:
+        s.validate()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikeshot.dynamics import LifLayer, NeuronParams
+from spikeshot.dynamics import NeuronParams
 from spikeshot.network import (
     BuildConfig,
     ConvLayer,
@@ -85,7 +85,7 @@ def test_pool_block_equals_aggregated_weight():
     # input with 4x weight into a dense neuron
     spec = LayerSpec("pool", (2, 2, 1), (1, 1, 1), kernel=2)
     pool = PoolLayer(spec, NEURON)
-    dense = LifLayer(np.array([[4.0]]), NEURON)
+    dense = DenseLayer(LayerSpec("dense", (1,), (1,)), NEURON, np.array([[4]]), 0)
     rng = np.random.default_rng(0)
     for _ in range(200):
         s = float(rng.random() < 0.3)
@@ -118,17 +118,14 @@ def test_conv_equals_dense_expansion_small_shape():
                         if 0 <= yy < h and 0 <= xx < w:
                             for c in range(c_in):
                                 dense_w[row, (yy * w + xx) * c_in + c] = kernel[o, dy, dx, c] * scale
-    dense = LifLayer(dense_w, NEURON)
-    dense_int = DenseLayer(LayerSpec("dense", (n_in,), (n_out,)), NEURON, (dense_w / scale).astype(np.int8), -4)
+    dense = DenseLayer(LayerSpec("dense", (n_in,), (n_out,)), NEURON, (dense_w / scale).astype(np.int8), -4)
 
     for t in range(120):
         s = (rng.random((h, w, c_in)) < 0.15).astype(float)
         conv.step(s)
         dense.step(s.ravel())
-        dense_int.step(s.ravel())
-        assert np.allclose(conv.v.reshape(-1), dense.v, atol=1e-10)
+        assert np.array_equal(conv.v.reshape(-1), dense.v)
         assert np.array_equal(conv.spiked.reshape(-1), dense.spiked)
-        assert np.array_equal(conv.v.reshape(-1), dense_int.v)
 
 
 def _reference_contraction(layer, s):
@@ -248,12 +245,12 @@ def test_frozen_weights_untouched_by_learning():
     assert net.readout.store.weights.any()  # plastic layer did learn
 
 
-def test_forward_step_returns_record():
+def test_step_records_each_layer():
     topo = parse_topology("8", ["6"], 3)
     net = build_network(topo, NEURON, READOUT, BuildConfig(seed=3))
-    out, record = net.forward_step(np.ones(8))
-    assert len(record) == 2  # hidden layer + readout
-    assert record[-1] is out
+    out = net.step(np.ones(8))
+    assert len(net.layer_spikes) == 2  # hidden layer + readout
+    assert net.layer_spikes[-1] is out
 
 
 def test_input_size_validation():

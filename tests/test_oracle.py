@@ -1,29 +1,28 @@
-"""Reference-oracle checks: raster equivalence, trajectory tools, rounding drift."""
+"""Reference-oracle checks: raster equivalence, trajectory dumps, rounding drift."""
 
 import numpy as np
 import pytest
 
-from spikeshot.dynamics import LifLayer, NeuronParams
+from spikeshot.dynamics import NeuronParams
 from spikeshot.network import DenseLayer, LayerSpec
-from spikeshot.oracle import (
-    OracleDenseLayer,
-    OracleNetwork,
-    OracleReadout,
-    TrajectoryRecord,
-    compare_trajectories,
-    dump_trajectory,
-    oracle_simulate,
-)
+from spikeshot.oracle import OracleDenseLayer, OracleReadout, TrajectoryRecord, dump_trajectory
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams, solve_baseline_bias
 from spikeshot.ruledsl import parse_rule
 
 
+def dense(w_int, params, scale_exp):
+    w_int = np.asarray(w_int)
+    return DenseLayer(LayerSpec("dense", (w_int.shape[1],), (w_int.shape[0],)), params, w_int, scale_exp)
+
+
 def test_zero_input_zero_trajectory():
-    rec = oracle_simulate([np.zeros((3, 2)).tolist()], NeuronParams(tau_u=4, tau_v=8), [], 20)
-    assert rec.steps == 20
-    assert all(v == [0.0, 0.0, 0.0] for v in rec.series["L0.v"])
-    assert all(v == [0.0, 0.0, 0.0] for v in rec.series["L0.spikes"])
+    p = NeuronParams(tau_u=4, tau_v=8)
+    w = np.arange(6).reshape(3, 2)
+    sim, orc = dense(w, p, -4), OracleDenseLayer((w * 2.0**-4).tolist(), p)
+    for _ in range(20):
+        assert not sim.step(np.zeros(2)).any() and not any(orc.step([0.0, 0.0]))
+        assert not sim.v.any() and orc.v == [0.0, 0.0, 0.0]
 
 
 def test_single_spike_psp_closed_form_full_precision():
@@ -39,19 +38,23 @@ def test_single_spike_psp_closed_form_full_precision():
 def test_simulator_matches_oracle_state_trajectories():
     p = NeuronParams(tau_u=5, tau_v=12, v_th=0.4)
     rng = np.random.default_rng(0)
-    w = rng.normal(size=(4, 6)) * 0.3
-    sim = LifLayer(w, p)
-    orc = OracleDenseLayer(w.tolist(), p)
+    w = rng.normal(size=(4, 6))
+    w = np.rint(w / np.abs(w).max() * 127)
+    sim = dense(w, p, -5)
+    orc = OracleDenseLayer((w * 2.0**-5).tolist(), p)
+    n_spikes = 0
     for _ in range(500):
         s = (rng.random(6) < 0.25).astype(float)
-        sim.step(s)
+        n_spikes += np.count_nonzero(sim.step(s))
         orc.step(s.tolist())
         assert np.allclose(sim.v, orc.v, atol=1e-12)
-        assert np.allclose(sim.u, orc.u, atol=1e-12)
+        assert np.allclose(sim.r, orc.r, atol=1e-12)
         assert np.array_equal(sim.spiked, np.array(orc.spiked))
+    assert 0 < n_spikes < 500 * 4
 
 
 def random_config(rng):
+    """Random layer parameters and full-range int8 weights at scale ``2**-5``."""
     fan_in = int(rng.integers(3, 9))
     n_out = int(rng.integers(2, 6))
     params = NeuronParams(
@@ -60,21 +63,23 @@ def random_config(rng):
         v_th=float(rng.uniform(0.2, 1.0)),
     )
     w = rng.normal(size=(n_out, fan_in)) * float(rng.uniform(0.1, 0.6))
-    return w, params, fan_in
+    return np.rint(w / np.abs(w).max() * 127), params, fan_in
 
 
 def test_spike_rasters_identical_5_random_configs_10k_steps():
     rng = np.random.default_rng(123)
     for _ in range(5):
         w, params, fan_in = random_config(rng)
-        sim = LifLayer(w, params)
-        orc = OracleDenseLayer(w.tolist(), params)
+        sim = dense(w, params, -5)
+        orc = OracleDenseLayer((w * 2.0**-5).tolist(), params)
         inputs = rng.random((10_000, fan_in)) < 0.2
+        raster = np.empty((10_000, len(w)), dtype=bool)
         for t in range(10_000):
             s = inputs[t].astype(float)
-            a = sim.step(s)
+            raster[t] = sim.step(s)
             b = orc.step(s.tolist())
-            assert np.array_equal(a, np.array(b)), f"raster diverged at step {t}"
+            assert np.array_equal(raster[t], np.array(b)), f"raster diverged at step {t}"
+        assert 0 < np.count_nonzero(raster) < raster.size
 
 
 def test_network_dense_layer_rasters_match_oracle_5_random_int8_configs():
@@ -88,7 +93,7 @@ def test_network_dense_layer_rasters_match_oracle_5_random_int8_configs():
         w = rng.integers(-128, 128, size=(n_out, fan_in))
         w[:, : fan_in // 2] = np.abs(w[:, : fan_in // 2])  # excitatory enough to spike
         scale_exp = int(rng.integers(-6, -3))
-        sim = DenseLayer(LayerSpec("dense", (fan_in,), (n_out,)), params, w, scale_exp)
+        sim = dense(w, params, scale_exp)
         orc = OracleDenseLayer((w * 2.0**scale_exp).tolist(), params)
         inputs = rng.random((3000, fan_in)) < 0.2
         raster = []
@@ -118,31 +123,6 @@ def test_readout_matches_oracle_readout():
         assert np.allclose(sim.y1, orc.y1, atol=1e-9)
 
 
-def test_compare_trajectories_identical_and_divergent():
-    a = TrajectoryRecord(meta={}, series={"v": [[0.0], [1.0], [2.0]]})
-    b = TrajectoryRecord(meta={}, series={"v": [[0.0], [1.0], [2.0]]})
-    rep = compare_trajectories(a, b, {"v": 0.0})
-    assert rep.passed and rep.per_var["v"].max_abs_dev == 0.0
-    assert rep.per_var["v"].first_divergence is None
-
-    c = TrajectoryRecord(meta={}, series={"v": [[0.0], [1.5], [2.0]]})
-    rep = compare_trajectories(a, c, {"v": 0.1})
-    assert not rep.passed
-    assert rep.per_var["v"].first_divergence == 1
-    assert rep.per_var["v"].max_abs_dev == pytest.approx(0.5)
-
-
-def test_compare_trajectories_shape_errors():
-    a = TrajectoryRecord(meta={}, series={"v": [[0.0], [1.0]]})
-    b = TrajectoryRecord(meta={}, series={"v": [[0.0]]})
-    with pytest.raises(ValueError, match="length"):
-        compare_trajectories(a, b, {})
-    c = TrajectoryRecord(meta={}, series={"v": [[0.0, 1.0], [1.0, 2.0]]})
-    d = TrajectoryRecord(meta={}, series={"v": [[0.0], [1.0]]})
-    with pytest.raises(ValueError, match="shape"):
-        compare_trajectories(c, d, {})
-
-
 def test_dump_trajectory_format():
     rec = TrajectoryRecord(meta={"seed": 3}, series={"v": [[0.5], [1.0]], "s": [[0.0], [1.0]]})
     text = dump_trajectory(rec)
@@ -155,8 +135,8 @@ def test_dump_trajectory_format():
 
 
 def test_quantized_drift_bounded_by_rounding_budget():
-    # lr small: quantized weights stay within one integer step per update of
-    # the unrounded oracle weights (clamp never reached)
+    # lr small: the quantized weights stay within one integer step of the
+    # unrounded oracle weights (clamp never reached)
     params = ReadoutParams(neuron=NeuronParams(tau_u=8, tau_v=16))
     b_err = solve_baseline_bias(params)
     rule = parse_rule("dw = 0.001*x1*y1")
@@ -172,8 +152,10 @@ def test_quantized_drift_bounded_by_rounding_budget():
         orc.step(stream[t].tolist(), [t % 5 == 0], learn=True)
     sim.train(stream, label=0, target_period=5)  # label spikes at t % 5 == 0
     dev = np.abs(store.effective() - np.array(orc.w)).max()
-    assert dev <= n_updates * 2.0**-6
-    assert dev > 0  # rounding really happened
+    assert dev <= 2.0**-6  # within one integer step of the oracle
+    # the updates are far below one step, so the store's weights stay 0 and
+    # the deviation is the oracle's own unrounded drift
+    assert dev > 0
 
 
 def test_rounding_drift_unbiased_across_seeds():
@@ -200,19 +182,3 @@ def test_rounding_drift_unbiased_across_seeds():
     # feedback through spiking makes the per-seed deviation discrete; the
     # required property is that the signed deviation straddles zero
     assert mean_devs.min() < 0 < mean_devs.max()
-
-
-def test_oracle_network_interface_smoke():
-    params = ReadoutParams(neuron=NeuronParams(tau_u=8, tau_v=16))
-    b_err = solve_baseline_bias(params)
-    rng = np.random.default_rng(0)
-    hidden = (rng.normal(size=(6, 4)) * 0.5).tolist()
-    net = OracleNetwork([hidden], NeuronParams(tau_u=8, tau_v=16), params, n_out=3, b_err=b_err)
-    net.set_rule(parse_rule("dw = x1*y1"), 0, 1)
-    net.reset_state()
-    for t in range(50):
-        net.step((rng.random(4) < 0.5).astype(float).tolist(), [t % 4 == 0, False, False], learn=True)
-    assert len(net.spike_counts()) == 3
-    assert np.array(net.plastic_weights()).shape == (3, 6)  # readout fans in from 6 hidden units
-    cal = net.calibrate(1200)
-    assert cal.b > 0

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spikeshot.dynamics import NeuronParams, NeuronState, step_neuron
+from spikeshot.dynamics import NeuronParams
+from spikeshot.network import DenseLayer, LayerSpec
 from spikeshot.traces import TraceConfig, psp_matched_trace_configs, update_trace
 
 
@@ -61,28 +62,33 @@ def test_matched_configs_require_slower_psp():
         psp_matched_trace_configs(16, 8)
 
 
+def unit_dense(params):
+    """One neuron behind one synapse of weight 1: its p is the input's PSP."""
+    return DenseLayer(LayerSpec("dense", (1,), (1,)), params, np.ones((1, 1)), 0)
+
+
 def test_difference_kernel_matches_psp_single_spike():
     params = NeuronParams(tau_u=4, tau_v=16)
     c1, c2 = psp_matched_trace_configs(4, 16)
-    state = NeuronState.zeros(1)
+    layer = unit_dense(params)
     x1 = x2 = 0.0
     for t in range(500):
         s = 1.0 if t == 0 else 0.0
-        state = step_neuron(state, np.array([s]), np.array([0.0]), params)
+        layer.step(np.array([s]))
         x1 = update_trace(x1, s, c1)
         x2 = update_trace(x2, s, c2)
-        assert (x2 - x1) == pytest.approx(state.p[0], abs=1e-9)
+        assert (x2 - x1) == pytest.approx(layer.p[0], abs=1e-9)
 
 
 def test_difference_kernel_matches_psp_random_train():
     params = NeuronParams(tau_u=8, tau_v=16)
     c1, c2 = psp_matched_trace_configs(8, 16)
     rng = np.random.default_rng(4)
-    state = NeuronState.zeros(1)
+    layer = unit_dense(params)
     x1 = x2 = 0.0
     for t in range(500):
         s = float(rng.random() < 0.15)
-        state = step_neuron(state, np.array([s]), np.array([0.0]), params)
+        layer.step(np.array([s]))
         x1 = update_trace(x1, s, c1)
         x2 = update_trace(x2, s, c2)
-        assert (x2 - x1) == pytest.approx(state.p[0], abs=1e-6)
+        assert (x2 - x1) == pytest.approx(layer.p[0], abs=1e-6)
