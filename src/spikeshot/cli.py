@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -26,7 +27,6 @@ from .events import (
     EventFormatError,
     LabeledSample,
     SeparationError,
-    SpikeEvent,
     gen_synthetic_task,
     read_events,
     write_events,
@@ -37,7 +37,6 @@ from .fewshot import (
     classify,
     evaluate,
     format_report,
-    replace_label,
     run_episode,
     run_mplusn,
     split_shots,
@@ -217,7 +216,7 @@ def cmd_eval(args) -> int:
         classes = sorted({s.label for s in dataset})
         novel = classes[ecfg.m_pretrained :]
         keep = {c: i for i, c in enumerate(novel)}
-        dataset = [replace_label(s, keep[s.label]) for s in dataset if s.label in keep]
+        dataset = [replace(s, label=keep[s.label]) for s in dataset if s.label in keep]
         ecfg = cfgmod.episode_config(cfg, seed, n_way=len(novel))
     train, test = split_shots(dataset, ecfg)
     samples = train if args.split == "train" else test
@@ -243,16 +242,15 @@ def cmd_simulate(args) -> int:
         net.reset_state()
         dense = sample.to_dense()
         rec = TrajectoryRecord(meta={"sample": k, "label": sample.label})
-        out_events = []
+        raster = np.zeros((sample.duration, net.n_out), dtype=bool)
         for t in range(sample.duration):
-            spikes = net.step(dense[t])
+            raster[t] = net.step(dense[t])
             rec.append("readout.v_err", net.readout.v_err.tolist())
             rec.append("readout.v_out", net.readout.v_out.tolist())
             rec.append("readout.p_out", net.readout.p_out.tolist())
-            rec.append("readout.spikes", spikes.astype(float).tolist())
-            out_events.extend(SpikeEvent(t=t, neuron=int(i)) for i in np.flatnonzero(spikes))
+            rec.append("readout.spikes", raster[t].astype(float).tolist())
         rasters.append(LabeledSample(shape=(net.n_out,), duration=sample.duration,
-                                     label=sample.label, events=out_events))
+                                     label=sample.label, events=np.argwhere(raster)))
         with open(os.path.join(out, f"trace_sample{k}.txt"), "w") as f:
             f.write(dump_trajectory(rec))
     raster_path = os.path.join(out, "raster.events")

@@ -9,76 +9,92 @@ followed by one event per line, ``<t> <neuron>``, with t a timestep in
 [0, duration) and neuron a flat row-major index into the declared shape.
 Times must be non-decreasing within a sample. The format is text for
 diffability; round-tripping write -> read is exact.
+
+In memory a sample's events are one ``[N, 2]`` int64 array of ``(t, neuron)``
+rows in time order, which every consumer takes whole. ``read_events`` streams
+the file and converts a sample's fields in one call when the next header or
+the end of the file closes it, so it holds one sample's text at a time.
+``SpikeEvent`` names one row: callers outside the package still build
+samples from lists of them, and any sequence of pairs converts.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+BALANCED_HI = 0.85
+BALANCED_LO = 0.05
 
 
 class EventFormatError(ValueError):
     """Malformed event file; message carries the offending line number."""
 
 
-@dataclass(frozen=True)
-class SpikeEvent:
+class SpikeEvent(NamedTuple):
+    """One ``(t, neuron)`` row of ``LabeledSample.events``."""
+
     t: int
     neuron: int
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledSample:
-    """One spike recording with its class label and declared extent."""
+    """One spike recording with its class label and declared extent.
+
+    ``events`` is an ``[N, 2]`` int64 array of ``(t, neuron)`` rows in time
+    order, converted from any sequence of pairs. Samples compare by identity;
+    compare their fields, and ``events`` with ``np.array_equal``.
+    """
 
     shape: tuple[int, ...]
     duration: int
     label: int
-    events: list[SpikeEvent] = field(default_factory=list)
+    events: np.ndarray = ()
+
+    def __post_init__(self):
+        self.events = np.asarray(self.events, dtype=np.int64).reshape(-1, 2)
 
     @property
     def size(self) -> int:
         return math.prod(self.shape)
 
     def validate(self):
+        """Raise EventFormatError naming the first offending event, in event order."""
         if self.duration < 0:
             raise EventFormatError(f"negative duration {self.duration}")
         if any(d < 1 for d in self.shape):
             raise EventFormatError(f"shape {self.shape} has a dimension below 1")
-        last_t = -1
-        for ev in self.events:
-            if not (0 <= ev.t < self.duration):
-                raise EventFormatError(f"event time {ev.t} outside [0, {self.duration})")
-            if not (0 <= ev.neuron < self.size):
-                raise EventFormatError(f"neuron index {ev.neuron} outside shape {self.shape}")
-            if ev.t < last_t:
-                raise EventFormatError(f"event times decrease at t={ev.t}")
-            last_t = ev.t
+        t, neuron = self.events.T
+        bad = (t < 0) | (t >= self.duration) | (neuron < 0) | (neuron >= self.size)
+        bad[1:] |= t[1:] < t[:-1]
+        if bad.any():
+            ev_t, ev_neuron = self.events[bad.argmax()].tolist()
+            if not 0 <= ev_t < self.duration:
+                raise EventFormatError(f"event time {ev_t} outside [0, {self.duration})")
+            if not 0 <= ev_neuron < self.size:
+                raise EventFormatError(f"neuron index {ev_neuron} outside shape {self.shape}")
+            raise EventFormatError(f"event times decrease at t={ev_t}")
         return self
 
     def to_dense(self) -> np.ndarray:
         """[duration, n_channels] float array of spike counts per step."""
         dense = np.zeros((self.duration, self.size))
-        for ev in self.events:
-            dense[ev.t, ev.neuron] += 1.0
+        np.add.at(dense, tuple(self.events.T), 1.0)
         return dense
 
 
-def _shape_str(shape: tuple[int, ...]) -> str:
-    return "x".join(str(d) for d in shape)
-
-
 def write_events(samples: list[LabeledSample], path) -> None:
-    lines = []
     for s in samples:
         s.validate()
-        lines.append(f"shape={_shape_str(s.shape)} duration={s.duration} label={s.label}")
-        lines.extend(f"{ev.t} {ev.neuron}" for ev in s.events)
     with open(path, "w") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
+        for s in samples:
+            f.write(f"shape={'x'.join(map(str, s.shape))} duration={s.duration} label={s.label}\n")
+            f.writelines(f"{t} {neuron}\n" for t, neuron in s.events.tolist())
 
 
 def _undecodable_line(path) -> int:
@@ -94,9 +110,23 @@ def _undecodable_line(path) -> int:
     return len(io.StringIO(head, newline=None).readlines())
 
 
+def _parse_events(tokens: list[str], linenos: list[int]) -> np.ndarray:
+    """One sample's ``[N, 2]`` events from its tokens, two per event;
+    ``linenos[k]`` is the line of event k."""
+    try:
+        return np.array(tokens, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        for k, tok in enumerate(tokens):
+            try:
+                np.array(tok, dtype=np.int64)
+            except (ValueError, OverflowError):
+                raise EventFormatError(f"line {linenos[k // 2]}: event field {tok!r} is not an int64") from None
+        raise
+
+
 def read_events(path) -> list[LabeledSample]:
     samples: list[LabeledSample] = []
-    current: LabeledSample | None = None
+    tokens, linenos = [], []  # the open sample's event fields, two per event, and each event's line
     with open(path, encoding="utf-8") as f:
         try:
             for lineno, raw in enumerate(f, start=1):
@@ -104,30 +134,32 @@ def read_events(path) -> list[LabeledSample]:
                 if not line or line.startswith("#"):
                     continue
                 if line.startswith("shape="):
+                    if samples:
+                        samples[-1].events = _parse_events(tokens, linenos)
+                        tokens, linenos = [], []
                     try:
                         fields = dict(part.split("=", 1) for part in line.split())
                         shape = tuple(int(d) for d in fields["shape"].split("x"))
-                        current = LabeledSample(
+                        samples.append(LabeledSample(
                             shape=shape,
                             duration=int(fields["duration"]),
                             label=int(fields["label"]),
-                        )
+                        ))
                     except (KeyError, ValueError):
                         raise EventFormatError(f"line {lineno}: bad sample header {line!r}")
-                    samples.append(current)
                     continue
-                if current is None:
+                if not samples:
                     raise EventFormatError(f"line {lineno}: event before any sample header")
                 parts = line.split()
                 if len(parts) != 2:
+                    _parse_events(tokens, linenos)  # a bad field on an earlier line is named first
                     raise EventFormatError(f"line {lineno}: expected '<t> <neuron>', got {line!r}")
-                try:
-                    ev = SpikeEvent(t=int(parts[0]), neuron=int(parts[1]))
-                except ValueError:
-                    raise EventFormatError(f"line {lineno}: non-integer event {line!r}")
-                current.events.append(ev)
+                tokens += parts
+                linenos.append(lineno)
         except UnicodeDecodeError:  # raised by the file iterator
             raise EventFormatError(f"line {_undecodable_line(path)}: bytes that are not UTF-8 text") from None
+    if samples:
+        samples[-1].events = _parse_events(tokens, linenos)
     for s in samples:
         try:
             s.validate()
@@ -136,43 +168,21 @@ def read_events(path) -> list[LabeledSample]:
     return samples
 
 
-def rate_encode(
-    features: np.ndarray,
-    duration: int,
-    r_max: float = 0.2,
-    poisson: bool = False,
-    rng: np.random.Generator | None = None,
-) -> list[SpikeEvent]:
+def rate_encode(features: np.ndarray, duration: int, r_max: float = 0.2) -> np.ndarray:
     """Encode a [0,1] feature vector as regular-interval spike trains.
 
     Feature f spikes every max(1, round(1/(f*r_max))) steps starting at t=0;
-    f=0 stays silent. With ``poisson=True`` each step spikes independently
-    with probability f*r_max using the supplied seeded generator.
+    f=0 stays silent. Returns ``[N, 2]`` ``(t, channel)`` events, ordered by
+    time and then channel.
     """
     feats = np.asarray(features, dtype=np.float64).ravel()
     if feats.size and (feats.min() < 0.0 or feats.max() > 1.0):
         raise ValueError("features must lie in [0, 1]")
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
-    events: list[SpikeEvent] = []
-    if poisson:
-        if rng is None:
-            raise ValueError("poisson encoding needs a seeded rng")
-        hits = rng.random((duration, feats.size)) < feats * r_max
-        for t, j in zip(*np.nonzero(hits)):
-            events.append(SpikeEvent(t=int(t), neuron=int(j)))
-        return events
-    per_channel = []
-    for j, f in enumerate(feats):
-        if f <= 0.0:
-            continue
-        interval = max(1, round(1.0 / (f * r_max)))
-        per_channel.append((j, interval))
-    for t in range(duration):
-        for j, interval in per_channel:
-            if t % interval == 0:
-                events.append(SpikeEvent(t=t, neuron=j))
-    return events
+    with np.errstate(divide="ignore"):  # silent channels get an infinite interval, masked below
+        interval = np.maximum(1.0, np.round(1.0 / (feats * r_max)))
+    return np.argwhere((feats > 0.0) & (np.arange(duration)[:, None] % interval == 0))
 
 
 class SeparationError(RuntimeError):
@@ -189,8 +199,6 @@ def gen_synthetic_task(
     duration: int = 150,
     r_max: float = 0.2,
     mode: str = "balanced",
-    hi: float = 0.85,
-    lo: float = 0.05,
     max_tries: int = 2000,
 ) -> list[LabeledSample]:
     """Seeded few-shot classification task: jittered rate-coded clusters.
@@ -199,10 +207,10 @@ def gen_synthetic_task(
     >= separation (bounded rejection sampling); each instance adds uniform
     jitter and is rate-encoded.
 
-    The default "balanced" mode places every prototype at ``hi`` on a random
-    half of the coordinates and ``lo`` on the rest, so all classes carry the
-    same total spike mass; a spike-count readout then discriminates on
-    pattern rather than brightness. "uniform" mode draws prototypes
+    The default "balanced" mode places every prototype at ``BALANCED_HI`` on
+    a random half of the coordinates and ``BALANCED_LO`` on the rest, so all
+    classes carry the same total spike mass; a spike-count readout then
+    discriminates on pattern rather than brightness. "uniform" mode draws prototypes
     uniformly instead (class brightness varies).
     """
     if separation <= 0.0:
@@ -214,8 +222,8 @@ def gen_synthetic_task(
     tries = 0
     while len(prototypes) < n_classes:
         if mode == "balanced":
-            cand = np.full(dim, lo)
-            cand[rng.choice(dim, size=dim // 2, replace=False)] = hi
+            cand = np.full(dim, BALANCED_LO)
+            cand[rng.choice(dim, size=dim // 2, replace=False)] = BALANCED_HI
         else:
             cand = rng.random(dim)
         if all(np.linalg.norm(cand - p) >= separation for p in prototypes):

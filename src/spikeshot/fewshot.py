@@ -11,7 +11,9 @@ Only the readout learns, so an episode runs in three phases:
 
 1. Frozen pass. Every sample, train and test, goes through the frozen
    layers once, all samples stepped together along a leading batch axis.
-   The readout's input spike streams are cached, ``[B, T, fan_in]``.
+   Each step's input counts come from one time-sorted index of all the
+   samples' event arrays. The readout's input spike streams are cached,
+   ``[B, T, fan_in]``.
 2. Training. ``ReadoutLayer.train`` runs each training sample's cached
    stream, one sample at a time, since the weights carry over. Its loop
    computes only what learning reads: the pre-synaptic filters, the distal
@@ -135,21 +137,15 @@ def _event_index(samples: list[LabeledSample], n_in: int) -> tuple[np.ndarray, n
     """Time-major index of the samples' events into a step's ``[B, n_in]`` input.
 
     Step t's events are ``flat[bounds[t]:bounds[t + 1]]``, each the flat
-    position ``b * n_in + neuron``. Each sample's events are already in time
-    order, so they are placed by counting instead of sorting.
+    position ``b * n_in + neuron``. All samples' event arrays are joined in
+    sample order and sorted stably by time, so within a step the events keep
+    their sample order and each sample's own order.
     """
-    n_b, n_t = len(samples), max((s.duration for s in samples), default=0)
-    times = [np.fromiter((e.t for e in s.events), np.int32, len(s.events)) for s in samples]
-    counts = np.array([np.bincount(t, minlength=n_t) for t in times]).reshape(n_b, n_t)
-    per_step = counts.T.ravel()
-    starts = (np.cumsum(per_step) - per_step).reshape(n_t, n_b)
-    # int32 holds b * n_in + neuron while the float64 [B, n_in] step input is under 16 GB
-    flat = np.empty(int(per_step.sum()), dtype=np.int32)
-    for b, (sample, ts) in enumerate(zip(samples, times)):
-        first = np.cumsum(counts[b]) - counts[b]  # sample b's first event of each step
-        neurons = np.fromiter((e.neuron for e in sample.events), np.int32, len(ts))
-        flat[starts[ts, b] + np.arange(len(ts)) - first[ts]] = b * n_in + neurons
-    return flat, np.append(starts[:, 0], len(flat))
+    n_t = max((s.duration for s in samples), default=0)
+    t, neuron = np.concatenate([s.events for s in samples]).T
+    owner = np.repeat(np.arange(len(samples)), [len(s.events) for s in samples])
+    order = np.argsort(t, kind="stable")
+    return (owner * n_in + neuron)[order], np.searchsorted(t[order], np.arange(n_t + 1))
 
 
 def check_input_size(net, samples: list[LabeledSample]):
@@ -173,10 +169,9 @@ def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     flat, bounds = _event_index(samples, net.n_in)
     streams = np.empty((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
     net.reset_state(batch=n_b)
-    x = np.zeros(n_b * net.n_in)
     for t in range(n_t):
-        x.fill(0.0)
-        np.add.at(x, flat[bounds[t] : bounds[t + 1]], 1.0)  # counts duplicates, as to_dense does
+        # integer counts: a duplicate event counts twice, as in to_dense
+        x = np.bincount(flat[bounds[t] : bounds[t + 1]], minlength=n_b * net.n_in)
         streams[:, t] = net.frozen_step(x)
     return streams
 
@@ -295,14 +290,10 @@ def run_mplusn(
                 )
     samples = [s for s in datasets["novel"] if s.label in novel_classes]
     relabel = {c: i for i, c in enumerate(novel)}
-    relabeled = [replace_label(s, relabel[s.label]) for s in samples]
+    relabeled = [replace(s, label=relabel[s.label]) for s in samples]
     net.reset_plastic()
     eff = replace(cfg, n_way=len(novel), m_pretrained=len(pretrain_classes))
     return run_episode(net, eff, relabeled)
-
-
-def replace_label(sample: LabeledSample, label: int) -> LabeledSample:
-    return LabeledSample(shape=sample.shape, duration=sample.duration, label=label, events=sample.events)
 
 
 def format_report(report: EpisodeReport) -> str:

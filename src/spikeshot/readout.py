@@ -21,6 +21,7 @@ would saturate at one spike per step and spike counts would carry no signal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,25 +157,26 @@ def _free_run_period(params: ReadoutParams, b_err: float, steps: int) -> float:
     return (tail[-1] - tail[0]) / (len(tail) - 1)
 
 
-def solve_baseline_bias(params: ReadoutParams, target_period: int | None = None) -> float:
-    """Find b_err so the free error compartment fires once per target_period.
+@functools.cache
+def solve_baseline_bias(params: ReadoutParams) -> float:
+    """Find b_err so the free error compartment fires once per baseline_period.
 
     Bisects on b_err; the baseline period is monotonically non-increasing in
-    the bias. Deterministic.
+    the bias. Deterministic, so it is solved once per distinct ``params`` in
+    a process and cached: every network built from one config shares it.
     """
-    period_goal = target_period if target_period is not None else params.baseline_period
     n = params.neuron
-    steps = max(400, period_goal * 60)
+    steps = max(400, params.baseline_period * 60)
     lo, hi = n.v_th * 1.0005, n.v_th * 4.0
     widen = 0
-    while _free_run_period(params, hi, steps) > period_goal:
+    while _free_run_period(params, hi, steps) > params.baseline_period:
         hi *= 4.0
         widen += 1
         if widen > 10:
             raise CalibrationError("could not bracket a baseline bias; reset decay too slow for this period")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _free_run_period(params, mid, steps) > period_goal:
+        if _free_run_period(params, mid, steps) > params.baseline_period:
             lo = mid
         else:
             hi = mid

@@ -170,7 +170,7 @@ def test_simulate_zero_events_empty_raster(cfg_file, tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", cfg_file, "--events", str(empty), "--out", str(out)]) == 0
     raster = read_events(out / "raster.events")
-    assert raster[0].events == []
+    assert raster[0].events.shape == (0, 2)
 
 
 @pytest.mark.parametrize("command", ["simulate", "train"])
@@ -196,6 +196,17 @@ def test_non_utf8_event_file_is_data_error(tmp_path, capsys, command):
     cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {path}\n")
     args = ["--events", str(path)] if command == "simulate" else []
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "line 3" in err
+
+
+@pytest.mark.parametrize("event", ["99999999999999999999 0", "1.5 0"])
+def test_unparsable_event_field_is_data_error(tmp_path, capsys, event):
+    path = tmp_path / "bad.events"
+    path.write_text(f"shape=16 duration=20 label=0\n0 1\n{event}\n")
+    cfg = tmp_path / "file.yaml"
+    cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {path}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--events", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "line 3" in err
 

@@ -6,6 +6,7 @@ The compartment checks step ``ReadoutLayer``, the readout ``Network`` runs.
 import numpy as np
 import pytest
 
+from spikeshot import readout as readout_module
 from spikeshot.dynamics import NeuronParams
 from spikeshot.oracle import oracle_calibrate
 from spikeshot.plasticity import QuantizedWeightStore, evaluate_rule_matrix
@@ -139,6 +140,17 @@ def test_solve_baseline_bias_hits_requested_period():
         spikes = run_free(prm, b, period * 40)
         isis = np.diff(spikes[len(spikes) // 2 :])
         assert abs(isis.mean() - period) <= 1.0
+
+
+def test_solve_baseline_bias_is_cached_per_params(monkeypatch):
+    first = solve_baseline_bias(make_params(baseline_period=13))
+
+    def free_run(*args):
+        raise AssertionError("the bisection ran again")
+
+    monkeypatch.setattr(readout_module, "_free_run_spikes", free_run)
+    again = solve_baseline_bias(make_params(baseline_period=13))  # an equal, distinct object
+    assert type(again) is float and again == first
 
 
 def output_counts(params, b_err, weight, steps):

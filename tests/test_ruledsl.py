@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeshot.ruledsl import (
+    RULE_VARS,
     Factor,
     Product,
     RuleError,
@@ -61,6 +64,22 @@ def test_pretty_roundtrip():
     for text in texts:
         rule = parse_rule(text)
         assert parse_rule(rule.pretty()) == rule
+
+
+# drawn as in test_training.py: round and arbitrary constants, products of up
+# to three variables in any order, repeats allowed, constant-only products
+CONSTANTS = st.sampled_from([1.0, -1.0, 0.5, 2.0]) | st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+PRODUCTS = st.lists(st.tuples(CONSTANTS, st.lists(st.sampled_from(RULE_VARS), max_size=3)), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(products=PRODUCTS)
+def test_pretty_roundtrip_property(products):
+    drawn = SumOfProductsRule(products=tuple(
+        Product(constant=c, factors=tuple(Factor(name) for name in names)) for c, names in products
+    ))
+    rule = parse_rule(drawn.pretty())  # canonical, as parse_rule returns every rule
+    assert parse_rule(rule.pretty()) == rule
 
 
 def test_cancellation_yields_zero_rule():
