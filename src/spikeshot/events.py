@@ -35,11 +35,8 @@ class EventFormatError(ValueError):
     """Malformed event file; message carries the offending line number."""
 
 
-class SpikeEvent(NamedTuple):
-    """One ``(t, neuron)`` row of ``LabeledSample.events``."""
-
-    t: int
-    neuron: int
+# one ``(t, neuron)`` row of ``LabeledSample.events``
+SpikeEvent = NamedTuple("SpikeEvent", [("t", int), ("neuron", int)])
 
 
 @dataclass(eq=False)

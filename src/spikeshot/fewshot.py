@@ -141,7 +141,7 @@ def _event_index(samples: list[LabeledSample], n_in: int) -> tuple[np.ndarray, n
     sample order and sorted stably by time, so within a step the events keep
     their sample order and each sample's own order.
     """
-    n_t = max((s.duration for s in samples), default=0)
+    n_t = max(s.duration for s in samples)
     t, neuron = np.concatenate([s.events for s in samples]).T
     owner = np.repeat(np.arange(len(samples)), [len(s.events) for s in samples])
     order = np.argsort(t, kind="stable")
