@@ -14,20 +14,26 @@ Only the readout learns, so an episode runs in three phases:
    Each step's input counts come from one time-sorted index of all the
    samples' event arrays. The readout's input spike streams are cached,
    ``[B, T, fan_in]``.
-2. Training. ``ReadoutLayer.train`` runs each training sample's cached
-   stream, one sample at a time, since the weights carry over. Its loop
-   computes only what learning reads: the pre-synaptic filters, the distal
-   compartment, the traces the rule references and the rule's update. The
-   proximal compartment only matters for evaluation and is not stepped.
+2. Training. ``ReadoutLayer.train`` runs an epoch's training samples in
+   their shuffled order, one after another, since the weights carry over;
+   it reads each sample's cached stream in place. What no weight reaches is
+   computed ahead of the steps over whole stretches of the sample: the
+   pre-synaptic filters and x traces, the rule's constant-times-x factors,
+   the rounding uniforms and the label drive. Each step then runs only the
+   drive, the distal compartment, the y traces and one stacked evaluation
+   of the rule. The proximal compartment only matters for evaluation and
+   is not stepped.
 3. Evaluation. The readout steps every stream at once with plasticity off.
 
 Each sample's trajectory is bit-identical to stepping it alone. Frozen
 layers contract integer counts with int8 weights, which float64 sums
 exactly in any order, so one contraction over the whole batch gives each
 sample's bits; the readout's contraction is a stacked gemv, one per sample;
-all else is elementwise. Samples shorter than the batch's longest are padded with
-silent steps, and their spike counts are read at their own last step; the
-dynamics are causal, so the padding never reaches them.
+training sums a rule's products with one reduction over the stacked
+products, which adds them left to right; all else is elementwise. Samples
+shorter than the batch's longest are padded with silent steps, and their
+spike counts are read at their own last step; the dynamics are causal, so
+the padding never reaches them.
 
 The M+N variant reuses the same loop on novel classes after resetting the
 plastic layer, with the frozen features carrying a provenance note naming
@@ -224,10 +230,10 @@ def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> Episod
     streams = frozen_pass(net, samples)
 
     readout = net.readout
+    train_streams = [streams[b, : s.duration] for b, s in enumerate(train)]  # views
+    train_labels = [class_to_out[s.label] for s in train]
     for _ in range(cfg.epochs):
-        for idx in order_rng.permutation(len(train)):
-            sample = train[idx]
-            readout.train(streams[idx, : sample.duration], class_to_out[sample.label], cfg.target_period)
+        readout.train(train_streams, train_labels, order_rng.permutation(len(train)), cfg.target_period)
 
     counts = evaluate_streams(readout, streams, [s.duration for s in samples])
     n = cfg.n_way

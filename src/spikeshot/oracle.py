@@ -1,11 +1,15 @@
 """High-precision reference implementation used to validate the simulator.
 
-Everything here re-implements the update recursions with scalar Python
-loops and real-valued weights (no rounding, no clamping, no shared
-arithmetic code with the vectorized simulator), so transcription bugs in
-either side show up as trajectory divergence. Test-only by design; speed is
-a non-goal. ``TrajectoryRecord`` and ``dump_trajectory`` also write the
-per-sample traces of ``spikeshot simulate``.
+``OracleDenseLayer`` and ``OracleReadout`` re-implement the update
+recursions with scalar Python loops and real-valued weights (no rounding, no
+clamping, no shared arithmetic code with the vectorized simulator), so
+transcription bugs in either side show up as trajectory divergence. The
+rule references below them are exact instead: label timing, the rule
+evaluated synapse by synapse or as one plain matrix expression, and the
+store's rounding one synapse at a time, each in the order that
+``ReadoutLayer.train`` must reproduce bit for bit. Test-only by design;
+speed is a non-goal. ``TrajectoryRecord`` and ``dump_trajectory`` also
+write the per-sample traces of ``spikeshot simulate``.
 """
 
 from __future__ import annotations
@@ -13,9 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dynamics import NeuronParams
+from .plasticity import WEIGHT_MAX, WEIGHT_MIN, NonFiniteUpdateError, QuantizedWeightStore
 from .readout import CalibrationReport, ReadoutParams
-from .ruledsl import SumOfProductsRule
+from .ruledsl import SumOfProductsRule, evaluate_rule
 from .traces import TraceConfig
 
 
@@ -93,16 +100,6 @@ class OracleDenseLayer:
 
 def _trace_step(t: float, spike: float, cfg: TraceConfig) -> float:
     return math.exp(-1.0 / cfg.tau) * t + spike * cfg.increment
-
-
-def _eval_rule(rule: SumOfProductsRule, values: dict[str, float]) -> float:
-    total = 0.0
-    for prod in rule.products:
-        term = prod.constant
-        for f in prod.factors:
-            term *= values[f.name]
-        total += term
-    return total
 
 
 class OracleReadout:
@@ -212,7 +209,7 @@ class OracleReadout:
                 vals["x1"] = self.x1[j]
                 vals["x2"] = self.x2[j]
                 vals["w"] = self.w[i][j]
-                self.w[i][j] += _eval_rule(self.rule, vals) * lr
+                self.w[i][j] += evaluate_rule(self.rule, vals) * lr
 
 
 def oracle_calibrate(params: ReadoutParams, b_err: float, window: int) -> CalibrationReport:
@@ -238,3 +235,111 @@ def oracle_calibrate(params: ReadoutParams, b_err: float, window: int) -> Calibr
         window=window,
         n_spikes=len(spikes),
     )
+
+
+# --- exact references of the learning step ----------------------------------
+
+
+@dataclass(frozen=True)
+class TargetRouting:
+    """Which output neuron receives label spikes, and when."""
+
+    n_out: int
+    label: int | None
+    period: int
+
+    def spikes_at(self, t: int) -> np.ndarray:
+        out = np.zeros(self.n_out, dtype=bool)
+        if self.label is not None and self.period > 0 and t % self.period == 0:
+            out[self.label] = True
+        return out
+
+
+def wire_targets(n_out: int, label: int | None, mode: str, period: int) -> TargetRouting:
+    """Route periodic label spikes to one neuron (train) or nowhere (test)."""
+    if mode not in ("train", "test"):
+        raise ValueError(f"mode must be 'train' or 'test', got {mode!r}")
+    if mode == "train" and label is not None:
+        if not (0 <= label < n_out):
+            raise IndexError(f"label {label} out of range for {n_out} outputs")
+        return TargetRouting(n_out=n_out, label=label, period=period)
+    return TargetRouting(n_out=n_out, label=None, period=0)
+
+
+_ZERO = np.zeros(1)
+
+
+def evaluate_rule_matrix(
+    rule: SumOfProductsRule,
+    pre: dict[str, np.ndarray],
+    post: dict[str, np.ndarray],
+    w_eff: np.ndarray,
+) -> np.ndarray:
+    """Evaluate the rule for every synapse at once.
+
+    ``pre`` maps x-variable names to [fan_in] arrays, ``post`` maps
+    y-variable names to [n_out] arrays; w_eff is the [n_out, fan_in]
+    effective weight matrix. Missing variables read as zero.
+
+    Each product multiplies its factors left to right, as ``evaluate_rule``
+    does per synapse, but on the smallest shape broadcasting allows: the
+    constant and pre-synaptic factors stay [fan_in] vectors, the first
+    post-synaptic factor makes the outer product, and a ``w`` factor makes
+    the term a matrix. The products are summed from zero in canonical
+    order, so the result is bit for bit the scalar rule's.
+    """
+    total = np.zeros(w_eff.shape)
+    for prod in rule.products:
+        term = prod.constant
+        for f in prod.factors:
+            if f.name == "w":
+                term = term * w_eff
+            elif f.name[0] == "x":
+                term = term * pre.get(f.name, _ZERO)
+            else:
+                term = term * post.get(f.name, _ZERO)[:, np.newaxis]
+        total += term
+    return total
+
+
+def synapse_view(pre: dict[str, np.ndarray], post: dict[str, np.ndarray], w_eff: float, i: int, j: int) -> dict[str, float]:
+    """Variable bindings for evaluating a rule at synapse (i, j)."""
+    values = {"x0": 0.0, "x1": 0.0, "x2": 0.0, "y0": 0.0, "y1": 0.0, "y2": 0.0, "w": w_eff}
+    for k, v in pre.items():
+        values[k] = float(v[j])
+    for k, v in post.items():
+        values[k] = float(v[i])
+    return values
+
+
+def apply_update(store: QuantizedWeightStore, i: int, j: int, raw_delta: float, lr_exp: int):
+    """Stochastically round one synapse toward w + raw_delta * 2**lr_exp,
+    with the next draw of the store's stream."""
+    n, m = store.shape
+    if not (0 <= i < n and 0 <= j < m):
+        raise IndexError(f"synapse ({i},{j}) out of range for {store.shape}")
+    candidate = float(store.weights[i, j]) + raw_delta * 2.0**lr_exp
+    if not math.isfinite(candidate):
+        raise NonFiniteUpdateError(f"non-finite update {candidate!r} at synapse ({i},{j})")
+    floor = np.floor(candidate)
+    rounded = floor + (store.rng.random() < candidate - floor)
+    weights = store.weights.copy()
+    weights[i, j] = np.clip(rounded, WEIGHT_MIN, WEIGHT_MAX)
+    store.weights = weights
+
+
+def apply_rule_rowmajor(
+    store: QuantizedWeightStore,
+    rule: SumOfProductsRule,
+    pre: dict[str, np.ndarray],
+    post: dict[str, np.ndarray],
+    lr_exp: int,
+) -> None:
+    """Evaluate and round synapse by synapse, row-major: one matrix
+    update's draws, taken one at a time."""
+    n, m = store.shape
+    w_eff = store.effective()
+    for i in range(n):
+        for j in range(m):
+            delta = evaluate_rule(rule, synapse_view(pre, post, w_eff[i, j], i, j))
+            apply_update(store, i, j, delta, lr_exp)

@@ -12,16 +12,15 @@ candidate that is NaN or infinite is refused, never cast into the store.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .ruledsl import RuleError, SumOfProductsRule, evaluate_rule
+from .ruledsl import RuleError, SumOfProductsRule
 
 WEIGHT_MIN = -128
 WEIGHT_MAX = 127
-
-_ZERO = np.zeros(1)
 
 
 class NonFiniteUpdateError(ValueError):
@@ -50,7 +49,7 @@ class QuantizedWeightStore:
             if init.min() < WEIGHT_MIN or init.max() > WEIGHT_MAX:
                 raise ValueError("init weights out of int8 range")
             self.weights = init.astype(np.int8)
-        self._rng = np.random.Generator(np.random.Philox(self.rng_seed))
+        self.rng = np.random.Generator(np.random.Philox(self.rng_seed))
 
     @property
     def weights(self) -> np.ndarray:
@@ -86,46 +85,46 @@ class QuantizedWeightStore:
         """Rewind (or replace) the rounding stream; weights are untouched."""
         if seed is not None:
             self.rng_seed = int(seed)
-        self._rng = np.random.Generator(np.random.Philox(self.rng_seed))
+        self.rng = np.random.Generator(np.random.Philox(self.rng_seed))
 
     def clone(self) -> "QuantizedWeightStore":
         """Deep copy, including the exact position of the rounding stream."""
         out = QuantizedWeightStore(self.shape, self.scale_exp, self.rng_seed, init=self.weights.copy())
-        out._rng.bit_generator.state = self._rng.bit_generator.state
+        out.rng.bit_generator.state = self.rng.bit_generator.state
         return out
 
-    def apply_update(self, i: int, j: int, raw_delta: float, lr_exp: int):
-        """Stochastically round one synapse toward w + raw_delta * 2**lr_exp."""
-        n, m = self.shape
-        if not (0 <= i < n and 0 <= j < m):
-            raise IndexError(f"synapse ({i},{j}) out of range for {self.shape}")
-        candidate = float(self._float[i, j]) + raw_delta * 2.0**lr_exp
-        if not math.isfinite(candidate):
-            raise NonFiniteUpdateError(f"non-finite update {candidate!r} at synapse ({i},{j})")
-        floor = np.floor(candidate)
-        frac = candidate - floor
-        rounded = floor + (self._rng.random() < frac)
-        self._float[i, j] = np.clip(rounded, WEIGHT_MIN, WEIGHT_MAX)
-        self._weights = None
-        self._eff_exp = None
+    def uniforms(self, n_updates: int) -> np.ndarray:
+        """The rounding draws of the next ``n_updates`` updates, ``[n_updates, *shape]``.
 
-    def apply_update_matrix(self, raw_deltas: np.ndarray, lr_exp: int):
-        """Vectorized update of every synapse; draws consumed row-major.
-
-        Equivalent to calling ``apply_update`` for each (i, j) in row-major
-        order on the same stream.
+        One call consumes the stream exactly as that many updates drawing
+        one matrix each would. ``unread`` puts back the draws of updates
+        that were never applied.
         """
-        deltas = np.asarray(raw_deltas, dtype=np.float64)
-        if deltas.shape != self.shape:
-            raise ValueError(f"delta shape {deltas.shape} != store shape {self.shape}")
-        candidate = self._float + deltas * 2.0**lr_exp
+        self._unread_from = self.rng.bit_generator.state
+        return self.rng.random((n_updates,) + self.shape)
+
+    def unread(self, used: int):
+        """Leave the stream after the first ``used`` updates of the last
+        ``uniforms`` call, as if the later ones had never been drawn."""
+        self.rng.bit_generator.state = self._unread_from
+        self.rng.random((used,) + self.shape)
+
+    def apply_update_matrix(self, raw_deltas: np.ndarray, lr_exp: int, draws: np.ndarray):
+        """Stochastically round every synapse toward w + raw_delta * 2**lr_exp.
+
+        Synapse (i, j) rounds up when ``draws[i, j]`` falls below the
+        candidate's fractional part. A candidate that is not finite refuses
+        the whole update and leaves the store as it was.
+        """
+        if raw_deltas.shape != self.shape:
+            raise ValueError(f"delta shape {raw_deltas.shape} != store shape {self.shape}")
+        candidate = self._float + raw_deltas * 2.0**lr_exp
         floor = np.floor(candidate)
         frac = candidate - floor
         # frac lies in [0, 1) where the candidate is finite and is NaN where it is not
         if math.isnan(np.add.reduce(frac, axis=None)):
             bad = np.count_nonzero(~np.isfinite(candidate))
             raise NonFiniteUpdateError(f"{bad} of {candidate.size} weight updates are not finite")
-        draws = self._rng.random(self.shape)
         rounded = floor + (draws < frac).astype(np.float64)  # a same-type add is the faster loop
         # clamped in place: integers in [-128, 127], never -0.0, so exactly
         # the new int8 weights as floats
@@ -136,76 +135,22 @@ class QuantizedWeightStore:
         self._eff_exp = None
 
 
-def synapse_view(pre: dict[str, np.ndarray], post: dict[str, np.ndarray], w_eff: float, i: int, j: int) -> dict[str, float]:
-    """Variable bindings for evaluating a rule at synapse (i, j)."""
-    values = {"x0": 0.0, "x1": 0.0, "x2": 0.0, "y0": 0.0, "y1": 0.0, "y2": 0.0, "w": w_eff}
-    for k, v in pre.items():
-        values[k] = float(v[j])
-    for k, v in post.items():
-        values[k] = float(v[i])
-    return values
-
-
-def evaluate_rule_matrix(
-    rule: SumOfProductsRule,
-    pre: dict[str, np.ndarray],
-    post: dict[str, np.ndarray],
-    w_eff: np.ndarray,
-) -> np.ndarray:
-    """Evaluate the rule for every synapse at once.
-
-    ``pre`` maps x-variable names to [fan_in] arrays, ``post`` maps
-    y-variable names to [n_out] arrays; w_eff is the [n_out, fan_in]
-    effective weight matrix. Missing variables read as zero.
-
-    Each product multiplies its factors left to right, as ``evaluate_rule``
-    does per synapse, but on the smallest shape broadcasting allows: the
-    constant and pre-synaptic factors stay [fan_in] vectors, the first
-    post-synaptic factor makes the outer product, and a ``w`` factor makes
-    the term a matrix. The per-synapse operations and their order are those
-    of the scalar rule, so the result is bit for bit the same.
-    """
-    total = np.zeros(w_eff.shape)
-    for prod in rule.products:
-        term = prod.constant
-        for f in prod.factors:
-            if f.name == "w":
-                term = term * w_eff
-            elif f.name[0] == "x":
-                term = term * pre.get(f.name, _ZERO)
-            else:
-                term = term * post.get(f.name, _ZERO)[:, np.newaxis]
-        total += term
-    return total
-
-
-def apply_rule_rowmajor(
-    store: QuantizedWeightStore,
-    rule: SumOfProductsRule,
-    pre: dict[str, np.ndarray],
-    post: dict[str, np.ndarray],
-    lr_exp: int,
-) -> None:
-    """Reference scalar path: evaluate + update synapse by synapse, row-major.
-
-    Consumes the rounding stream exactly like ``apply_update_matrix``.
-    """
-    n, m = store.shape
-    w_eff = store.effective()
-    for i in range(n):
-        for j in range(m):
-            delta = evaluate_rule(rule, synapse_view(pre, post, w_eff[i, j], i, j))
-            store.apply_update(i, j, delta, lr_exp)
-
-
 class PlasticityEngine:
-    """Applies a rule to a weight store every ``learn_period`` timesteps.
+    """A rule applied to a weight store every ``learn_period`` steps of a sample.
 
-    ``tick`` is called once per global timestep with the current trace
-    values; on period boundaries it evaluates the rule for every synapse
-    (row-major) and applies stochastically rounded updates. Off-boundary
-    ticks leave the store untouched. A rule whose updates are not finite is
-    a ``RuleError`` naming the rule.
+    The rule is compiled for stacked evaluation. Every product keeps its
+    index and multiplies its factors left to right, as ``evaluate_rule``
+    does per synapse. Its constant times the x factors that lead it reach
+    no weight: ``leads`` builds these for all of a sample's learning steps
+    at once. In canonical order, where ``w`` factors come first, then x's,
+    then y's, only y factors follow the lead of a product without ``w``.
+    ``tick`` multiplies those in, one stacked multiply per factor position
+    (a row of ones stands in where a product has fewer), computes every
+    other product whole from its lead, sums the products in order with one
+    reduction and rounds the sum into the store. Per synapse these are the
+    scalar rule's operations in the scalar rule's order, so the updates are
+    bit for bit the same. A rule whose updates are not finite is a
+    ``RuleError`` naming the rule.
     """
 
     def __init__(
@@ -221,19 +166,63 @@ class PlasticityEngine:
         self.rule = rule
         self.lr_exp = int(lr_exp)
         self.learn_period = int(learn_period)
-        self.step_count = 0
+        # x values come in one row per x variable the rule reads; y values
+        # in one row per product and y factor position ("1" where a product
+        # has fewer y factors), then a row per y that only whole products read
+        self.x_names = tuple(v for v in ("x0", "x1", "x2") if v in rule.variables)
+        x_row = {v: r for r, v in enumerate(self.x_names)}
+        self._leads, self._whole, ys = [], [], []
+        for k, prod in enumerate(rule.products):
+            names = [f.name for f in prod.factors]
+            n_x = next((i for i, v in enumerate(names) if v[0] != "x"), len(names))
+            self._leads.append((k, prod.constant, [x_row[v] for v in names[:n_x]]))
+            if all(v[0] == "y" for v in names[n_x:]):
+                ys.append(names[n_x:])
+            else:
+                ys.append([])
+                self._whole.append((k, names[n_x:]))
+        self._depth = max(1, max(map(len, ys)))
+        y_rows = [y[d] if d < len(y) else "1" for d in range(self._depth) for y in ys]
+        y_rows += sorted({v for _, rest in self._whole for v in rest if v[0] == "y"} - set(y_rows))
+        self.y_rows = tuple(y_rows)
+        self._whole = [(k, [(v[0], x_row[v] if v[0] == "x" else y_rows.index(v) if v[0] == "y" else None)
+                            for v in rest]) for k, rest in self._whole]
+        self._terms = np.empty((len(ys),) + store.shape)
+        # np.add.reduce sums over axis 0 elementwise, left to right, unless
+        # each term is one synapse: then it sums pairwise
+        self._lone = store.shape == (1, 1)
 
-    def reset_counter(self):
-        self.step_count = 0
+    def leads(self, x: np.ndarray) -> np.ndarray:
+        """Every product's constant times its leading x factors, ``[n, K,
+        fan_in]``, from x values ``[n, len(x_names), fan_in]`` at n learning
+        steps."""
+        out = np.empty((len(x), len(self._terms), self.store.shape[1]))
+        for k, c, rows in self._leads:
+            out[:, k] = c
+            for r in rows:
+                out[:, k] *= x[:, r]
+        return out
 
-    def tick(self, pre: dict[str, np.ndarray], post: dict[str, np.ndarray]) -> bool:
-        """Advance one timestep; returns True when an update was applied."""
-        self.step_count += 1
-        if self.step_count % self.learn_period != 0:
-            return False
-        deltas = evaluate_rule_matrix(self.rule, pre, post, self.store.effective())
+    def tick(self, lead: np.ndarray, x: np.ndarray, y: np.ndarray, draws: np.ndarray):
+        """One learning step: evaluate the rule and round it into the store.
+
+        ``lead`` is this step's ``leads`` row, ``x`` its x values,
+        ``[len(x_names), fan_in]``, ``y`` its values of ``y_rows``,
+        ``[len(y_rows), n_out]``, and ``draws`` its rounding uniforms.
+        """
+        # positional outputs: a keyword costs about what a small multiply does
+        terms, mul, cols, n = self._terms, np.multiply, y[:, :, np.newaxis], len(self._terms)
+        mul(lead[:, np.newaxis, :], cols[:n], terms)
+        for d in range(1, self._depth):
+            mul(terms, cols[d * n : (d + 1) * n], terms)
+        if self._whole:
+            w_eff = self.store.effective()
+            for k, rest in self._whole:
+                term, acc = terms[k], lead[k]
+                for kind, r in rest:
+                    acc = mul(acc, w_eff if kind == "w" else x[r] if kind == "x" else cols[r], term)
+        total = functools.reduce(np.add, terms) if self._lone else np.add.reduce(terms, 0)
         try:
-            self.store.apply_update_matrix(deltas, self.lr_exp)
+            self.store.apply_update_matrix(total, self.lr_exp, draws)
         except NonFiniteUpdateError as e:
             raise RuleError(f"rule {self.rule.pretty()!r} gives non-finite weight updates: {e}") from None
-        return True

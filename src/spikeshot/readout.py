@@ -28,8 +28,8 @@ import numpy as np
 
 from .dynamics import NeuronParams
 from .plasticity import PlasticityEngine, QuantizedWeightStore
-from .ruledsl import SumOfProductsRule
-from .traces import TraceConfig, advance_trace, psp_matched_trace_configs, update_trace
+from .ruledsl import RuleError, SumOfProductsRule
+from .traces import TraceConfig, psp_matched_trace_configs, update_trace
 
 
 class CalibrationError(RuntimeError):
@@ -183,35 +183,6 @@ def solve_baseline_bias(params: ReadoutParams) -> float:
     return float(hi)
 
 
-# --- target routing ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TargetRouting:
-    """Which output neuron receives label spikes, and when."""
-
-    n_out: int
-    label: int | None
-    period: int
-
-    def spikes_at(self, t: int) -> np.ndarray:
-        out = np.zeros(self.n_out, dtype=bool)
-        if self.label is not None and self.period > 0 and t % self.period == 0:
-            out[self.label] = True
-        return out
-
-
-def wire_targets(n_out: int, label: int | None, mode: str, period: int) -> TargetRouting:
-    """Route periodic label spikes to one neuron (train) or nowhere (test)."""
-    if mode not in ("train", "test"):
-        raise ValueError(f"mode must be 'train' or 'test', got {mode!r}")
-    if mode == "train" and label is not None:
-        if not (0 <= label < n_out):
-            raise IndexError(f"label {label} out of range for {n_out} outputs")
-        return TargetRouting(n_out=n_out, label=label, period=period)
-    return TargetRouting(n_out=n_out, label=None, period=0)
-
-
 # --- vectorized readout layer -------------------------------------------------
 
 
@@ -222,9 +193,11 @@ class ReadoutLayer:
     filters, per-neuron distal and proximal state, the plasticity traces and
     optionally a plasticity engine.
 
-    ``step`` is the plasticity-off timestep, with an optional batch axis;
-    ``train`` presents one sample with plasticity on. Both run the same
-    pre-synaptic filter and distal compartment code.
+    ``step`` is the plasticity-off timestep, with an optional batch axis.
+    ``train`` presents samples one after another with plasticity on: it
+    filters stretches of a sample's input ahead of the steps, then steps
+    only what depends on the weights. Both run the same distal compartment
+    code, and their filters the same operations.
     """
 
     kind = "plastic-output"
@@ -282,8 +255,6 @@ class ReadoutLayer:
         self.r_out = np.zeros(post)
         self.spiked_out = np.zeros(post, dtype=bool)
         self.spike_count = np.zeros(post, dtype=np.int64)
-        if self.engine is not None:
-            self.engine.reset_counter()
 
     def _psp(self, q, p, drive):
         """PSC then PSP filter: q' = a_q*q + drive, p' = a_p*p + q'/tau_v,
@@ -291,12 +262,11 @@ class ReadoutLayer:
         q = self._a_q * q + drive
         return q, self._a_p * p + q / self.params.neuron.tau_v
 
-    def _distal(self, label_drive):
-        """Advance the distal compartment by one step; ``label_drive`` is
+    def _distal(self, drive, label_drive):
+        """Advance the distal compartment by one step; ``drive`` is the
+        synaptic drive, effective() @ p_pre, and ``label_drive`` is
         w_tgt * p_tgt. Returns its potential without the reset term."""
         v_th = self.params.neuron.v_th
-        # one gemv per sample, bit-identical to effective() @ p_pre
-        drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
         self.r_err = self._a_r * self.r_err - self.spiked_err * v_th
         base = drive - label_drive + self.b_err
         self.v_err = base + self.r_err
@@ -321,7 +291,9 @@ class ReadoutLayer:
         self.q_pre, self.p_pre = self._psp(self.q_pre, self.p_pre, s / n.tau_u)
         self.q_tgt, self.p_tgt = self._psp(self.q_tgt, self.p_tgt, tgt / n.tau_u)
 
-        u_err = self._distal(prm.w_tgt * self.p_tgt)  # the copied current: no reset term
+        # one gemv per sample, bit-identical to effective() @ p_pre
+        drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
+        u_err = self._distal(drive, prm.w_tgt * self.p_tgt)  # the copied current: no reset term
         err = self.spiked_err.astype(np.float64)
 
         # post traces (two-stage diagnostic pair plus the rule traces)
@@ -345,64 +317,120 @@ class ReadoutLayer:
         self.spike_count += self.spiked_out
         return self.spiked_out
 
-    def _label_drive(self, label: int, period: int, n_t: int) -> np.ndarray:
-        """w_tgt * p_tgt at every step of a training sample, ``[n_t, n_out]``:
-        a label spike every ``period`` steps from t = 0 (none for period 0)
-        through the PSC/PSP filters of the label's neuron."""
-        routing = wire_targets(self.n_out, label, "train", period)  # checks the label
-        tau_u, w_tgt = self.params.neuron.tau_u, self.params.w_tgt
-        drive = np.zeros((n_t, self.n_out))
+    def _label_drive(self, period: int, n_t: int) -> np.ndarray:
+        """w_tgt * p_tgt of a labelled neuron at each of ``n_t`` steps: a
+        label spike every ``period`` steps from t = 0 (none for period 0)
+        through the PSC/PSP filters, as ``step`` filters target spikes."""
+        n = self.params.neuron
+        drive = np.empty(n_t)
         q = p = 0.0
         for t in range(n_t):
-            q, p = self._psp(q, p, float(routing.spikes_at(t)[label]) / tau_u)
-            drive[t, label] = w_tgt * p
+            q, p = self._psp(q, p, (1.0 if period > 0 and t % period == 0 else 0.0) / n.tau_u)
+            drive[t] = self.params.w_tgt * p
         return drive
 
-    def train(self, stream: np.ndarray, label: int, target_period: int) -> None:
-        """Present one training sample with plasticity on.
+    def train(self, streams, labels, order, target_period: int) -> None:
+        """Present training samples one after another with plasticity on.
 
-        ``stream`` is the sample's readout input, ``[T, fan_in]``. The
-        ``label``'s neuron receives a label spike every ``target_period``
-        steps from t = 0 (none for 0). The state is reset first; the weights
-        carry over from the previous sample.
+        ``streams[b]`` is sample b's readout input, ``[T_b, fan_in]``, and
+        ``labels[b]`` its output neuron, which receives a label spike every
+        ``target_period`` steps from t = 0 (none for 0). The samples run in
+        the ``order`` of their indices, typically one epoch. The state is
+        reset before each sample; the weights carry over.
 
-        Decays, increments, the float input and the label drive are computed
-        once per sample. Each step then computes only what learning reads:
-        the pre-synaptic filters, the distal compartment, the traces the rule
-        references, and the engine's tick. The proximal compartment and the
-        other traces are not stepped, so ``spike_count`` stays zero. The
-        weights and the distal trajectory are bit for bit those of ``step``
-        with the engine ticked after every step.
+        The work that no weight reaches is done ahead of the steps, over
+        whole stretches of a sample's time axis: the PSC filter and the x
+        traces as one recursion over their stacked rows, the PSP filter as a
+        second one, the rule's leading factors at every learning step and
+        the rounding uniforms; the label drive is filtered once per call.
+        Each step then computes only what depends on the weights: the
+        drive, the distal compartment, the y traces and, at learning steps,
+        the engine's tick. The proximal compartment is not stepped, so
+        ``spike_count`` stays zero. The weights, the rounding stream and the
+        distal trajectory are bit for bit those of ``step`` with the rule
+        applied after every learning step. A rule whose updates are not
+        finite raises ``RuleError`` at that step, leaving the weights and
+        the stream as the steps before it left them.
         """
-        engine = self.engine
-        if engine is None:
+        if self.engine is None:
             raise RuntimeError("train() needs a learning rule: attach_engine() first")
-        s_all = np.asarray(stream, dtype=np.float64)
-        if s_all.ndim != 2 or s_all.shape[1] != self.fan_in:
-            raise ValueError(f"readout stream shape {s_all.shape} != (T, {self.fan_in})")
-        n_t = len(s_all)
-        label_drive = self._label_drive(label, target_period, n_t)
-        self.reset_state()
+        for b in order:
+            if np.ndim(streams[b]) != 2 or np.shape(streams[b])[1] != self.fan_in:
+                raise ValueError(f"readout stream shape {np.shape(streams[b])} != (T, {self.fan_in})")
+            if not 0 <= labels[b] < self.n_out:
+                raise IndexError(f"label {labels[b]} out of range for {self.n_out} outputs")
+        wave = self._label_drive(target_period, max((len(streams[b]) for b in order), default=0))
+        for b in order:
+            label_drive = np.zeros((len(streams[b]), self.n_out))
+            label_drive[:, labels[b]] = wave[: len(streams[b])]
+            self._present(streams[b], label_drive)
 
-        used = engine.rule.variables
-        s_in = s_all / self.params.neuron.tau_u
-        # (name, decay, increment per step or per spike) of each referenced trace
-        x_cfgs = (("x1", self.x1_cfg), ("x2", self.x2_cfg))
-        x_traces = [(k, c.alpha, s_all * c.increment) for k, c in x_cfgs if k in used]
-        y_traces = [(k, c.alpha, c.increment) for k, c in (("y1", self.y1_cfg), ("y2", self.y2_cfg)) if k in used]
-        pre = {k: np.zeros(self.fan_in) for k, _, _ in x_traces}
-        post = {k: np.zeros(self.n_out) for k, _, _ in y_traces}
-        use_x0, use_y0 = "x0" in used, "y0" in used
-        for t in range(n_t):
-            self.q_pre, self.p_pre = self._psp(self.q_pre, self.p_pre, s_in[t])
-            self._distal(label_drive[t])
-            err = self.spiked_err.astype(np.float64)
-            for k, alpha, inc in x_traces:
-                pre[k] = advance_trace(pre[k], alpha, inc[t])
-            for k, alpha, inc in y_traces:
-                post[k] = advance_trace(post[k], alpha, err * inc)
-            if use_x0:
-                pre["x0"] = s_all[t]
-            if use_y0:
-                post["y0"] = err
-            engine.tick(pre, post)
+    def _present(self, stream: np.ndarray, label_drive: np.ndarray):
+        """Train on one sample; ``label_drive`` is w_tgt * p_tgt at every step.
+
+        The pre-work runs in blocks of whole learning periods whose arrays
+        take about ``_BLOCK_BYTES``, so that a wide readout adds little
+        memory and the block stays in cache; the filters carry their state
+        from block to block.
+        """
+        engine, store, period = self.engine, self.store, self.engine.learn_period
+        # filter rows: the PSC, then the x values the rule reads; x0 is the
+        # input itself, which decay 0 and jump s give exactly
+        x_cfgs = {"x0": (0.0, 1.0), "x1": (self.x1_cfg.alpha, self.x1_cfg.increment),
+                  "x2": (self.x2_cfg.alpha, self.x2_cfg.increment)}
+        decays = np.array([self._a_q] + [x_cfgs[k][0] for k in engine.x_names])[:, np.newaxis]
+        filt_state, psp_state = np.zeros((len(decays), self.fan_in)), np.zeros(self.fan_in)
+        per_period = 8 * self.fan_in * (len(decays) * period + len(engine.rule.products) + self.n_out)
+        block = period * max(1, _BLOCK_BYTES // per_period)
+
+        # every y row steps as a trace of the error spikes: "1" decays by 1
+        # and never jumps, y0 decays by 0 and jumps by 1, which give 1 and
+        # the spikes exactly
+        y_cfgs = {"1": (1.0, 0.0), "y0": (0.0, 1.0), "y1": (self.y1_cfg.alpha, self.y1_cfg.increment),
+                  "y2": (self.y2_cfg.alpha, self.y2_cfg.increment)}
+        y_decays, y_incs = np.array([y_cfgs[k] for k in engine.y_rows]).T[:, :, np.newaxis]
+        y = np.array([[float(k == "1")] * self.n_out for k in engine.y_rows])
+        use_y = any(k != "1" for k in engine.y_rows)
+        self.reset_state()
+        for t0 in range(0, len(stream), block):
+            seg = stream[t0 : t0 + block]
+            filt = np.empty((len(seg), len(decays), self.fan_in))
+            np.divide(seg, self.params.neuron.tau_u, out=filt[:, 0])
+            for r, k in enumerate(engine.x_names, 1):
+                np.multiply(seg, x_cfgs[k][1], out=filt[:, r])
+            _recur(filt, decays, filt_state)
+            filt_state = filt[-1].copy()
+            psp = filt[:, 0]  # the PSC row becomes the PSP
+            np.divide(psp, self.params.neuron.tau_v, out=psp)
+            _recur(psp, self._a_p, psp_state)
+            psp_state = psp[-1].copy()
+            x = filt[period - 1 :: period, 1:]
+            leads = engine.leads(x)
+            draws = store.uniforms(len(leads))
+            tick = 0
+            labels = label_drive[t0 : t0 + block]
+            try:
+                for t in range(len(seg)):
+                    self._distal(np.dot(store.effective(), psp[t]), labels[t])  # a gemv, as in step
+                    if use_y:
+                        y *= y_decays
+                        y += self.spiked_err.astype(np.float64) * y_incs
+                    if t % period == period - 1:
+                        engine.tick(leads[tick], x[tick], y, draws[tick])
+                        tick += 1
+            except RuleError:
+                store.unread(tick)
+                raise
+        self.q_pre, self.p_pre = filt_state[0], psp_state
+
+
+# bytes of pre-work arrays per block of a sample's training steps
+_BLOCK_BYTES = 1 << 20
+
+
+def _recur(a: np.ndarray, decay, state: np.ndarray):
+    """In place along axis 0: a[t] = decay * a[t - 1] + a[t], where a[-1]
+    is ``state``."""
+    buf, rows, add, mul = np.empty(a.shape[1:]), [state] + list(a), np.add, np.multiply
+    for prev, cur in zip(rows, rows[1:]):
+        add(mul(decay, prev, buf), cur, cur)  # positional out: keywords cost more than the add

@@ -41,12 +41,6 @@ class TraceConfig:
         return math.exp(-1.0 / self.tau)
 
 
-def advance_trace(t, alpha: float, jump):
-    """One trace step, t' = alpha*t + jump, with the decay and the jump
-    (spikes times increment) computed by the caller."""
-    return alpha * t + jump
-
-
 def update_trace(t, spiked, cfg: TraceConfig):
     """Advance a trace one step: t' = alpha*t + spiked*increment.
 
@@ -54,7 +48,7 @@ def update_trace(t, spiked, cfg: TraceConfig):
     spike count.
     """
     jump = np.asarray(spiked, dtype=np.float64) * cfg.increment
-    t = advance_trace(np.asarray(t, dtype=np.float64), cfg.alpha, jump)
+    t = cfg.alpha * np.asarray(t, dtype=np.float64) + jump
     if t.ndim == 0:
         return float(t)
     return t

@@ -17,8 +17,8 @@ from spikeshot.dynamics import NeuronParams
 from spikeshot.events import gen_synthetic_task
 from spikeshot.fewshot import EpisodeConfig, run_episode, run_mplusn
 from spikeshot.network import BuildConfig, DenseLayer, LayerSpec, build_network, parse_topology
-from spikeshot.oracle import OracleDenseLayer
-from spikeshot.plasticity import QuantizedWeightStore, evaluate_rule_matrix
+from spikeshot.oracle import OracleDenseLayer, evaluate_rule_matrix
+from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams, calibrate_bias
 from spikeshot.ruledsl import evaluate_rule, parse_rule
 from spikeshot.traces import psp_matched_trace_configs, update_trace
@@ -125,7 +125,7 @@ def test_criterion_3_stochastic_rounding_unbiased():
     details = []
     for frac in (0.1, 0.25, 0.5, 0.9):
         store = QuantizedWeightStore((1, n), 0, seed=hash(frac) % (2**31), init=np.zeros((1, n)))
-        store.apply_update_matrix(np.full((1, n), frac), 0)
+        store.apply_update_matrix(np.full((1, n), frac), 0, store.uniforms(1)[0])
         ceil_freq = float((store.weights == 1).mean())
         se = np.sqrt(frac * (1 - frac) / n)
         assert abs(ceil_freq - frac) <= 3 * se, f"frac {frac}: {ceil_freq} vs {frac} (3se={3*se:.2e})"

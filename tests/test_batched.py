@@ -34,6 +34,37 @@ def test_stacked_matmul_is_per_sample_gemv(m, n, batch):
     per_sample = np.stack([w @ row for row in p])
     assert np.array_equal(np.matmul(w, p[..., None])[..., 0], per_sample)
     assert np.array_equal(np.matmul(w, p[0][..., None])[..., 0], w @ p[0])
+    assert np.array_equal(np.dot(w, p[0]), w @ p[0])  # the training step's gemv
+
+
+# The training step sums a rule's products, stacked as [K, n_out, fan_in], with
+# one np.add.reduce over axis 0 (desk: 5 x 64; conv-dvs128: 3 x 2048). Digests
+# rely on that being the left-to-right sum.
+@pytest.mark.parametrize("n, m", [(5, 64), (3, 2048)])
+def test_stacked_reduce_is_the_sequential_sum(n, m):
+    rng = np.random.default_rng(n * m)
+    for k in range(1, 13):
+        # magnitudes 1e-8 to 1e8 so that a regrouped sum rounds differently
+        terms = rng.normal(size=(k, n, m)) * 10.0 ** rng.integers(-8, 9, size=(k, n, 1))
+        total = terms[0].copy()
+        for term in terms[1:]:
+            total += term
+        assert np.array_equal(np.add.reduce(terms, 0), total)
+
+
+# A sample's rounding uniforms come from one draw; the store's stream must
+# end where one draw per learning step leaves it.
+@pytest.mark.parametrize("k, n, m", [(300, 5, 64), (50, 3, 2048), (7, 1, 1), (0, 5, 64)])
+def test_one_stacked_draw_is_k_matrix_draws(k, n, m):
+    one = np.random.Generator(np.random.Philox(11))
+    many = np.random.Generator(np.random.Philox(11))
+    many.random(3)  # both start mid-way through a Philox block
+    one.random(3)
+    stacked = one.random((k, n, m))
+    in_turn = [many.random((n, m)) for _ in range(k)]
+    assert np.array_equal(stacked, np.array(in_turn).reshape(k, n, m))
+    assert one.random(5).tolist() == many.random(5).tolist()
+    assert str(one.bit_generator.state) == str(many.bit_generator.state)
 
 
 @st.composite

@@ -240,7 +240,7 @@ def test_frozen_weights_untouched_by_learning():
     rng = np.random.default_rng(5)
     net.reset_state()
     stream = np.array([net.frozen_step((rng.random(8) < 0.4).astype(float)) for _ in range(300)])
-    net.readout.train(stream, label=0, target_period=4)  # label spikes at t % 4 == 0
+    net.readout.train([stream], [0], [0], target_period=4)  # label spikes at t % 4 == 0
     assert net.layers[0].weights.tobytes() == frozen_before
     assert net.readout.store.weights.any()  # plastic layer did learn
 

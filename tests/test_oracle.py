@@ -150,12 +150,45 @@ def test_quantized_drift_bounded_by_rounding_budget():
     stream = np.array([(rng.random(2) < 0.4).astype(float) for _ in range(n_updates)])
     for t in range(n_updates):
         orc.step(stream[t].tolist(), [t % 5 == 0], learn=True)
-    sim.train(stream, label=0, target_period=5)  # label spikes at t % 5 == 0
+    sim.train([stream], [0], [0], target_period=5)  # label spikes at t % 5 == 0
     dev = np.abs(store.effective() - np.array(orc.w)).max()
     assert dev <= 2.0**-6  # within one integer step of the oracle
     # the updates are far below one step, so the store's weights stay 0 and
     # the deviation is the oracle's own unrounded drift
     assert dev > 0
+
+
+def test_quantized_drift_that_moves_the_store():
+    # dw = 0.04*x1 adds ~0.016 integer steps per update whatever the
+    # spikes, so the unrounded oracle drifts by D ~ 16 steps over 1,000
+    # updates. Stochastic rounding makes the store's error against it a
+    # sum of zero-mean steps whose variance is at most D: every seed stays
+    # within 5 sqrt(D) of the oracle, and the mean over 20 seeds within
+    # 5 sqrt(D / 20), which a store that never moved, or rounded one way
+    # only, misses by far.
+    params = ReadoutParams(neuron=NeuronParams(tau_u=8, tau_v=16))
+    b_err = solve_baseline_bias(params)
+    rule = parse_rule("dw = 0.04*x1")
+    rng = np.random.default_rng(10)
+    stream = (rng.random((1000, 2)) < 0.4).astype(float)
+    orc = OracleReadout(2, 1, params, b_err, w_scale=2.0**-6)
+    orc.set_rule(rule, lr_exp=0, learn_period=1)
+    for t in range(len(stream)):
+        orc.step(stream[t].tolist(), [t % 5 == 0], learn=True)
+    drift = np.array(orc.w) / 2.0**-6  # in integer steps
+    assert drift.min() > 10
+
+    stored = []
+    for seed in range(20):
+        store = QuantizedWeightStore((1, 2), -6, seed)
+        sim = ReadoutLayer(2, 1, store, params, b_err=b_err)
+        sim.attach_engine(rule, lr_exp=0, learn_period=1)
+        sim.train([stream], [0], [0], target_period=5)
+        stored.append(store.weights.astype(np.float64))
+    stored = np.array(stored)
+    assert stored.min() >= 3  # every store moved by several steps
+    assert np.all(np.abs(stored - drift) <= 5 * np.sqrt(drift))
+    assert np.all(np.abs(stored.mean(axis=0) - drift) <= 5 * np.sqrt(drift / 20))
 
 
 def test_rounding_drift_unbiased_across_seeds():
@@ -176,7 +209,7 @@ def test_rounding_drift_unbiased_across_seeds():
         store = QuantizedWeightStore((1, 2), -6, seed)
         sim = ReadoutLayer(2, 1, store, params, b_err=b_err)
         sim.attach_engine(rule, 0, 1)
-        sim.train(inputs, label=0, target_period=5)  # the targets above
+        sim.train([inputs], [0], [0], target_period=5)  # the targets above
         mean_devs.append(float((store.effective() - reference).mean()))
     mean_devs = np.array(mean_devs)
     # feedback through spiking makes the per-seed deviation discrete; the

@@ -8,16 +8,9 @@ import pytest
 
 from spikeshot import readout as readout_module
 from spikeshot.dynamics import NeuronParams
-from spikeshot.oracle import oracle_calibrate
-from spikeshot.plasticity import QuantizedWeightStore, evaluate_rule_matrix
-from spikeshot.readout import (
-    CalibrationError,
-    ReadoutLayer,
-    ReadoutParams,
-    calibrate_bias,
-    solve_baseline_bias,
-    wire_targets,
-)
+from spikeshot.oracle import evaluate_rule_matrix, oracle_calibrate, wire_targets
+from spikeshot.plasticity import QuantizedWeightStore
+from spikeshot.readout import CalibrationError, ReadoutLayer, ReadoutParams, calibrate_bias, solve_baseline_bias
 from spikeshot.ruledsl import parse_rule
 from spikeshot.traces import TraceConfig
 

@@ -1,26 +1,35 @@
 """ReadoutLayer.train equals its reference, bit for bit.
 
-The reference is the plasticity-off ``step`` with the scalar, synapse by
-synapse rule (``apply_rule_rowmajor``) applied at every learning tick. Both
-sides record every weight update they hand to the store, so a change in the
-order of the rule's floating-point operations shows even where stochastic
-rounding would hide it in the weights.
+The reference presents each sample with the plasticity-off ``step`` and
+applies the scalar, synapse by synapse rule (``apply_rule_rowmajor``) at
+every learning step. Both sides record every weight update they hand to the
+store, so a change in the order of the rule's floating-point operations
+shows even where stochastic rounding would hide it in the weights.
 """
 
+import json
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikeshot import oracle, readout
 from spikeshot.dynamics import NeuronParams
-from spikeshot.plasticity import QuantizedWeightStore, apply_rule_rowmajor
-from spikeshot.readout import ReadoutLayer, ReadoutParams, solve_baseline_bias, wire_targets
-from spikeshot.ruledsl import RULE_VARS, Factor, Product, SumOfProductsRule
+from spikeshot.oracle import apply_rule_rowmajor, wire_targets
+from spikeshot.plasticity import QuantizedWeightStore
+from spikeshot.readout import ReadoutLayer, ReadoutParams, solve_baseline_bias
+from spikeshot.ruledsl import RULE_VARS, Factor, Product, RuleError, SumOfProductsRule, parse_rule
 
 READOUT = ReadoutParams(neuron=NeuronParams(tau_u=2, tau_v=4), baseline_period=4)
 B_ERR = solve_baseline_bias(READOUT)
 
 # a few round constants plus arbitrary ones, whose products round
 CONSTANTS = st.sampled_from([1.0, -1.0, 0.5, 2.0]) | st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+
+# every kind of product at once: constant-only, w (twice), repeated y, x0 and y0
+ALL_FORMS = parse_rule("dw = 0.5 - 0.75*w*x1*y1 + 0.3*w*w*y2 + x0*y0 + 1.5*x2*y1*y1 - x1*x2 + 2*y2 - 0.25*x0")
 
 
 @st.composite
@@ -34,60 +43,122 @@ def rules(draw):
     ))
 
 
-def _record(store, method):
-    """Log the arguments of every call of one of the store's update methods."""
-    calls, inner = [], getattr(store, method)
+def _reference(layer, streams, labels, order, target_period):
+    """Plasticity-off steps, with the scalar rule at every learning step."""
+    eng = layer.engine
+    for b in order:
+        routing = wire_targets(layer.n_out, labels[b], "train", target_period)
+        layer.reset_state()
+        for t in range(len(streams[b])):
+            layer.step(streams[b][t], routing.spikes_at(t))
+            if (t + 1) % eng.learn_period == 0:
+                pre = {"x0": layer.x0, "x1": layer.x1, "x2": layer.x2}
+                post = {"y0": layer.spiked_err.astype(np.float64), "y1": layer.y1, "y2": layer.y2}
+                apply_rule_rowmajor(layer.store, eng.rule, pre, post, eng.lr_exp)
+
+
+def _recording(owner, name, deltas):
+    """Patch ``owner.name`` to append a copy of each call's weight update,
+    its ``which``-th argument, to ``deltas``."""
+    inner = getattr(owner, name)
+    which = 3 if name == "apply_update" else 0
 
     def logged(*args):
-        calls.append(args)
+        deltas.append(np.copy(args[which]))
         return inner(*args)
 
-    setattr(store, method, logged)
-    return calls
+    return mock.patch.object(owner, name, logged)
 
 
-def _reference(layer, stream, label, target_period):
-    """Plasticity-off steps, with the scalar rule at every learning tick."""
-    eng = layer.engine
-    routing = wire_targets(layer.n_out, label, "train", target_period)
-    layer.reset_state()
-    for t in range(len(stream)):
-        layer.step(stream[t], routing.spikes_at(t))
-        if (t + 1) % eng.learn_period == 0:
-            pre = {"x0": layer.x0, "x1": layer.x1, "x2": layer.x2}
-            post = {"y0": layer.spiked_err.astype(np.float64), "y1": layer.y1, "y2": layer.y2}
-            apply_rule_rowmajor(layer.store, eng.rule, pre, post, eng.lr_exp)
+def _stream_position(store):
+    return json.dumps(store.rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def _layer(fan_in, n_out, init, rule, lr_exp, learn_period, seed=3):
+    store = QuantizedWeightStore((n_out, fan_in), -6, seed=seed, init=init)
+    layer = ReadoutLayer(fan_in, n_out, store, READOUT, b_err=B_ERR)
+    layer.attach_engine(rule, lr_exp, learn_period)
+    return layer
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_train_equals_step_plus_scalar_rule(data):
+@given(data=st.data(), rule=rules() | st.just(ALL_FORMS))
+def test_train_equals_step_plus_scalar_rule(data, rule):
     fan_in, n_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
-    duration = data.draw(st.integers(0, 12))
-    stream = np.array(data.draw(st.lists(st.lists(st.integers(0, 2), min_size=fan_in, max_size=fan_in),
-                                         min_size=duration, max_size=duration)), dtype=np.float64)
-    stream = stream.reshape(duration, fan_in)  # spike counts, as when no frozen layer precedes the readout
-    label = data.draw(st.integers(0, n_out - 1))
+    n_samples = data.draw(st.integers(1, 4))
+    streams, labels = [], []
+    for _ in range(n_samples):
+        duration = data.draw(st.integers(0, 12))
+        counts = data.draw(st.lists(st.integers(0, 2), min_size=duration * fan_in, max_size=duration * fan_in))
+        # spike counts, as when no frozen layer precedes the readout
+        streams.append(np.array(counts, dtype=np.float64).reshape(duration, fan_in))
+        labels.append(data.draw(st.integers(0, n_out - 1)))
+    order = data.draw(st.permutations(range(n_samples)))
     target_period = data.draw(st.integers(0, 5))
     init = np.array(data.draw(st.lists(st.integers(-128, 127), min_size=n_out * fan_in, max_size=n_out * fan_in)))
-    rule, lr_exp, learn_period = data.draw(rules()), data.draw(st.integers(-2, 4)), data.draw(st.integers(1, 3))
+    lr_exp, learn_period = data.draw(st.integers(-2, 4)), data.draw(st.integers(1, 3))
+    # the pre-work in blocks of one learning period, a few, or whole samples
+    block_bytes = data.draw(st.sampled_from([1, 1 << 9, 1 << 18]))
 
-    layers, updates = [], []
-    for method in ("apply_update_matrix", "apply_update"):
-        store = QuantizedWeightStore((n_out, fan_in), -6, seed=3, init=init.reshape(n_out, fan_in))
-        layer = ReadoutLayer(fan_in, n_out, store, READOUT, b_err=B_ERR)
-        layer.attach_engine(rule, lr_exp, learn_period)
-        layers.append(layer)
-        updates.append(_record(store, method))
-    trained, reference = layers
+    _check(streams, labels, order, target_period, init.reshape(n_out, fan_in), rule, lr_exp, learn_period,
+           block_bytes)
 
-    trained.train(stream, label, target_period)
-    _reference(reference, stream, label, target_period)
 
-    n_ticks = duration // learn_period
-    assert len(updates[0]) == n_ticks
-    ref_deltas = np.array([args[2] for args in updates[1]]).reshape(n_ticks, n_out, fan_in)
-    assert all(np.array_equal(args[0], ref) for args, ref in zip(updates[0], ref_deltas))
+def test_lone_synapse_sums_products_in_order():
+    # np.add.reduce sums one synapse's eight products pairwise; the sum
+    # must still run left to right, as the scalar rule's does
+    stream = np.array([[1.0], [0.0], [2.0], [1.0], [0.0], [1.0]])
+    for lr_exp in (-2, 0, 3):
+        _check([stream, stream[:4]], [0, 0], [0, 1, 0], 2, np.array([[5]]), ALL_FORMS, lr_exp, 1, 1 << 18)
+
+
+def _check(streams, labels, order, target_period, init, rule, lr_exp, learn_period, block_bytes):
+    """Train and the reference hand the store the same updates and end in
+    the same state."""
+    n_out, fan_in = init.shape
+    trained = _layer(fan_in, n_out, init, rule, lr_exp, learn_period)
+    reference = _layer(fan_in, n_out, init, rule, lr_exp, learn_period)
+    ours, theirs = [], []
+    with _recording(trained.store, "apply_update_matrix", ours), mock.patch.object(readout, "_BLOCK_BYTES", block_bytes):
+        trained.train(streams, labels, order, target_period)
+    with _recording(oracle, "apply_update", theirs):
+        _reference(reference, streams, labels, order, target_period)
+
+    n_ticks = sum(len(streams[b]) // learn_period for b in order)
+    assert len(ours) == n_ticks
+    assert np.array_equal(np.array(ours).reshape(-1), np.array(theirs))
     assert np.array_equal(trained.store.weights, reference.store.weights)
-    for name in ("p_pre", "v_err", "spiked_err"):
+    for name in ("q_pre", "p_pre", "v_err", "spiked_err"):
         assert np.array_equal(getattr(trained, name), getattr(reference, name))
+    assert _stream_position(trained.store) == _stream_position(reference.store)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1 << 18])  # a block per step, one per sample
+def test_non_finite_rule_stops_at_the_failing_step(block_bytes, monkeypatch):
+    # 1e308*x1 overflows once scaled by 2**3, from the first input spike
+    # on; the constant moves the weights at every step before it
+    monkeypatch.setattr(readout, "_BLOCK_BYTES", block_bytes)
+    rule = parse_rule("dw = 0.3 + 1e308*x1")
+    silent = np.zeros((7, 3))
+    late = np.zeros((6, 3))
+    late[4, 1] = 1.0
+    failing = _layer(3, 2, np.zeros((2, 3)), rule, 3, 1)
+    with pytest.raises(RuleError, match=r"'dw = 0.3 \+ 1e\+308\*x1' gives non-finite weight updates: "
+                                        r"2 of 6 weight updates are not finite"):
+        failing.train([silent, late], [0, 1], [0, 1], 4)
+    stopped = _layer(3, 2, np.zeros((2, 3)), rule, 3, 1)
+    stopped.train([silent, late[:4]], [0, 1], [0, 1], 4)  # every step before the failing one
+    assert stopped.store.weights.any()
+    assert np.array_equal(failing.store.weights, stopped.store.weights)
+    assert _stream_position(failing.store) == _stream_position(stopped.store)
+
+
+def test_train_checks_streams_and_labels_first():
+    layer = _layer(3, 2, np.zeros((2, 3)), parse_rule("dw = 1"), 0, 1)
+    before = _stream_position(layer.store)
+    with pytest.raises(IndexError, match="label 2"):
+        layer.train([np.zeros((4, 3)), np.zeros((4, 3))], [0, 2], [0, 1], 4)
+    with pytest.raises(ValueError, match="stream shape"):
+        layer.train([np.zeros((4, 3)), np.zeros((4, 2))], [0, 1], [0, 1], 4)
+    assert not layer.store.weights.any()
+    assert _stream_position(layer.store) == before
