@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -42,7 +42,6 @@ from .fewshot import (
     split_shots,
 )
 from .network import TopologyError, build_network
-from .oracle import TrajectoryRecord, dump_trajectory
 from .readout import CalibrationError, calibrate_bias, solve_baseline_bias
 from .ruledsl import RuleError
 from .weightio import WeightFileError, load_weights, save_weights
@@ -229,6 +228,36 @@ def cmd_eval(args) -> int:
     acc = correct / len(samples)
     print(f"EVAL split={args.split} seed={seed} n={len(samples)} accuracy={acc:.6f}")
     return EXIT_OK
+
+
+@dataclass
+class TrajectoryRecord:
+    """Per-step series of named state variables plus run metadata."""
+
+    meta: dict
+    series: dict[str, list] = field(default_factory=dict)
+
+    def append(self, name: str, value: list):
+        self.series.setdefault(name, []).append(value)
+
+    @property
+    def steps(self) -> int:
+        return max((len(v) for v in self.series.values()), default=0)
+
+
+def dump_trajectory(rec: TrajectoryRecord) -> str:
+    """Text dump, one step per row; each cell lists one variable's values."""
+    names = sorted(rec.series)
+    lines = [f"# trajectory steps={rec.steps}"]
+    for k, v in sorted(rec.meta.items()):
+        lines.append(f"# {k}={v}")
+    lines.append("# columns: step " + " ".join(names))
+    for t in range(rec.steps):
+        cells = [str(t)]
+        for name in names:
+            cells.append(",".join(repr(float(x)) for x in rec.series[name][t]))
+        lines.append(" ".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(args) -> int:

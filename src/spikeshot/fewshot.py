@@ -26,7 +26,8 @@ Only the readout learns, so an episode runs in three phases:
 3. Evaluation. The readout steps every stream at once with plasticity off.
 
 Each sample's trajectory is bit-identical to stepping it alone. Frozen
-layers contract integer counts with int8 weights, which float64 sums
+layers contract int8 weights with integer counts in float64, or with 0/1
+spikes in float32 up to a fan-in of ``network.F32_EXACT_FAN_IN``; both sum
 exactly in any order, so one contraction over the whole batch gives each
 sample's bits; the readout's contraction is a stacked gemv, one per sample;
 training sums a rule's products with one reduction over the stacked

@@ -10,10 +10,11 @@ only the readout store ever changes.
 
 Frozen layers accumulate on the post-synaptic side: each step contracts
 the integer input counts with the integer weights, then filters per output
-neuron (see ``_FrozenLayer``). That contraction is exact in float64, so a
-batch of samples shares one contraction and still follows each sample's own
-bits. The readout keeps the pre-synaptic form, since its weights change
-every step.
+neuron (see ``_FrozenLayer``). That contraction is exact: event counts sum
+in float64, and 0/1 spikes into a fan-in of at most ``F32_EXACT_FAN_IN``
+sum in float32, whose integers reach 2**24. So a batch of samples shares
+one contraction and still follows each sample's own bits. The readout
+keeps the pre-synaptic form, since its weights change every step.
 """
 
 from __future__ import annotations
@@ -127,10 +128,14 @@ class _FrozenLayer:
 
     The contraction is exact. Frozen inputs are integer counts (events into
     the first layer, 0/1 spikes after it) and the weights are int8, so every
-    partial sum is an integer far below ``2**53`` times ``2**scale_exp``:
-    float64 holds it exactly in any summation order. Any gemm, gemv or
-    window layout gives the same bits, and each sample of a batch (see
-    ``reset_state``) follows exactly the trajectory it has on its own.
+    partial sum is an integer times ``2**scale_exp``. Counts sum in float64,
+    far below ``2**53``. Spikes into a fan-in K sum to at most ``128*K`` in
+    magnitude, so for K up to ``F32_EXACT_FAN_IN`` they sum in float32,
+    below ``2**24``, and the power-of-two scale is applied in float64
+    afterwards; a larger fan-in keeps float64. Either way every summation
+    order gives the same bits: any gemm, gemv, blocking or FMA, any window
+    layout, and each sample of a batch (see ``reset_state``) follows exactly
+    the trajectory it has on its own.
     """
 
     kind: str
@@ -173,6 +178,10 @@ class _FrozenLayer:
         return self.spiked
 
 
+# The largest fan-in K whose 0/1-by-int8 sums float32 holds exactly: 128*K <= 2**24.
+F32_EXACT_FAN_IN = 2**24 // 128
+
+
 class _WeightedLayer(_FrozenLayer):
     """A frozen layer with stored int8 weights and a power-of-two scale."""
 
@@ -185,15 +194,30 @@ class _WeightedLayer(_FrozenLayer):
 
     def set_weights(self, weights: np.ndarray, scale_exp: int):
         """Replace the weights (stored as a read-only int8 copy) and scale,
-        and rebuild the contraction matrix ``[n_in, n_out]`` derived from them."""
+        and rebuild the contraction matrices ``[n_in, n_out]`` derived from
+        them: scaled float64, and unscaled float32 within the exact fan-in."""
         weights = np.asarray(weights)
         if weights.shape != self._weight_shape():
             raise TopologyError(f"{self.kind} weights {weights.shape} != {self._weight_shape()}")
         self.weights = weights.astype(np.int8)
         self.weights.flags.writeable = False
         self.scale_exp = int(scale_exp)
-        n_out = self.weights.shape[0]
-        self._w = (self.weights.reshape(n_out, -1) * 2.0**self.scale_exp).T
+        w = self.weights.reshape(self.weights.shape[0], -1).T
+        self._w = w * 2.0**self.scale_exp
+        self._w32 = w.astype(np.float32) if w.shape[0] <= F32_EXACT_FAN_IN else None
+
+    def _cols(self, s: np.ndarray, dtype) -> np.ndarray:
+        """The inputs as a ``[..., n_in]`` matrix of ``dtype``; each row holds
+        what one output position of one sample reads."""
+        raise NotImplementedError
+
+    def _contract(self, s):
+        # 0/1 spikes within the exact fan-in contract in float32, all else in float64
+        if s.dtype == bool and self._w32 is not None:
+            c = np.multiply(self._cols(s, np.float32) @ self._w32, 2.0**self.scale_exp, dtype=np.float64)
+        else:
+            c = self._cols(s, np.float64) @ self._w
+        return c.reshape(self._lead + self.spec.out_shape)
 
 
 class DenseLayer(_WeightedLayer):
@@ -202,8 +226,8 @@ class DenseLayer(_WeightedLayer):
     def _weight_shape(self):
         return (self.spec.out_shape[0], math.prod(self.spec.in_shape))
 
-    def _contract(self, s):
-        return s.reshape(self._lead + (-1,)) @ self._w
+    def _cols(self, s, dtype):
+        return s.reshape(self._lead + (-1,)).astype(dtype, copy=False)
 
 
 class ConvLayer(_WeightedLayer):
@@ -215,14 +239,15 @@ class ConvLayer(_WeightedLayer):
         k = self.spec.kernel
         return (self.spec.channels, k, k, self.spec.in_shape[2])
 
-    def _contract(self, s):
-        # im2col over the whole batch, one gemm: [B*H*W, k*k*C_in] @ [k*k*C_in, C_out]
+    def _cols(self, s, dtype):
+        # im2col over the whole batch, for one gemm: [B*H*W, k*k*C_in] @ [k*k*C_in, C_out]
         k = self.spec.kernel
         pad = k // 2
-        sp = np.pad(s, [(0, 0)] * len(self._lead) + [(pad, pad), (pad, pad), (0, 0)])
+        h, w, c = self.spec.in_shape
+        sp = np.zeros(self._lead + (h + 2 * pad, w + 2 * pad, c), dtype=dtype)
+        sp[..., pad : pad + h, pad : pad + w, :] = s
         win = np.lib.stride_tricks.sliding_window_view(sp, (k, k), axis=(-3, -2))
-        cols = np.moveaxis(win, -3, -1).reshape(-1, self._w.shape[0])  # [kh, kw, C_in] order
-        return (cols @ self._w).reshape(self._lead + self.spec.out_shape)
+        return np.moveaxis(win, -3, -1).reshape(-1, self._w.shape[0])  # [kh, kw, C_in] order
 
 
 class PoolLayer(_FrozenLayer):

@@ -8,14 +8,13 @@ rule references below them are exact instead: label timing, the rule
 evaluated synapse by synapse or as one plain matrix expression, and the
 store's rounding one synapse at a time, each in the order that
 ``ReadoutLayer.train`` must reproduce bit for bit. Test-only by design;
-speed is a non-goal. ``TrajectoryRecord`` and ``dump_trajectory`` also
-write the per-sample traces of ``spikeshot simulate``.
+speed is a non-goal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,41 +23,6 @@ from .plasticity import WEIGHT_MAX, WEIGHT_MIN, NonFiniteUpdateError, QuantizedW
 from .readout import CalibrationReport, ReadoutParams
 from .ruledsl import SumOfProductsRule, evaluate_rule
 from .traces import TraceConfig
-
-
-@dataclass
-class TrajectoryRecord:
-    """Per-step series of named state variables plus run metadata."""
-
-    meta: dict
-    series: dict[str, list] = field(default_factory=dict)
-
-    def append(self, name: str, value):
-        self.series.setdefault(name, []).append(value)
-
-    @property
-    def steps(self) -> int:
-        return max((len(v) for v in self.series.values()), default=0)
-
-
-def _as_list(x):
-    return list(x) if isinstance(x, (list, tuple)) else [x]
-
-
-def dump_trajectory(rec: TrajectoryRecord) -> str:
-    """Text dump, one step per row, for golden files."""
-    names = sorted(rec.series)
-    lines = [f"# trajectory steps={rec.steps}"]
-    for k, v in sorted(rec.meta.items()):
-        lines.append(f"# {k}={v}")
-    lines.append("# columns: step " + " ".join(names))
-    for t in range(rec.steps):
-        cells = [str(t)]
-        for name in names:
-            vals = _as_list(rec.series[name][t])
-            cells.append(",".join(repr(float(x)) for x in vals))
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 # --- scalar dynamics ----------------------------------------------------------

@@ -20,6 +20,7 @@ BUILD = dict(frozen_scale_exp=-5, frozen_init_lo=-20, frozen_init_hi=100,
 TOPOLOGIES = {
     "dense": ("7", ["6", "5"], 3),
     "conv": ("4x4x2", ["2c3z", "2a", "4"], 3),
+    "spikes": ("4x4x2", ["2a", "2c3z", "4"], 3),  # conv and dense contract spikes in float32
     "none": ("6", [], 2),  # the readout reads input counts directly
 }
 

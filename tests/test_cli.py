@@ -3,7 +3,7 @@
 import pytest
 import yaml
 
-from spikeshot.cli import main
+from spikeshot.cli import TrajectoryRecord, dump_trajectory, main
 from spikeshot.events import read_events
 
 SMALL_CONFIG = """
@@ -241,3 +241,14 @@ def test_env_var_default_out_dir(cfg_file, tmp_path, monkeypatch):
     monkeypatch.setenv("SPIKESHOT_OUT", str(target))
     assert main(["calibrate", "--config", cfg_file]) == 0
     assert (target / "manifest.yaml").exists()
+
+
+def test_dump_trajectory_format():
+    rec = TrajectoryRecord(meta={"seed": 3}, series={"v": [[0.5], [1.0]], "s": [[0.0], [1.0]]})
+    text = dump_trajectory(rec)
+    lines = text.strip().split("\n")
+    assert lines[0] == "# trajectory steps=2"
+    assert "# seed=3" in lines[1]
+    assert lines[2].startswith("# columns: step")
+    assert lines[3].split() == ["0", "0.0", "0.5"]
+    assert lines[4].split() == ["1", "1.0", "1.0"]

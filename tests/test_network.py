@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spikeshot.dynamics import NeuronParams
 from spikeshot.network import (
+    F32_EXACT_FAN_IN,
     BuildConfig,
     ConvLayer,
     DenseLayer,
@@ -148,9 +149,10 @@ def _reference_contraction(layer, s):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_contraction_is_exact_integer_arithmetic(data):
-    # Frozen layers contract integer counts with int8 weights, which float64
-    # holds exactly; so the contraction equals the int64 one bit for bit,
-    # batched or not, and the first step's PSC is that exact value over tau_u.
+    # Frozen layers contract integer counts with int8 weights, exactly: counts
+    # in float64, spikes in float32 (conv fan-ins k*k*C_in reach 800 here);
+    # so the contraction equals the int64 one bit for bit, batched or not,
+    # and the first step's PSC is that exact value over tau_u.
     kind = data.draw(st.sampled_from(["dense", "conv", "pool"]))
     seed = data.draw(st.integers(0, 2**16))
     batch = data.draw(st.integers(1, 6))
@@ -163,7 +165,7 @@ def test_contraction_is_exact_integer_arithmetic(data):
         spec = LayerSpec("dense", (n_in,), (n_out,))
         layer = DenseLayer(spec, params, rng.integers(-128, 128, size=(n_out, n_in)), scale_exp)
     elif kind == "conv":
-        h, w, c_in, c_out, k = (int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 4)),
+        h, w, c_in, c_out, k = (int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 33)),
                                 int(rng.integers(1, 5)), int(rng.choice([1, 3, 5])))
         spec = LayerSpec("conv2d", (h, w, c_in), (h, w, c_out), kernel=k, channels=c_out)
         layer = ConvLayer(spec, params, rng.integers(-128, 128, size=(c_out, k, k, c_in)), scale_exp)
@@ -185,6 +187,23 @@ def test_contraction_is_exact_integer_arithmetic(data):
         assert np.array_equal(layer._contract(x), e.reshape(spec.out_shape))
         layer.step(x)
         assert np.array_equal(layer.q, e.reshape(spec.out_shape) / params.tau_u)
+
+
+@pytest.mark.parametrize("scale_exp", [-6, 0])
+def test_spike_contraction_at_the_float32_bound(scale_exp):
+    # Every spike on, every weight -128: a fan-in of F32_EXACT_FAN_IN sums to
+    # -2**24, where float32's run of exact integers ends. One more synapse of
+    # weight -1 gives an odd sum that float32 cannot hold, so that layer must
+    # contract in float64.
+    n = F32_EXACT_FAN_IN
+    assert n == 131_072
+    on = np.ones(n, dtype=bool)
+    layer = DenseLayer(LayerSpec("dense", (n,), (1,)), NEURON, np.full((1, n), -128), scale_exp)
+    assert layer._contract(on).tolist() == [-(2.0**24) * 2.0**scale_exp]
+    w = np.append(np.full(n, -128), -1)[None]
+    layer = DenseLayer(LayerSpec("dense", (n + 1,), (1,)), NEURON, w, scale_exp)
+    assert int(w.astype(np.int64).sum()) == -16_777_217
+    assert layer._contract(np.ones(n + 1, dtype=bool)).tolist() == [-16_777_217 * 2.0**scale_exp]
 
 
 def test_zero_input_forever_zero_output():

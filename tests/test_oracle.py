@@ -1,11 +1,11 @@
-"""Reference-oracle checks: raster equivalence, trajectory dumps, rounding drift."""
+"""Reference-oracle checks: raster equivalence, rounding drift."""
 
 import numpy as np
 import pytest
 
 from spikeshot.dynamics import NeuronParams
 from spikeshot.network import DenseLayer, LayerSpec
-from spikeshot.oracle import OracleDenseLayer, OracleReadout, TrajectoryRecord, dump_trajectory
+from spikeshot.oracle import OracleDenseLayer, OracleReadout
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams, solve_baseline_bias
 from spikeshot.ruledsl import parse_rule
@@ -121,17 +121,6 @@ def test_readout_matches_oracle_readout():
         assert np.allclose(sim.v_out, orc.v_out, atol=1e-9)
         assert np.array_equal(sim.spiked_out, np.array(orc.spiked_out))
         assert np.allclose(sim.y1, orc.y1, atol=1e-9)
-
-
-def test_dump_trajectory_format():
-    rec = TrajectoryRecord(meta={"seed": 3}, series={"v": [[0.5], [1.0]], "s": [[0.0], [1.0]]})
-    text = dump_trajectory(rec)
-    lines = text.strip().split("\n")
-    assert lines[0] == "# trajectory steps=2"
-    assert "# seed=3" in lines[1]
-    assert lines[2].startswith("# columns: step")
-    assert lines[3].split() == ["0", "0.0", "0.5"]
-    assert lines[4].split() == ["1", "1.0", "1.0"]
 
 
 def test_quantized_drift_bounded_by_rounding_budget():
