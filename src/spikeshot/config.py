@@ -206,7 +206,6 @@ def episode_config(cfg: dict, seed: int, n_way: int | None = None) -> EpisodeCon
             n_way=n_way if n_way is not None else e["n_way"],
             k_shot=e["k_shot"],
             m_pretrained=e["m_pretrained"],
-            sample_duration=e["sample_duration"],
             epochs=e["epochs"],
             seed=seed,
             rule=l["rule"],

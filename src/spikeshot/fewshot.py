@@ -66,7 +66,6 @@ class EpisodeConfig:
     n_way: int
     k_shot: int
     m_pretrained: int = 0
-    sample_duration: int = 300
     epochs: int = 1
     seed: int = 0
     rule: str = DEFAULT_RULE

@@ -47,7 +47,6 @@ class LayerSpec:
     out_shape: tuple[int, ...]
     kernel: int | None = None
     channels: int | None = None
-    plastic: bool = False
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def parse_topology(input_shape, layer_tokens: list[str], n_out: int) -> Topology
         shape = specs[-1].out_shape
     if n_out < 1:
         raise TopologyError("output layer needs at least one neuron")
-    specs.append(LayerSpec(KIND_PLASTIC, shape, (int(n_out),), plastic=True))
+    specs.append(LayerSpec(KIND_PLASTIC, shape, (int(n_out),)))
     return Topology(input_shape=in_shape, layers=tuple(specs))
 
 
@@ -326,13 +325,12 @@ class Network:
             self.layer_spikes.append(x)
         return x.reshape(self._lead + (-1,))
 
-    def step(self, in_spikes: np.ndarray, target_spikes: np.ndarray | None = None) -> np.ndarray:
-        """Advance the whole network one plasticity-off timestep; returns
-        proximal spikes. Learning runs through ``ReadoutLayer.train`` on the
-        readout's input stream."""
+    def step(self, in_spikes: np.ndarray) -> np.ndarray:
+        """Advance the whole network one plasticity-off timestep with no
+        label spikes; returns proximal spikes. Learning runs through
+        ``ReadoutLayer.train`` on the readout's input stream."""
         x = self.frozen_step(in_spikes)
-        tgt = np.zeros(self._lead + (self.n_out,), dtype=bool) if target_spikes is None else target_spikes
-        out = self.readout.step(x, tgt)
+        out = self.readout.step(x, np.zeros(self._lead + (self.n_out,), dtype=bool))
         self.layer_spikes.append(out)
         return out
 

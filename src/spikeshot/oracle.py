@@ -4,11 +4,11 @@
 recursions with scalar Python loops and real-valued weights (no rounding, no
 clamping, no shared arithmetic code with the vectorized simulator), so
 transcription bugs in either side show up as trajectory divergence. The
-rule references below them are exact instead: label timing, the rule
-evaluated synapse by synapse or as one plain matrix expression, and the
-store's rounding one synapse at a time, each in the order that
-``ReadoutLayer.train`` must reproduce bit for bit. Test-only by design;
-speed is a non-goal.
+rule references below them are exact instead: the rule's traces beside the
+plasticity-off step, label timing, the rule evaluated synapse by synapse or
+as one plain matrix expression, and the store's rounding one synapse at a
+time, each in the order that ``ReadoutLayer.train`` must reproduce bit for
+bit. Test-only by design; speed is a non-goal.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import numpy as np
 
 from .dynamics import NeuronParams
 from .plasticity import WEIGHT_MAX, WEIGHT_MIN, NonFiniteUpdateError, QuantizedWeightStore
-from .readout import CalibrationReport, ReadoutParams
+from .readout import CalibrationReport, ReadoutLayer, ReadoutParams
 from .ruledsl import SumOfProductsRule, evaluate_rule
-from .traces import TraceConfig
+from .traces import TraceConfig, update_trace
 
 
 # --- scalar dynamics ----------------------------------------------------------
@@ -202,6 +202,39 @@ def oracle_calibrate(params: ReadoutParams, b_err: float, window: int) -> Calibr
 
 
 # --- exact references of the learning step ----------------------------------
+
+
+class StepTraces:
+    """The rule's traces beside a ``ReadoutLayer``'s plasticity-off steps.
+
+    ``step`` steps the layer, then advances the traces with
+    ``update_trace``: x0-x2 from the step's input, y0-y2 from the layer's
+    error spikes. ``pre`` and ``post`` map the rule's variable names to
+    them; ``ReadoutLayer.train`` must compute the same values bit for bit.
+    """
+
+    def __init__(self, layer: ReadoutLayer):
+        self.layer = layer
+        self.reset()
+
+    def reset(self):
+        """Zero the layer's state and the traces."""
+        self.layer.reset_state()
+        pre, post = np.zeros(self.layer.fan_in), np.zeros(self.layer.n_out)
+        self.pre = {"x0": pre, "x1": pre, "x2": pre}
+        self.post = {"y0": post, "y1": post, "y2": post}
+
+    def step(self, in_spikes, target_spikes) -> np.ndarray:
+        """One plasticity-off step of the layer and its traces; returns the
+        layer's output spikes."""
+        layer, pre, post = self.layer, self.pre, self.post
+        out = layer.step(in_spikes, target_spikes)
+        s, err = np.asarray(in_spikes, dtype=np.float64), layer.spiked_err.astype(np.float64)
+        self.pre = {"x0": s, "x1": update_trace(pre["x1"], s, layer.x1_cfg),
+                    "x2": update_trace(pre["x2"], s, layer.x2_cfg)}
+        self.post = {"y0": err, "y1": update_trace(post["y1"], err, layer.y1_cfg),
+                     "y2": update_trace(post["y2"], err, layer.y2_cfg)}
+        return out
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ import numpy as np
 from .dynamics import NeuronParams
 from .plasticity import PlasticityEngine, QuantizedWeightStore
 from .ruledsl import RuleError, SumOfProductsRule
-from .traces import TraceConfig, psp_matched_trace_configs, update_trace
+from .traces import TraceConfig, psp_matched_trace_configs
+from .traces import update_trace  # not called here: perfbench's tracer patches this name
 
 
 class CalibrationError(RuntimeError):
@@ -190,14 +191,15 @@ class ReadoutLayer:
     """Plastic output layer of two-compartment neurons (vectorized).
 
     Holds the quantized weight store, the shared pre-synaptic PSC/PSP
-    filters, per-neuron distal and proximal state, the plasticity traces and
-    optionally a plasticity engine.
+    filters, per-neuron distal and proximal state and optionally a
+    plasticity engine.
 
     ``step`` is the plasticity-off timestep, with an optional batch axis.
     ``train`` presents samples one after another with plasticity on: it
     filters stretches of a sample's input ahead of the steps, then steps
-    only what depends on the weights. Both run the same distal compartment
-    code, and their filters the same operations.
+    only what depends on the weights, and computes the traces the rule
+    reads. Both run the same distal compartment code, and their filters the
+    same operations.
     """
 
     kind = "plastic-output"
@@ -208,7 +210,6 @@ class ReadoutLayer:
         n_out: int,
         store: QuantizedWeightStore,
         params: ReadoutParams,
-        b_err: float | None = None,
     ):
         if store.shape != (n_out, fan_in):
             raise ValueError(f"store shape {store.shape} != ({n_out}, {fan_in})")
@@ -216,9 +217,7 @@ class ReadoutLayer:
         self.n_out = n_out
         self.store = store
         self.params = params
-        self.b_err = b_err if b_err is not None else (
-            params.b_err if params.b_err is not None else solve_baseline_bias(params)
-        )
+        self.b_err = params.b_err if params.b_err is not None else solve_baseline_bias(params)
         n = params.neuron
         self.b_out = params.b_out if params.b_out is not None else -self.b_err / (1.0 - n.alpha_p)
         self.x1_cfg, self.x2_cfg = params.pre_trace_configs()
@@ -243,13 +242,6 @@ class ReadoutLayer:
         self.v_err = np.zeros(post)
         self.r_err = np.zeros(post)
         self.spiked_err = np.zeros(post, dtype=bool)
-        self.q_err = np.zeros(post)
-        self.p_err = np.zeros(post)
-        self.x0 = np.zeros(pre)
-        self.x1 = np.zeros(pre)
-        self.x2 = np.zeros(pre)
-        self.y1 = np.zeros(post)
-        self.y2 = np.zeros(post)
         self.p_out = np.zeros(post)
         self.v_out = np.zeros(post)
         self.r_out = np.zeros(post)
@@ -278,7 +270,8 @@ class ReadoutLayer:
 
         Inputs, targets and outputs carry the batch axis of the state, if
         any. Besides the distal compartment it steps the proximal one, whose
-        spikes are counted for classification, and every trace.
+        spikes are counted for classification. The rule's traces are not
+        stepped: only ``train`` reads them.
         """
         s = np.asarray(in_spikes, dtype=np.float64)
         tgt = np.asarray(target_spikes, dtype=np.float64)
@@ -294,18 +287,6 @@ class ReadoutLayer:
         # one gemv per sample, bit-identical to effective() @ p_pre
         drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
         u_err = self._distal(drive, prm.w_tgt * self.p_tgt)  # the copied current: no reset term
-        err = self.spiked_err.astype(np.float64)
-
-        # post traces (two-stage diagnostic pair plus the rule traces)
-        self.q_err = self._a_q * self.q_err + err
-        self.p_err = self._a_p * self.p_err + self.q_err
-        self.y1 = update_trace(self.y1, err, self.y1_cfg)
-        self.y2 = update_trace(self.y2, err, self.y2_cfg)
-
-        # pre traces for the rule
-        self.x0 = s
-        self.x1 = update_trace(self.x1, s, self.x1_cfg)
-        self.x2 = update_trace(self.x2, s, self.x2_cfg)
 
         # proximal compartment: integrates the copied current; the label
         # drive re-enters with opposite sign through the same filter, so
@@ -348,9 +329,11 @@ class ReadoutLayer:
         the engine's tick. The proximal compartment is not stepped, so
         ``spike_count`` stays zero. The weights, the rounding stream and the
         distal trajectory are bit for bit those of ``step`` with the rule
-        applied after every learning step. A rule whose updates are not
+        applied after every learning step to traces of the step's input and
+        error spikes (``oracle.StepTraces``). A rule whose updates are not
         finite raises ``RuleError`` at that step, leaving the weights and
-        the stream as the steps before it left them.
+        the stream as the steps before it left them; numpy's overflow and
+        invalid-value warnings on the way there are silenced.
         """
         if self.engine is None:
             raise RuntimeError("train() needs a learning rule: attach_engine() first")
@@ -360,10 +343,12 @@ class ReadoutLayer:
             if not 0 <= labels[b] < self.n_out:
                 raise IndexError(f"label {labels[b]} out of range for {self.n_out} outputs")
         wave = self._label_drive(target_period, max((len(streams[b]) for b in order), default=0))
-        for b in order:
-            label_drive = np.zeros((len(streams[b]), self.n_out))
-            label_drive[:, labels[b]] = wave[: len(streams[b])]
-            self._present(streams[b], label_drive)
+        # once per call, not per tick: the store's finiteness check raises instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in order:
+                label_drive = np.zeros((len(streams[b]), self.n_out))
+                label_drive[:, labels[b]] = wave[: len(streams[b])]
+                self._present(streams[b], label_drive)
 
     def _present(self, stream: np.ndarray, label_drive: np.ndarray):
         """Train on one sample; ``label_drive`` is w_tgt * p_tgt at every step.

@@ -17,7 +17,7 @@ from spikeshot.dynamics import NeuronParams
 from spikeshot.events import gen_synthetic_task
 from spikeshot.fewshot import EpisodeConfig, run_episode, run_mplusn
 from spikeshot.network import BuildConfig, DenseLayer, LayerSpec, build_network, parse_topology
-from spikeshot.oracle import OracleDenseLayer, evaluate_rule_matrix
+from spikeshot.oracle import OracleDenseLayer, StepTraces, evaluate_rule_matrix
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams, calibrate_bias
 from spikeshot.ruledsl import evaluate_rule, parse_rule
@@ -138,6 +138,7 @@ def test_criterion_4_zero_error_stationarity():
     t0 = time.time()
     store = QuantizedWeightStore((1, 1), -6, 0)
     layer = ReadoutLayer(1, 1, store, READOUT_PARAMS)
+    traces = StepTraces(layer)
     cal = calibrate_bias(layer.params, layer.b_err, 1200)
     rule = parse_rule(f"dw = -1*(y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2))")
 
@@ -147,12 +148,8 @@ def test_criterion_4_zero_error_stationarity():
     collect = []
     t = 0
     while t <= warm + (n_periods + 3) * period:
-        layer.step(np.array([1.0]), np.array([False]))
-        delta = float(
-            evaluate_rule_matrix(
-                rule, {"x1": layer.x1, "x2": layer.x2}, {"y1": layer.y1}, store.effective()
-            )[0, 0]
-        )
+        traces.step(np.array([1.0]), np.array([False]))
+        delta = float(evaluate_rule_matrix(rule, traces.pre, traces.post, store.effective())[0, 0])
         if t >= warm:
             collect.append((t, bool(layer.spiked_err[0]), delta))
         t += 1
@@ -173,22 +170,16 @@ def test_criterion_5_delta_rule_sign():
     def mean_raw_delta(weight, with_target):
         store = QuantizedWeightStore((1, 1), -6, 0, init=np.array([[weight]]))
         layer = ReadoutLayer(1, 1, store, READOUT_PARAMS)
+        traces = StepTraces(layer)
         cal = calibrate_bias(layer.params, layer.b_err, 1200)
         rule = parse_rule(f"dw = y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2)")
         deltas = []
         for t in range(1200):
             s = np.array([1.0 if t % 3 == 0 else 0.0])
             tgt = np.array([with_target and t % 4 == 0])
-            layer.step(s, tgt)
+            traces.step(s, tgt)
             if t > 300:
-                deltas.append(
-                    float(
-                        evaluate_rule_matrix(
-                            rule, {"x1": layer.x1, "x2": layer.x2}, {"y1": layer.y1},
-                            store.effective(),
-                        )[0, 0]
-                    )
-                )
+                deltas.append(float(evaluate_rule_matrix(rule, traces.pre, traces.post, store.effective())[0, 0]))
         return float(np.mean(deltas))
 
     target_dominant = mean_raw_delta(0, True)     # target drive exceeds input drive
@@ -205,7 +196,7 @@ def _fewshot_episode(seed: int, k_shot: int, n_way=5, hidden=64):
     data = gen_synthetic_task(n_way, k_shot + 4, DATA_KW["dim"], DATA_KW["separation"],
                               seed=10_000 + seed, jitter=DATA_KW["jitter"],
                               duration=DURATION, r_max=DATA_KW["r_max"])
-    cfg = EpisodeConfig(n_way=n_way, k_shot=k_shot, sample_duration=DURATION, seed=seed)
+    cfg = EpisodeConfig(n_way=n_way, k_shot=k_shot, seed=seed)
     return run_episode(net, cfg, data)
 
 
@@ -238,7 +229,7 @@ def test_criterion_7_m_plus_n_transfer(tmp_path):
         data = gen_synthetic_task(6, 9, DATA_KW["dim"], DATA_KW["separation"],
                                   seed=20_000 + seed, jitter=DATA_KW["jitter"],
                                   duration=DURATION, r_max=DATA_KW["r_max"])
-        cfg = EpisodeConfig(n_way=3, k_shot=5, sample_duration=DURATION, seed=seed)
+        cfg = EpisodeConfig(n_way=3, k_shot=5, seed=seed)
         report = run_mplusn(net, {0, 1, 2}, {3, 4, 5}, cfg, {"novel": data})
         accs.append(report.test_accuracy)
     mean = float(np.mean(accs))

@@ -14,12 +14,13 @@ from spikeshot.config import (
     readout_params,
     topology,
 )
+from spikeshot.network import KIND_PLASTIC
 
 
 def test_defaults_load_without_file():
     cfg = load_config(None)
     assert cfg["episode"]["n_way"] == 5
-    assert topology(cfg).layers[-1].plastic
+    assert topology(cfg).layers[-1].kind == KIND_PLASTIC
 
 
 def test_unknown_keys_rejected():

@@ -24,7 +24,7 @@ READOUT = ReadoutParams(neuron=NeuronParams(tau_u=8, tau_v=16))
 
 
 def small_cfg(**kw):
-    defaults = dict(n_way=3, k_shot=2, sample_duration=200, seed=0, calibration_window=1200)
+    defaults = dict(n_way=3, k_shot=2, seed=0, calibration_window=1200)
     defaults.update(kw)
     return EpisodeConfig(**defaults)
 

@@ -13,6 +13,12 @@ The third case runs a pool -> conv -> pool stack on synthetic 8x8x2 input.
 Its frozen layers spike at about 21%, 6% and 7%, and every test sample
 leaves a non-zero readout count, so the conv contraction of spikes and the
 pooling of counts and of spikes all reach the pinned bytes.
+
+The last case pins ``simulate``, the one output that dumps the readout's
+plasticity-off state at every step (``v_err``, ``v_out``, ``p_out`` and the
+output spikes); the ``train`` digests see that step only through spike
+counts. Random plastic weights at ``2**-3`` make every sample's readout
+spike.
 """
 
 import hashlib
@@ -21,6 +27,7 @@ from pathlib import Path
 import yaml
 
 from spikeshot.cli import main
+from spikeshot.events import read_events
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fewshot.yaml"
 
@@ -56,9 +63,23 @@ CONV_GOLDEN_SHA256 = {
 }
 
 
+SIMULATE_GOLDEN_SHA256 = {
+    "raster.events": "cfb1bb7966fc8619509866593bb31ba38a5585b5a170771288717533891f0b76",
+    "trace_sample0.txt": "ff1af3875a6465b50ca5695eb4932581bf57c1b7710d8bea44e1453af67576fd",
+    "trace_sample1.txt": "ecb5b86c40be723a3fa32739919f91e079284d15d671beae869317e57e369381",
+    "trace_sample2.txt": "88e483f714c12401553819e19b36a59baf1d514e1301f8244f75964670e45279",
+    "trace_sample3.txt": "4e8ed08a36dd92e53d0c17264647776ed8aede5c874d6c3272bc329b62cd7a07",
+    "trace_sample4.txt": "524c7e365facde9a20d65558c68391d9b6b956a723a25a879170e713d6f5c802",
+}
+
+
+def _digests(directory: Path, names) -> dict[str, str]:
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
+
+
 def _train_digests(config: Path, out: Path) -> dict[str, str]:
     assert main(["train", "--config", str(config), "--seed", "0", "--out", str(out)]) == 0
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+    return _digests(out, GOLDEN_SHA256)
 
 
 def test_train_outputs_match_golden_digest(tmp_path):
@@ -81,3 +102,17 @@ def test_conv_stack_matches_golden_digest(tmp_path):
     assert _train_digests(config, out) == CONV_GOLDEN_SHA256
     report = (out / "report_seed0.txt").read_text()
     assert "all_zero_fraction: 0.000000" in report
+
+
+def test_simulate_outputs_match_golden_digest(tmp_path):
+    cfg = yaml.safe_load(CONFIG.read_text())
+    cfg["episode"]["sample_duration"] = 100
+    cfg["data"]["n_per_class"] = 1  # one sample per class: 5 samples
+    cfg["weights"] = {"plastic_init": "random", "plastic_scale_exp": -3}
+    config = tmp_path / "simulate.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    data, out = tmp_path / "data.events", tmp_path / "out"
+    assert main(["gen-data", "--config", str(config), "--seed", "0", "--out", str(data)]) == 0
+    assert main(["simulate", "--config", str(config), "--seed", "0", "--events", str(data), "--out", str(out)]) == 0
+    assert all(len(s.events) for s in read_events(out / "raster.events"))
+    assert _digests(out, SIMULATE_GOLDEN_SHA256) == SIMULATE_GOLDEN_SHA256

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spikeshot.dynamics import NeuronParams
 from spikeshot.network import (
     F32_EXACT_FAN_IN,
+    KIND_PLASTIC,
     BuildConfig,
     ConvLayer,
     DenseLayer,
@@ -48,7 +49,7 @@ def test_reference_architecture_shapes():
         (512,),
         (11,),
     ]
-    assert topo.layers[-1].plastic
+    assert topo.layers[-1].kind == KIND_PLASTIC
 
 
 def test_unit_pool_is_passthrough_shape():

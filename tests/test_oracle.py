@@ -5,7 +5,7 @@ import pytest
 
 from spikeshot.dynamics import NeuronParams
 from spikeshot.network import DenseLayer, LayerSpec
-from spikeshot.oracle import OracleDenseLayer, OracleReadout
+from spikeshot.oracle import OracleDenseLayer, OracleReadout, StepTraces
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams, solve_baseline_bias
 from spikeshot.ruledsl import parse_rule
@@ -108,19 +108,20 @@ def test_readout_matches_oracle_readout():
     params = ReadoutParams(neuron=NeuronParams(tau_u=8, tau_v=16))
     b_err = solve_baseline_bias(params)
     store = QuantizedWeightStore((2, 4), -6, 0, init=np.full((2, 4), 25))
-    sim = ReadoutLayer(4, 2, store, params, b_err=b_err)
+    sim = ReadoutLayer(4, 2, store, params)
+    traces = StepTraces(sim)
     orc = OracleReadout(4, 2, params, b_err)
     orc.w = store.effective().tolist()
     rng = np.random.default_rng(8)
     for t in range(800):
         s = (rng.random(4) < 0.3).astype(float)
         tgt = np.array([t % 4 == 0, False])
-        sim.step(s, tgt)
+        traces.step(s, tgt)
         orc.step(s.tolist(), tgt.tolist())
         assert np.allclose(sim.v_err, orc.v_err, atol=1e-9)
         assert np.allclose(sim.v_out, orc.v_out, atol=1e-9)
         assert np.array_equal(sim.spiked_out, np.array(orc.spiked_out))
-        assert np.allclose(sim.y1, orc.y1, atol=1e-9)
+        assert np.allclose(traces.post["y1"], orc.y1, atol=1e-9)
 
 
 def test_quantized_drift_bounded_by_rounding_budget():
@@ -130,7 +131,7 @@ def test_quantized_drift_bounded_by_rounding_budget():
     b_err = solve_baseline_bias(params)
     rule = parse_rule("dw = 0.001*x1*y1")
     store = QuantizedWeightStore((1, 2), -6, 42)
-    sim = ReadoutLayer(2, 1, store, params, b_err=b_err)
+    sim = ReadoutLayer(2, 1, store, params)
     sim.attach_engine(rule, lr_exp=0, learn_period=1)
     orc = OracleReadout(2, 1, params, b_err, w_scale=2.0**-6)
     orc.set_rule(rule, lr_exp=0, learn_period=1)
@@ -170,7 +171,7 @@ def test_quantized_drift_that_moves_the_store():
     stored = []
     for seed in range(20):
         store = QuantizedWeightStore((1, 2), -6, seed)
-        sim = ReadoutLayer(2, 1, store, params, b_err=b_err)
+        sim = ReadoutLayer(2, 1, store, params)
         sim.attach_engine(rule, lr_exp=0, learn_period=1)
         sim.train([stream], [0], [0], target_period=5)
         stored.append(store.weights.astype(np.float64))
@@ -196,7 +197,7 @@ def test_rounding_drift_unbiased_across_seeds():
     mean_devs = []
     for seed in range(50):
         store = QuantizedWeightStore((1, 2), -6, seed)
-        sim = ReadoutLayer(2, 1, store, params, b_err=b_err)
+        sim = ReadoutLayer(2, 1, store, params)
         sim.attach_engine(rule, 0, 1)
         sim.train([inputs], [0], [0], target_period=5)  # the targets above
         mean_devs.append(float((store.effective() - reference).mean()))

@@ -8,7 +8,7 @@ import pytest
 
 from spikeshot import readout as readout_module
 from spikeshot.dynamics import NeuronParams
-from spikeshot.oracle import evaluate_rule_matrix, oracle_calibrate, wire_targets
+from spikeshot.oracle import StepTraces, evaluate_rule_matrix, oracle_calibrate, wire_targets
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import CalibrationError, ReadoutLayer, ReadoutParams, calibrate_bias, solve_baseline_bias
 from spikeshot.ruledsl import parse_rule
@@ -30,11 +30,12 @@ def b_err(params):
     return solve_baseline_bias(params)
 
 
-def readout(params, b_err, weights=((0,),), scale_exp=-6):
-    """A readout with int8 ``weights`` [n_out, fan_in] at ``2**scale_exp``."""
+def readout(params, weights=((0,),), scale_exp=-6):
+    """A readout with int8 ``weights`` [n_out, fan_in] at ``2**scale_exp``;
+    its b_err is ``solve_baseline_bias(params)``."""
     w = np.asarray(weights)
     store = QuantizedWeightStore(w.shape, scale_exp, 0, init=w)
-    return ReadoutLayer(w.shape[1], w.shape[0], store, params, b_err=b_err)
+    return ReadoutLayer(w.shape[1], w.shape[0], store, params)
 
 
 def drive(layer, steps, inputs=None, target_period=0):
@@ -52,37 +53,37 @@ def drive(layer, steps, inputs=None, target_period=0):
     return spikes
 
 
-def run_free(params, b_err, steps):
-    return drive(readout(params, b_err), steps)
+def run_free(params, steps):
+    return drive(readout(params), steps)
 
 
-def test_baseline_firing_is_periodic_near_target(params, b_err):
-    spikes = run_free(params, b_err, 800)
+def test_baseline_firing_is_periodic_near_target(params):
+    spikes = run_free(params, 800)
     isis = np.diff(spikes[len(spikes) // 2 :])
     assert len(set(isis.tolist())) <= 2  # periodic orbit
     assert abs(isis.mean() - params.baseline_period) <= 1.0
 
 
-def test_positive_input_raises_rate_above_baseline(params, b_err):
-    base_spikes = run_free(params, b_err, 600)
-    driven = drive(readout(params, b_err, [[16]]), 600, inputs=np.ones(600))
+def test_positive_input_raises_rate_above_baseline(params):
+    base_spikes = run_free(params, 600)
+    driven = drive(readout(params, [[16]]), 600, inputs=np.ones(600))
     assert len(driven) > len(base_spikes)
 
 
-def test_matched_input_and_target_stay_at_baseline(params, b_err):
+def test_matched_input_and_target_stay_at_baseline(params):
     # the input is the label train itself with weight w_tgt, so its drive
     # equals w_tgt * p_tgt and the potential reduces to the free-running case
-    base_spikes = run_free(params, b_err, 800)
+    base_spikes = run_free(params, 800)
     labels = (np.arange(800) % 4 == 0).astype(float)
-    layer = readout(params, b_err, [[int(params.w_tgt)]], scale_exp=0)
+    layer = readout(params, [[int(params.w_tgt)]], scale_exp=0)
     count = len(drive(layer, 800, inputs=labels, target_period=4))
     assert abs(count - len(base_spikes)) <= 1
 
 
-def test_error_rate_monotonicity_in_input_and_target(params, b_err):
+def test_error_rate_monotonicity_in_input_and_target(params):
     # a spike on every step: the drive settles near weight * 2**-6 * 1.1
     def rate(weight, target_period):
-        return len(drive(readout(params, b_err, [[weight]]), 600, np.ones(600), target_period))
+        return len(drive(readout(params, [[weight]]), 600, np.ones(600), target_period))
 
     rates_in = [rate(w, 0) for w in (0, 6, 12, 18, 24)]
     assert all(a <= b for a, b in zip(rates_in, rates_in[1:]))
@@ -129,8 +130,7 @@ def test_calibration_changes_with_tau():
 def test_solve_baseline_bias_hits_requested_period():
     for period in (10, 20, 40):
         prm = make_params(baseline_period=period)
-        b = solve_baseline_bias(prm)
-        spikes = run_free(prm, b, period * 40)
+        spikes = run_free(prm, period * 40)  # at b_err = solve_baseline_bias(prm)
         isis = np.diff(spikes[len(spikes) // 2 :])
         assert abs(isis.mean() - period) <= 1.0
 
@@ -146,9 +146,9 @@ def test_solve_baseline_bias_is_cached_per_params(monkeypatch):
     assert type(again) is float and again == first
 
 
-def output_counts(params, b_err, weight, steps):
+def output_counts(params, weight, steps):
     """Proximal spike count after each step, with a spike on every step at ``weight``."""
-    layer = readout(params, b_err, [[weight]])
+    layer = readout(params, [[weight]])
     counts = []
     for _ in range(steps):
         layer.step(np.ones(1), np.zeros(1, dtype=bool))
@@ -156,19 +156,19 @@ def output_counts(params, b_err, weight, steps):
     return counts
 
 
-def test_output_compartment_zero_current_never_spikes(params, b_err):
+def test_output_compartment_zero_current_never_spikes(params):
     # no drive: the proximal offset cancels the integrated b_err
-    assert output_counts(params, b_err, 0, 200)[-1] == 0
+    assert output_counts(params, 0, 200)[-1] == 0
 
 
-def test_output_rate_monotone_in_current(params, b_err):
-    rates = [output_counts(params, b_err, w, 400)[-1] for w in (1, 2, 4, 8, 16)]
+def test_output_rate_monotone_in_current(params):
+    rates = [output_counts(params, w, 400)[-1] for w in (1, 2, 4, 8, 16)]
     assert all(a <= b for a, b in zip(rates, rates[1:]))
     assert rates[-1] > rates[0]
 
 
-def test_output_spike_count_monotone_within_window(params, b_err):
-    counts = output_counts(params, b_err, 8, 300)
+def test_output_spike_count_monotone_within_window(params):
+    counts = output_counts(params, 8, 300)
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] > 0
 
@@ -183,7 +183,9 @@ def make_layer(seed=0, fan_in=6, n_out=3, weights=None, **prm_kw):
 
 def test_layer_matches_scalar_compartment():
     # calibrate_bias runs a scalar copy of the free distal compartment; the
-    # layer, stepped with no input and no targets, gives the same report
+    # layer, stepped with no input and no targets, with its error spikes
+    # filtered into the two-stage trace P_err and the rule trace y1, gives
+    # the same report
     window = 1200
     for prm_kw in (
         {},
@@ -191,11 +193,16 @@ def test_layer_matches_scalar_compartment():
         {"neuron": NeuronParams(tau_u=5, tau_v=12, tau_r=9), "y1": TraceConfig(tau=10, increment=0.5)},
     ):
         layer = make_layer(weights=np.zeros((3, 6)), **prm_kw)
+        traces = StepTraces(layer)
+        n = layer.params.neuron
+        q_err, p_err_t = np.zeros(3), np.zeros(3)
         p_err, y1, spikes = np.empty(window), np.empty(window), []
         for t in range(window):
-            layer.step(np.zeros(6), np.zeros(3, dtype=bool))
+            traces.step(np.zeros(6), np.zeros(3, dtype=bool))
             assert np.all(layer.spiked_err == layer.spiked_err[0])
-            p_err[t], y1[t] = layer.p_err[0], layer.y1[0]
+            q_err = n.alpha_q * q_err + layer.spiked_err.astype(np.float64)
+            p_err_t = n.alpha_p * p_err_t + q_err
+            p_err[t], y1[t] = p_err_t[0], traces.post["y1"][0]
             if layer.spiked_err[0]:
                 spikes.append(t)
         warmup = max(2, len(spikes) // 4)
@@ -255,23 +262,17 @@ def test_delta_rule_sign_flip():
     # training produce time-averaged raw updates of opposite sign
     def mean_delta(weights, with_target):
         layer = make_layer(n_out=1, fan_in=1, weights=np.array([[weights]]))
+        traces = StepTraces(layer)
         cal = calibrate_bias(layer.params, layer.b_err, 1200)
         rule = parse_rule(f"dw = y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2)")
         deltas = []
         for t in range(1200):
             s = np.array([1.0 if t % 3 == 0 else 0.0])
             tgt = np.array([with_target and t % 4 == 0])
-            layer.step(s, tgt)
+            traces.step(s, tgt)
             if t > 300:
                 deltas.append(
-                    float(
-                        evaluate_rule_matrix(
-                            rule,
-                            {"x1": layer.x1, "x2": layer.x2},
-                            {"y1": layer.y1},
-                            layer.store.effective(),
-                        )[0, 0]
-                    )
+                    float(evaluate_rule_matrix(rule, traces.pre, traces.post, layer.store.effective())[0, 0])
                 )
         return float(np.mean(deltas))
 
@@ -286,6 +287,6 @@ def test_reset_state_zeroes_everything():
     for t in range(50):
         layer.step((rng.random(6) < 0.5).astype(float), np.array([True, False, False]))
     layer.reset_state()
-    for arr in (layer.p_pre, layer.q_pre, layer.v_err, layer.y1, layer.p_out, layer.v_out):
+    for arr in (layer.p_pre, layer.q_pre, layer.v_err, layer.p_out, layer.v_out):
         assert not np.asarray(arr).any()
     assert not layer.spike_count.any()

@@ -1,13 +1,14 @@
 """ReadoutLayer.train equals its reference, bit for bit.
 
-The reference presents each sample with the plasticity-off ``step`` and
-applies the scalar, synapse by synapse rule (``apply_rule_rowmajor``) at
-every learning step. Both sides record every weight update they hand to the
+The reference presents each sample with the plasticity-off ``step``, steps
+the rule's traces beside it (``oracle.StepTraces``) and applies the scalar,
+synapse by synapse rule (``apply_rule_rowmajor``) at every learning step. Both sides record every weight update they hand to the
 store, so a change in the order of the rule's floating-point operations
 shows even where stochastic rounding would hide it in the weights.
 """
 
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,13 +18,12 @@ from hypothesis import strategies as st
 
 from spikeshot import oracle, readout
 from spikeshot.dynamics import NeuronParams
-from spikeshot.oracle import apply_rule_rowmajor, wire_targets
+from spikeshot.oracle import StepTraces, apply_rule_rowmajor, wire_targets
 from spikeshot.plasticity import QuantizedWeightStore
-from spikeshot.readout import ReadoutLayer, ReadoutParams, solve_baseline_bias
+from spikeshot.readout import ReadoutLayer, ReadoutParams
 from spikeshot.ruledsl import RULE_VARS, Factor, Product, RuleError, SumOfProductsRule, parse_rule
 
 READOUT = ReadoutParams(neuron=NeuronParams(tau_u=2, tau_v=4), baseline_period=4)
-B_ERR = solve_baseline_bias(READOUT)
 
 # a few round constants plus arbitrary ones, whose products round
 CONSTANTS = st.sampled_from([1.0, -1.0, 0.5, 2.0]) | st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
@@ -44,17 +44,16 @@ def rules(draw):
 
 
 def _reference(layer, streams, labels, order, target_period):
-    """Plasticity-off steps, with the scalar rule at every learning step."""
-    eng = layer.engine
+    """Plasticity-off steps and their traces, with the scalar rule at every
+    learning step."""
+    eng, traces = layer.engine, StepTraces(layer)
     for b in order:
         routing = wire_targets(layer.n_out, labels[b], "train", target_period)
-        layer.reset_state()
+        traces.reset()
         for t in range(len(streams[b])):
-            layer.step(streams[b][t], routing.spikes_at(t))
+            traces.step(streams[b][t], routing.spikes_at(t))
             if (t + 1) % eng.learn_period == 0:
-                pre = {"x0": layer.x0, "x1": layer.x1, "x2": layer.x2}
-                post = {"y0": layer.spiked_err.astype(np.float64), "y1": layer.y1, "y2": layer.y2}
-                apply_rule_rowmajor(layer.store, eng.rule, pre, post, eng.lr_exp)
+                apply_rule_rowmajor(layer.store, eng.rule, traces.pre, traces.post, eng.lr_exp)
 
 
 def _recording(owner, name, deltas):
@@ -76,7 +75,7 @@ def _stream_position(store):
 
 def _layer(fan_in, n_out, init, rule, lr_exp, learn_period, seed=3):
     store = QuantizedWeightStore((n_out, fan_in), -6, seed=seed, init=init)
-    layer = ReadoutLayer(fan_in, n_out, store, READOUT, b_err=B_ERR)
+    layer = ReadoutLayer(fan_in, n_out, store, READOUT)
     layer.attach_engine(rule, lr_exp, learn_period)
     return layer
 
@@ -151,6 +150,17 @@ def test_non_finite_rule_stops_at_the_failing_step(block_bytes, monkeypatch):
     assert stopped.store.weights.any()
     assert np.array_equal(failing.store.weights, stopped.store.weights)
     assert _stream_position(failing.store) == _stream_position(stopped.store)
+
+
+def test_non_finite_rule_raises_without_numpy_warnings():
+    # 1e308*w*y1 overflows once scaled by 2**3, at the first error spike;
+    # the store's finiteness check raises, and no overflow or invalid-value
+    # warning comes before it
+    layer = _layer(3, 2, np.full((2, 3), 16), parse_rule("dw = 1e308*w*y1"), 3, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuleError, match="non-finite weight updates"):
+            layer.train([np.ones((40, 3))], [0], [0], 4)
 
 
 def test_train_checks_streams_and_labels_first():
