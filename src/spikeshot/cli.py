@@ -345,7 +345,8 @@ def main(argv=None) -> int:
     except (ConfigError, TopologyError, RuleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EventFormatError, DatasetError, WeightFileError, SeparationError, FileNotFoundError) as e:
+    except (EventFormatError, DatasetError, WeightFileError, SeparationError,
+            FileNotFoundError, IsADirectoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except CalibrationError as e:

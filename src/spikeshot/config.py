@@ -124,8 +124,11 @@ def load_config(path: str | None) -> dict:
     """Load and validate a YAML config file; None means pure defaults."""
     if path is None:
         return merge_config(None)
-    with open(path) as f:
-        raw = yaml.safe_load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = yaml.safe_load(f)
+    except (IsADirectoryError, UnicodeDecodeError, yaml.YAMLError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -11,17 +11,22 @@ Times must be non-decreasing within a sample. The format is text for
 diffability; round-tripping write -> read is exact.
 
 In memory a sample's events are one ``[N, 2]`` int64 array of ``(t, neuron)``
-rows in time order, which every consumer takes whole. ``read_events`` streams
-the file and converts a sample's fields in one call when the next header or
-the end of the file closes it, so it holds one sample's text at a time.
-``SpikeEvent`` names one row: callers outside the package still build
-samples from lists of them, and any sequence of pairs converts.
+rows in time order, which every consumer takes whole. ``read_events`` reads
+the file in blocks of whole lines (about 1 MiB of text) and converts each run
+of canonical event lines (two fields of at most 18 digits, one space) in one
+``np.fromstring`` call. Every other line (headers, comments, blank lines,
+other spellings of an event, malformed lines) is classified on its own, with
+the line number that any error names. It holds one block of text at a time,
+plus the samples' arrays. ``SpikeEvent`` names one row: callers outside the
+package still build samples from lists of them, and any sequence of pairs
+converts.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +34,12 @@ import numpy as np
 
 BALANCED_HI = 0.85
 BALANCED_LO = 0.05
+
+_BLOCK_CHARS = 1 << 20  # characters of the event file read at a time
+# A run of event lines that np.fromstring converts exactly: 18 digits stay
+# below 2**63, where it would saturate instead of failing. The matcher keeps
+# ~200 bytes of backtracking state per line, so a run stops at 1,024 lines.
+_EVENT_RUN = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n){1,1024}")
 
 
 class EventFormatError(ValueError):
@@ -107,33 +118,56 @@ def _undecodable_line(path) -> int:
     return len(io.StringIO(head, newline=None).readlines())
 
 
-def _parse_events(tokens: list[str], linenos: list[int]) -> np.ndarray:
-    """One sample's ``[N, 2]`` events from its tokens, two per event;
-    ``linenos[k]`` is the line of event k."""
-    try:
-        return np.array(tokens, dtype=np.int64).reshape(-1, 2)
-    except (ValueError, OverflowError):
-        for k, tok in enumerate(tokens):
-            try:
-                np.array(tok, dtype=np.int64)
-            except (ValueError, OverflowError):
-                raise EventFormatError(f"line {linenos[k // 2]}: event field {tok!r} is not an int64") from None
-        raise
+def _line_blocks(f):
+    """The text of ``f`` in blocks of whole lines, about ``_BLOCK_CHARS`` each;
+    only the last block may lack its final newline."""
+    tail = ""
+    for block in iter(lambda: f.read(_BLOCK_CHARS), ""):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield tail + block[:cut]
+            tail = block[cut:]
+        else:
+            tail += block
+    if tail:
+        yield tail
+
+
+def _pieces(f):
+    """``(lineno, is_run, text)`` of each run of canonical event lines in
+    ``f`` and of each other line, in file order; lineno is the first line's."""
+    lineno = 1
+    for block in _line_blocks(f):
+        pos = 0
+        while pos < len(block):
+            run = _EVENT_RUN.match(block, pos)
+            end = run.end() if run else block.find("\n", pos) + 1 or len(block)
+            yield lineno, run is not None, block[pos:end]
+            lineno += block.count("\n", pos, end)
+            pos = end
+
+
+def _sample_events(chunks: list[np.ndarray], bad_field: str | None) -> np.ndarray:
+    """The closing sample's ``[N, 2]`` events; raises its first unparsable field."""
+    if bad_field:
+        raise EventFormatError(bad_field)
+    return np.concatenate([np.empty(0, np.int64), *chunks]).reshape(-1, 2)
 
 
 def read_events(path) -> list[LabeledSample]:
     samples: list[LabeledSample] = []
-    tokens, linenos = [], []  # the open sample's event fields, two per event, and each event's line
+    chunks: list[np.ndarray] = []  # the open sample's (t, neuron) values, flat, one array per run or field
+    bad_field = None  # the open sample's first field that is not an int64, raised when the sample closes
     with open(path, encoding="utf-8") as f:
         try:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.strip()
+            for lineno, is_run, text in _pieces(f):
+                line = text.strip()  # a run starts with a digit: not blank, a comment or a header
                 if not line or line.startswith("#"):
                     continue
                 if line.startswith("shape="):
                     if samples:
-                        samples[-1].events = _parse_events(tokens, linenos)
-                        tokens, linenos = [], []
+                        samples[-1].events = _sample_events(chunks, bad_field)
+                        chunks = []
                     try:
                         fields = dict(part.split("=", 1) for part in line.split())
                         shape = tuple(int(d) for d in fields["shape"].split("x"))
@@ -147,16 +181,30 @@ def read_events(path) -> list[LabeledSample]:
                     continue
                 if not samples:
                     raise EventFormatError(f"line {lineno}: event before any sample header")
+                if is_run:
+                    n = text.count("\n")
+                    values = np.fromstring(text, dtype=np.int64, sep=" ")
+                    if values.size != 2 * n:
+                        raise EventFormatError(
+                            f"lines {lineno}-{lineno + n - 1}: read {values.size} event fields, expected {2 * n}")
+                    chunks.append(values)
+                    continue
                 parts = line.split()
                 if len(parts) != 2:
-                    _parse_events(tokens, linenos)  # a bad field on an earlier line is named first
+                    if bad_field:  # a bad field on an earlier line is named first
+                        raise EventFormatError(bad_field)
                     raise EventFormatError(f"line {lineno}: expected '<t> <neuron>', got {line!r}")
-                tokens += parts
-                linenos.append(lineno)
-        except UnicodeDecodeError:  # raised by the file iterator
+                if bad_field is None:
+                    for tok in parts:
+                        try:
+                            chunks.append(np.array([tok], dtype=np.int64))
+                        except (ValueError, OverflowError):
+                            bad_field = f"line {lineno}: event field {tok!r} is not an int64"
+                            break
+        except UnicodeDecodeError:  # raised by the decoding read
             raise EventFormatError(f"line {_undecodable_line(path)}: bytes that are not UTF-8 text") from None
     if samples:
-        samples[-1].events = _parse_events(tokens, linenos)
+        samples[-1].events = _sample_events(chunks, bad_field)
     for s in samples:
         try:
             s.validate()

@@ -217,6 +217,34 @@ def test_missing_dataset_file_is_data_error(tmp_path, capsys):
     assert main(["train", "--config", str(p)]) == 3
 
 
+@pytest.mark.parametrize("text", [b"episode: [1, 2\n", b"episode:\n  n_way: 3\n  k_shot: \xff\n"],
+                         ids=["yaml-syntax", "not-utf8"])
+def test_malformed_yaml_is_config_error(tmp_path, capsys, text):
+    p = tmp_path / "bad.yaml"
+    p.write_bytes(text)
+    assert main(["train", "--config", str(p), "--dry-run"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("path, code", [("--events", 3), ("data.path", 3), ("--weights", 3), ("--config", 2)])
+def test_directory_input_path_is_error(cfg_file, tmp_path, capsys, path, code):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = ["--out", str(tmp_path / "o")]
+    if path == "--events":
+        args = ["simulate", "--config", cfg_file, "--events", str(folder), *out]
+    elif path == "data.path":
+        cfg = tmp_path / "file.yaml"
+        cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {folder}\n")
+        args = ["train", "--config", str(cfg), *out]
+    elif path == "--weights":
+        args = ["eval", "--config", cfg_file, "--weights", str(folder)]
+    else:
+        args = ["train", "--config", str(folder), "--dry-run"]
+    assert main(args) == code
+    assert capsys.readouterr().err.startswith("config error:" if code == 2 else "data error:")
+
+
 def test_seed_flag_overrides_seed_list(cfg_file, tmp_path):
     out = tmp_path / "s7"
     assert main(["train", "--config", cfg_file, "--seed", "7", "--out", str(out)]) == 0

@@ -2,12 +2,15 @@
 
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikeshot import events
 from spikeshot.events import (
     EventFormatError,
     LabeledSample,
@@ -158,6 +161,171 @@ def test_unparsable_event_fields_name_their_line(tmp_path):
     path.write_text("shape=3 duration=5 label=0\n1 x\n1 2 3\n")  # the earlier line is named first
     with pytest.raises(EventFormatError, match="^line 2: "):
         read_events(path)
+
+
+def _parse_events_reference(tokens, linenos):
+    try:
+        return np.array(tokens, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        for k, tok in enumerate(tokens):
+            try:
+                np.array(tok, dtype=np.int64)
+            except (ValueError, OverflowError):
+                raise EventFormatError(f"line {linenos[k // 2]}: event field {tok!r} is not an int64") from None
+        raise
+
+
+def read_events_reference(path):
+    """``read_events`` one line at a time: strip, classify, split, and convert
+    a sample's fields when the next header or the end of the file closes it."""
+    samples = []
+    tokens, linenos = [], []
+    with open(path, encoding="utf-8") as f:
+        try:
+            for lineno, raw in enumerate(f, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("shape="):
+                    if samples:
+                        samples[-1].events = _parse_events_reference(tokens, linenos)
+                        tokens, linenos = [], []
+                    try:
+                        fields = dict(part.split("=", 1) for part in line.split())
+                        shape = tuple(int(d) for d in fields["shape"].split("x"))
+                        samples.append(LabeledSample(
+                            shape=shape,
+                            duration=int(fields["duration"]),
+                            label=int(fields["label"]),
+                        ))
+                    except (KeyError, ValueError):
+                        raise EventFormatError(f"line {lineno}: bad sample header {line!r}")
+                    continue
+                if not samples:
+                    raise EventFormatError(f"line {lineno}: event before any sample header")
+                parts = line.split()
+                if len(parts) != 2:
+                    _parse_events_reference(tokens, linenos)  # a bad field on an earlier line is named first
+                    raise EventFormatError(f"line {lineno}: expected '<t> <neuron>', got {line!r}")
+                tokens += parts
+                linenos.append(lineno)
+        except UnicodeDecodeError:
+            raise EventFormatError(f"line {events._undecodable_line(path)}: bytes that are not UTF-8 text") from None
+    if samples:
+        samples[-1].events = _parse_events_reference(tokens, linenos)
+    for s in samples:
+        try:
+            s.validate()
+        except EventFormatError as e:
+            raise EventFormatError(f"sample with label {s.label}: {e}")
+    return samples
+
+
+# 18 digits, then int64's largest value and values past it (19 and 20 digits)
+BIG_FIELDS = ["999999999999999999", "9223372036854775807", "9223372036854775808",
+              "18446744073709551616", "99999999999999999999"]
+SPLIT_WHITESPACE = ["\t", "  ", " \t ", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+
+@st.composite
+def event_file_text(draw):
+    """Event file text mixing runs of canonical ``<t> <neuron>`` lines with
+    headers, comments, blank lines, non-canonical spellings of events and
+    malformed lines, under LF, CRLF and CR line ends."""
+    t = 0
+
+    def event(t_text=None, n_text=None, sep=" "):
+        return f"{t if t_text is None else t_text}{sep}{draw(st.integers(0, 7)) if n_text is None else n_text}"
+
+    lines = []
+    if draw(st.integers(0, 9)):
+        lines.append("shape=8 duration=64 label=0")
+    kinds = ["run"] * 8 + ["header"] * 2 + ["comment", "blank", "spaced", "signed", "big", "control", "malformed"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=20)):
+        t += draw(st.integers(0, 1))
+        if kind == "run":
+            for _ in range(draw(st.integers(1, 6))):
+                lines.append(event())
+                t += draw(st.integers(0, 1))
+        elif kind == "header":
+            shape = draw(st.sampled_from(["8", "2x4", "8x1", "4x2x1"]))
+            lines.append(f"shape={shape} duration={draw(st.sampled_from([16, 64]))} label={draw(st.integers(0, 3))}")
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  # 1 2", "#", "#shape=8 duration=1 label=0"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c", "\x1c", "\x85", "\u2028"])))
+        elif kind == "spaced":
+            sep = draw(st.sampled_from(SPLIT_WHITESPACE))
+            lines.append(draw(st.sampled_from(["", " ", "\t"])) + event(sep=sep) + draw(st.sampled_from(["", " "])))
+        elif kind == "signed":
+            lines.append(event(t_text=draw(st.sampled_from(["+", "0", "00", "+0", "-"])) + str(t),
+                               n_text=draw(st.sampled_from(["", "0", "+"])) + str(draw(st.integers(0, 7)))))
+        elif kind == "big":
+            big = draw(st.sampled_from(BIG_FIELDS))
+            lines.append(event(t_text=big) if draw(st.booleans()) else event(n_text=big))
+        elif kind == "control":
+            c = draw(st.sampled_from(["\x0c", "\x1c", "\x85", "\u2028"]))
+            lines.append(draw(st.sampled_from([c + event(), event() + c, f"{t}{c}1 2", f"1 {c}2{c}"])))
+        else:
+            lines.append(draw(st.sampled_from([f"{t} 1 2", f"{t}", "1.5 2", "x 1", "shape=8 duration=64",
+                                               "shape=8x duration=64 label=0", "label=0 shape=8 duration=64"])))
+    ends = [draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no final newline
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=event_file_text(), block=st.integers(1, 16))
+@example(text="shape=8 duration=64 label=0\n1 2\n9223372036854775808 0\n3 4\n", block=1 << 20)
+@example(text="shape=8 duration=64 label=0\n0 1\n999999999999999999 0\n", block=1 << 20)
+@example(text="shape=8 duration=64 label=0\r\n0 1\r2 3\x0c4 5\x1c\n6\x857\n", block=3)
+def test_read_events_equals_line_loop_reference(tmp_path_factory, text, block):
+    """Small blocks make runs and lines straddle block boundaries."""
+    path = tmp_path_factory.mktemp("diff") / "e.events"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(events, "_BLOCK_CHARS", block):
+        try:
+            expected = read_events_reference(path)
+        except EventFormatError as e:
+            with pytest.raises(EventFormatError, match=f"^{re.escape(str(e))}$"):
+                read_events(path)
+        else:
+            assert_same_samples(read_events(path), expected)
+
+
+def test_event_run_not_two_fields_per_line_is_format_error(tmp_path):
+    """A run that does not convert to two fields per line is an error, not
+    reshaped into other events, whatever the run pattern lets through."""
+    path = tmp_path / "e.events"
+    path.write_text("shape=8 duration=64 label=0\n0 1\n1 2 3\n4 5\n")
+    with mock.patch.object(events, "_EVENT_RUN", re.compile(r"(?:[0-9 ]+\n)+")):
+        with pytest.raises(EventFormatError, match="^lines 2-4: read 7 event fields, expected 6$"):
+            read_events(path)
+
+
+def test_read_events_holds_one_block_of_text(tmp_path):
+    """Peak memory of a read is its output arrays plus a few blocks of text,
+    not the whole file's text."""
+    block = 1 << 16
+    rng = np.random.default_rng(0)
+    samples = []
+    for label in range(150):
+        t = np.sort(rng.integers(0, 1000, 2000))
+        samples.append(LabeledSample((128, 128), 1000, label % 3, np.stack([t, rng.integers(0, 128 * 128, t.size)], 1)))
+    path = tmp_path / "big.events"
+    write_events(samples, path)
+    assert path.stat().st_size > 40 * block
+    with mock.patch.object(events, "_BLOCK_CHARS", block):
+        tracemalloc.start()
+        try:
+            back = read_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert_same_samples(back, samples)
+    output = sum(s.events.nbytes for s in back)
+    assert peak < output + 16 * block, (peak, output)
 
 
 def test_non_positive_shape_rejected(tmp_path):
