@@ -57,7 +57,10 @@ EVENTS_VERSION = 1
 
 def _out_dir(cfg: dict, override: str | None) -> str:
     out = override or cfg["output"]["dir"] or os.environ.get("SPIKESHOT_OUT") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:  # names a regular file, or lies under one
+        raise ConfigError(f"cannot make output directory {out}: {e}") from None
     return out
 
 

@@ -127,7 +127,7 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             raw = yaml.safe_load(f)
-    except (IsADirectoryError, UnicodeDecodeError, yaml.YAMLError) as e:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
     if raw is None:
         raw = {}

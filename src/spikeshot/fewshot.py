@@ -12,8 +12,9 @@ Only the readout learns, so an episode runs in three phases:
 1. Frozen pass. Every sample, train and test, goes through the frozen
    layers once, all samples stepped together along a leading batch axis.
    Each step's input counts come from one time-sorted index of all the
-   samples' event arrays. The readout's input spike streams are cached,
-   ``[B, T, fan_in]``.
+   samples' event arrays, into which a leading pool's window sum is folded:
+   the pool then only filters. The readout's input spike streams are
+   cached, ``[B, T, fan_in]``.
 2. Training. ``ReadoutLayer.train`` runs an epoch's training samples in
    their shuffled order, one after another, since the weights carry over;
    it reads each sample's cached stream in place. What no weight reaches is
@@ -43,12 +44,14 @@ the classes they were prepared on.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .events import LabeledSample
+from .network import PoolLayer
 from .readout import CalibrationReport, ReadoutLayer
 from .ruledsl import RuleError, SumOfProductsRule, parse_rule
 
@@ -139,19 +142,25 @@ def classify(spike_counts) -> int:
     return int(np.argmax(counts))
 
 
-def _event_index(samples: list[LabeledSample], n_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """Time-major index of the samples' events into a step's ``[B, n_in]`` input.
+def _event_index(samples: list[LabeledSample], net) -> tuple[np.ndarray, np.ndarray, int]:
+    """Time-major index of the samples' events into a step's ``[B, n]`` input.
 
     Step t's events are ``flat[bounds[t]:bounds[t + 1]]``, each the flat
-    position ``b * n_in + neuron``. All samples' event arrays are joined in
-    sample order and sorted stably by time, so within a step the events keep
-    their sample order and each sample's own order.
+    position ``b * n + neuron`` with n the input size; when the first frozen
+    layer is a pool, the pooled neuron whose window holds it, with n the
+    pool's size, so that a step's bincount is the pool's window sums. All
+    samples' event arrays are joined in sample order and sorted stably by
+    time, so within a step the events keep their sample order and each
+    sample's own order.
     """
     n_t = max(s.duration for s in samples)
     t, neuron = np.concatenate([s.events for s in samples]).T
+    n = net.n_in
+    if net.layers and isinstance(net.layers[0], PoolLayer):
+        neuron, n = net.layers[0].pool_index(neuron), math.prod(net.layers[0].spec.out_shape)
     owner = np.repeat(np.arange(len(samples)), [len(s.events) for s in samples])
     order = np.argsort(t, kind="stable")
-    return (owner * n_in + neuron)[order], np.searchsorted(t[order], np.arange(n_t + 1))
+    return (owner * n + neuron)[order], np.searchsorted(t[order], np.arange(n_t + 1)), n
 
 
 def check_input_size(net, samples: list[LabeledSample]):
@@ -172,12 +181,12 @@ def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     """
     check_input_size(net, samples)
     n_b, n_t = len(samples), max((s.duration for s in samples), default=0)
-    flat, bounds = _event_index(samples, net.n_in)
+    flat, bounds, n = _event_index(samples, net)
     streams = np.empty((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
     net.reset_state(batch=n_b)
     for t in range(n_t):
         # integer counts: a duplicate event counts twice, as in to_dense
-        x = np.bincount(flat[bounds[t] : bounds[t + 1]], minlength=n_b * net.n_in)
+        x = np.bincount(flat[bounds[t] : bounds[t + 1]], minlength=n_b * n)
         streams[:, t] = net.frozen_step(x)
     return streams
 

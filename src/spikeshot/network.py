@@ -13,8 +13,10 @@ the integer input counts with the integer weights, then filters per output
 neuron (see ``_FrozenLayer``). That contraction is exact: event counts sum
 in float64, and 0/1 spikes into a fan-in of at most ``F32_EXACT_FAN_IN``
 sum in float32, whose integers reach 2**24. So a batch of samples shares
-one contraction and still follows each sample's own bits. The readout
-keeps the pre-synaptic form, since its weights change every step.
+one contraction and still follows each sample's own bits. A leading pool's
+window sum is folded into the event index (``PoolLayer.pool_index``), so on
+events that pool only filters. The readout keeps the pre-synaptic form,
+since its weights change every step.
 """
 
 from __future__ import annotations
@@ -123,7 +125,9 @@ class _FrozenLayer:
     ``2**scale_exp``, then filters per output neuron:
     ``q = a_q*q + c/tau_u``, ``p = a_p*p + q/tau_v``, ``v = p + r + bias``.
     The filters are linear, so this is the pre-synaptic ``v = W·p_in`` up to
-    rounding, with ``q`` and ``p`` on ``out_shape``.
+    rounding, with ``q`` and ``p`` on ``out_shape``. ``step`` is
+    ``_filter(_contract(s))``; a leading pool stepped on counts that the
+    event index already summed over its windows runs ``_filter`` alone.
 
     The contraction is exact. Frozen inputs are integer counts (events into
     the first layer, 0/1 spikes after it) and the weights are int8, so every
@@ -160,7 +164,10 @@ class _FrozenLayer:
         raise NotImplementedError
 
     def step(self, in_spikes: np.ndarray) -> np.ndarray:
-        c = self._contract(np.asarray(in_spikes).reshape(self._lead + self.spec.in_shape))
+        return self._filter(self._contract(np.asarray(in_spikes).reshape(self._lead + self.spec.in_shape)))
+
+    def _filter(self, c: np.ndarray) -> np.ndarray:
+        """Step the neurons on the contraction ``c``, which it overwrites; returns the spikes."""
         prm = self.params
         q, p, r = self.q, self.p, self.r
         np.multiply(q, prm.alpha_q, out=q)
@@ -254,6 +261,18 @@ class PoolLayer(_FrozenLayer):
 
     kind = KIND_POOL
 
+    def pool_index(self, neuron: np.ndarray) -> np.ndarray:
+        """The flat output neuron ``(y//k, x//k, c)`` of each flat input neuron ``(y, x, c)``."""
+        y, x, c = np.unravel_index(neuron, self.spec.in_shape)
+        k = self.spec.kernel
+        return np.ravel_multi_index((y // k, x // k, c), self.spec.out_shape)
+
+    def step(self, in_spikes):
+        s = np.asarray(in_spikes)
+        if s.size == self.q.size:  # window sums, as a bincount by pool_index gives: filter a copy
+            return self._filter(s.reshape(self.q.shape).astype(np.float64))
+        return super().step(s)
+
     def _contract(self, s):
         # k-1 slab additions along rows, then along columns
         k = self.spec.kernel
@@ -315,10 +334,9 @@ class Network:
 
     def frozen_step(self, in_spikes: np.ndarray) -> np.ndarray:
         """Advance the frozen layers one timestep; returns the readout's
-        input, ``[batch..., fan_in]``, and records each layer's spikes."""
+        input, ``[batch..., fan_in]``, and records each layer's spikes.
+        Under a leading pool the input may be that pool's window sums."""
         x = np.asarray(in_spikes, dtype=np.float64)
-        if x.size != self.n_in * math.prod(self._lead):
-            raise ValueError(f"expected {self.n_in} input channels, got {x.size}")
         self.layer_spikes = []
         for layer in self.layers:
             x = layer.step(x)

@@ -22,6 +22,10 @@ TOPOLOGIES = {
     "conv": ("4x4x2", ["2c3z", "2a", "4"], 3),
     "spikes": ("4x4x2", ["2a", "2c3z", "4"], 3),  # conv and dense contract spikes in float32
     "none": ("6", [], 2),  # the readout reads input counts directly
+    # a leading pool is folded into the event index
+    "pool": ("4x4x2", ["2a"], 3),
+    "pool-pool": ("8x8x2", ["2a", "2a", "4"], 3),
+    "pool-k4": ("12x8x2", ["4a", "2c3z"], 3),  # non-square: a swapped y/x or channel stride shows
 }
 
 

@@ -245,6 +245,24 @@ def test_directory_input_path_is_error(cfg_file, tmp_path, capsys, path, code):
     assert capsys.readouterr().err.startswith("config error:" if code == 2 else "data error:")
 
 
+@pytest.mark.parametrize("path", ["missing --config", "--out file", "--out under file", "output.dir file"])
+def test_unusable_config_or_out_path_is_config_error(cfg_file, tmp_path, capsys, path):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    if path == "missing --config":
+        args = ["train", "--config", str(tmp_path / "missing.yaml"), "--dry-run"]
+    elif path == "output.dir file":
+        cfg = tmp_path / "out.yaml"
+        cfg.write_text(SMALL_CONFIG + f"output:\n  dir: {regular}\n")
+        args = ["calibrate", "--config", str(cfg)]
+    else:
+        out = regular / "sub" if path == "--out under file" else regular
+        args = ["calibrate", "--config", cfg_file, "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_seed_flag_overrides_seed_list(cfg_file, tmp_path):
     out = tmp_path / "s7"
     assert main(["train", "--config", cfg_file, "--seed", "7", "--out", str(out)]) == 0
