@@ -6,7 +6,7 @@ from .fewshot import EpisodeConfig, EpisodeReport, classify, run_episode, run_mp
 from .network import BuildConfig, LayerSpec, Network, Topology, build_network, parse_topology
 from .plasticity import PlasticityEngine, QuantizedWeightStore
 from .readout import CalibrationReport, ReadoutLayer, ReadoutParams, calibrate_bias, solve_baseline_bias
-from .ruledsl import Factor, Product, RuleError, SumOfProductsRule, evaluate_rule, parse_rule
+from .ruledsl import Factor, Product, RuleError, SumOfProductsRule, parse_rule
 from .traces import TraceConfig, psp_matched_trace_configs, update_trace
 from .weightio import load_weights, read_weight_file, save_weights
 

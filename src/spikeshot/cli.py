@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -170,6 +170,11 @@ def cmd_calibrate(args) -> int:
 def cmd_train(args) -> int:
     cfg = _apply_overrides(cfgmod.load_config(args.config), args)
     if args.dry_run:
+        # a config that train refuses before any work is refused here too
+        cfgmod.topology(cfg)
+        cfgmod.neuron_params(cfg)
+        cfgmod.readout_params(cfg)
+        cfgmod.episode_config(cfg, 0)
         sys.stdout.write(cfgmod.canonical_dump(cfg))
         print(f"config_hash: {cfgmod.config_hash(cfg)}")
         return EXIT_OK
@@ -233,58 +238,30 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class TrajectoryRecord:
-    """Per-step series of named state variables plus run metadata."""
-
-    meta: dict
-    series: dict[str, list] = field(default_factory=dict)
-
-    def append(self, name: str, value: list):
-        self.series.setdefault(name, []).append(value)
-
-    @property
-    def steps(self) -> int:
-        return max((len(v) for v in self.series.values()), default=0)
-
-
-def dump_trajectory(rec: TrajectoryRecord) -> str:
-    """Text dump, one step per row; each cell lists one variable's values."""
-    names = sorted(rec.series)
-    lines = [f"# trajectory steps={rec.steps}"]
-    for k, v in sorted(rec.meta.items()):
-        lines.append(f"# {k}={v}")
-    lines.append("# columns: step " + " ".join(names))
-    for t in range(rec.steps):
-        cells = [str(t)]
-        for name in names:
-            cells.append(",".join(repr(float(x)) for x in rec.series[name][t]))
-        lines.append(" ".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(cfgmod.load_config(args.config), args)
     out = _out_dir(cfg, args.out)
     samples = read_events(args.events)
     net = _build_net(cfg, int(cfg["episode"]["seeds"][0]))
     check_input_size(net, samples)
+    r = net.readout
     rasters = []
     for k, sample in enumerate(samples):
         net.reset_state()
         dense = sample.to_dense()
-        rec = TrajectoryRecord(meta={"sample": k, "label": sample.label})
+        # the trace: a header, then one row per step; each cell lists one
+        # variable's values
+        lines = [f"# trajectory steps={sample.duration}", f"# label={sample.label}", f"# sample={k}",
+                 "# columns: step readout.p_out readout.spikes readout.v_err readout.v_out"]
         raster = np.zeros((sample.duration, net.n_out), dtype=bool)
         for t in range(sample.duration):
             raster[t] = net.step(dense[t])
-            rec.append("readout.v_err", net.readout.v_err.tolist())
-            rec.append("readout.v_out", net.readout.v_out.tolist())
-            rec.append("readout.p_out", net.readout.p_out.tolist())
-            rec.append("readout.spikes", raster[t].astype(float).tolist())
+            cells = (",".join(repr(float(x)) for x in v) for v in (r.p_out, raster[t], r.v_err, r.v_out))
+            lines.append(" ".join((str(t), *cells)))
         rasters.append(LabeledSample(shape=(net.n_out,), duration=sample.duration,
                                      label=sample.label, events=np.argwhere(raster)))
         with open(os.path.join(out, f"trace_sample{k}.txt"), "w") as f:
-            f.write(dump_trajectory(rec))
+            f.write("\n".join(lines) + "\n")
     raster_path = os.path.join(out, "raster.events")
     write_events(rasters, raster_path)
     print(f"simulated {len(samples)} samples; raster -> {raster_path}")

@@ -175,7 +175,6 @@ def readout_params(cfg: dict) -> ReadoutParams:
         return ReadoutParams(
             neuron=neuron,
             w_tgt=r["w_tgt"],
-            target_period=r["target_period"],
             baseline_period=r["baseline_period"],
             b_err=r["b_err"],
             b_out=r["b_out"],

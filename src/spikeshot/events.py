@@ -35,6 +35,7 @@ import numpy as np
 BALANCED_HI = 0.85
 BALANCED_LO = 0.05
 
+_MAX_TRIES = 2000  # rejected prototypes before gen_synthetic_task gives up
 _BLOCK_CHARS = 1 << 20  # characters of the event file read at a time
 # A run of event lines that np.fromstring converts exactly: 18 digits stay
 # below 2**63, where it would saturate instead of failing. The matcher keeps
@@ -244,7 +245,6 @@ def gen_synthetic_task(
     duration: int = 150,
     r_max: float = 0.2,
     mode: str = "balanced",
-    max_tries: int = 2000,
 ) -> list[LabeledSample]:
     """Seeded few-shot classification task: jittered rate-coded clusters.
 
@@ -275,7 +275,7 @@ def gen_synthetic_task(
             prototypes.append(cand)
         else:
             tries += 1
-            if tries > max_tries:
+            if tries > _MAX_TRIES:
                 raise SeparationError(
                     f"failed to place {n_classes} prototypes at separation {separation} in dim {dim}"
                 )

@@ -81,6 +81,15 @@ _CONV_RE = re.compile(r"^(\d+)c(\d+)z$")
 _DENSE_RE = re.compile(r"^(\d+)$")
 
 
+def _sizes(tok: str, m: re.Match) -> list[int]:
+    """A layer token's integers; a pool window, conv channel count, kernel or
+    dense width below 1 is refused."""
+    sizes = [int(g) for g in m.groups()]
+    if min(sizes) < 1:
+        raise TopologyError(f"layer token {tok!r} has a size below 1")
+    return sizes
+
+
 def parse_topology(input_shape, layer_tokens: list[str], n_out: int) -> Topology:
     """Build a Topology from notation tokens, propagating shapes."""
     in_shape = parse_shape(input_shape) if isinstance(input_shape, str) else tuple(input_shape)
@@ -89,7 +98,7 @@ def parse_topology(input_shape, layer_tokens: list[str], n_out: int) -> Topology
     for tok in layer_tokens:
         tok = str(tok).strip()
         if m := _POOL_RE.match(tok):
-            k = int(m.group(1))
+            (k,) = _sizes(tok, m)
             if len(shape) != 3:
                 raise TopologyError(f"pooling {tok!r} needs an HxWxC input, got {shape}")
             h, w, c = shape
@@ -97,14 +106,14 @@ def parse_topology(input_shape, layer_tokens: list[str], n_out: int) -> Topology
                 raise TopologyError(f"pool window {k} does not divide {h}x{w}")
             specs.append(LayerSpec(KIND_POOL, shape, (h // k, w // k, c), kernel=k))
         elif m := _CONV_RE.match(tok):
-            ch, k = int(m.group(1)), int(m.group(2))
+            ch, k = _sizes(tok, m)
             if len(shape) != 3:
                 raise TopologyError(f"conv {tok!r} needs an HxWxC input, got {shape}")
             if k % 2 == 0:
                 raise TopologyError(f"conv kernel must be odd for same-size zero padding, got {k}")
             specs.append(LayerSpec(KIND_CONV, shape, (shape[0], shape[1], ch), kernel=k, channels=ch))
         elif m := _DENSE_RE.match(tok):
-            specs.append(LayerSpec(KIND_DENSE, shape, (int(m.group(1)),)))
+            specs.append(LayerSpec(KIND_DENSE, shape, tuple(_sizes(tok, m))))
         else:
             raise TopologyError(f"unknown layer token {tok!r}")
         shape = specs[-1].out_shape
@@ -291,6 +300,9 @@ class PoolLayer(_FrozenLayer):
 # --- network ------------------------------------------------------------------
 
 
+PLASTIC_INIT_MAX = 16  # "random" plastic init draws integers in [-16, 16]
+
+
 @dataclass(frozen=True)
 class BuildConfig:
     """Weight initialization and scaling knobs for build_network."""
@@ -301,8 +313,6 @@ class BuildConfig:
     frozen_init_hi: int = 80
     plastic_scale_exp: int = -6
     plastic_init: str = "zero"  # or "random"
-    plastic_init_lo: int = -16
-    plastic_init_hi: int = 16
 
 
 class Network:
@@ -414,7 +424,7 @@ def build_network(
         init = None
     elif cfg.plastic_init == "random":
         rng = np.random.default_rng(children[-1])
-        init = rng.integers(cfg.plastic_init_lo, cfg.plastic_init_hi + 1, size=(n_out, fan_in))
+        init = rng.integers(-PLASTIC_INIT_MAX, PLASTIC_INIT_MAX + 1, size=(n_out, fan_in))
     else:
         raise ValueError(f"unknown plastic_init {cfg.plastic_init!r}")
     store = QuantizedWeightStore((n_out, fan_in), cfg.plastic_scale_exp, store_seed, init=init)

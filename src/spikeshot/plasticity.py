@@ -49,7 +49,7 @@ class QuantizedWeightStore:
             if init.min() < WEIGHT_MIN or init.max() > WEIGHT_MAX:
                 raise ValueError("init weights out of int8 range")
             self.weights = init.astype(np.int8)
-        self.rng = np.random.Generator(np.random.Philox(self.rng_seed))
+        self.reseed()
 
     @property
     def weights(self) -> np.ndarray:
@@ -81,17 +81,9 @@ class QuantizedWeightStore:
             self._eff_exp = self.scale_exp
         return self._eff
 
-    def reseed(self, seed: int | None = None):
-        """Rewind (or replace) the rounding stream; weights are untouched."""
-        if seed is not None:
-            self.rng_seed = int(seed)
+    def reseed(self):
+        """Rewind the rounding stream; weights are untouched."""
         self.rng = np.random.Generator(np.random.Philox(self.rng_seed))
-
-    def clone(self) -> "QuantizedWeightStore":
-        """Deep copy, including the exact position of the rounding stream."""
-        out = QuantizedWeightStore(self.shape, self.scale_exp, self.rng_seed, init=self.weights.copy())
-        out.rng.bit_generator.state = self.rng.bit_generator.state
-        return out
 
     def uniforms(self, n_updates: int) -> np.ndarray:
         """The rounding draws of the next ``n_updates`` updates, ``[n_updates, *shape]``.
@@ -139,18 +131,18 @@ class PlasticityEngine:
     """A rule applied to a weight store every ``learn_period`` steps of a sample.
 
     The rule is compiled for stacked evaluation. Every product keeps its
-    index and multiplies its factors left to right, as ``evaluate_rule``
-    does per synapse. Its constant times the x factors that lead it reach
-    no weight: ``leads`` builds these for all of a sample's learning steps
-    at once. In canonical order, where ``w`` factors come first, then x's,
-    then y's, only y factors follow the lead of a product without ``w``.
-    ``tick`` multiplies those in, one stacked multiply per factor position
-    (a row of ones stands in where a product has fewer), computes every
-    other product whole from its lead, sums the products in order with one
-    reduction and rounds the sum into the store. Per synapse these are the
-    scalar rule's operations in the scalar rule's order, so the updates are
-    bit for bit the same. A rule whose updates are not finite is a
-    ``RuleError`` naming the rule.
+    index and multiplies its factors left to right, as the scalar reference
+    ``evaluate_rule`` in ``tests/oracle.py`` does per synapse. Its constant
+    times the x factors that lead it reach no weight: ``leads`` builds these
+    for all of a sample's learning steps at once. In canonical order, where
+    ``w`` factors come first, then x's, then y's, only y factors follow the
+    lead of a product without ``w``. ``tick`` multiplies those in, one
+    stacked multiply per factor position (a row of ones stands in where a
+    product has fewer), computes every other product whole from its lead,
+    sums the products in order with one reduction and rounds the sum into
+    the store. Per synapse these are the scalar rule's operations in the
+    scalar rule's order, so the updates are bit for bit the same. A rule
+    whose updates are not finite is a ``RuleError`` naming the rule.
     """
 
     def __init__(

@@ -48,7 +48,6 @@ class ReadoutParams:
 
     neuron: NeuronParams = field(default_factory=NeuronParams)
     w_tgt: float = 2.0
-    target_period: int = 4
     baseline_period: int = 20
     b_err: float | None = None
     b_out: float | None = None
@@ -330,7 +329,7 @@ class ReadoutLayer:
         ``spike_count`` stays zero. The weights, the rounding stream and the
         distal trajectory are bit for bit those of ``step`` with the rule
         applied after every learning step to traces of the step's input and
-        error spikes (``oracle.StepTraces``). A rule whose updates are not
+        error spikes (``StepTraces`` in ``tests/oracle.py``). A rule whose updates are not
         finite raises ``RuleError`` at that step, leaving the weights and
         the stream as the steps before it left them; numpy's overflow and
         invalid-value warnings on the way there are silenced.

@@ -248,13 +248,3 @@ def _canonicalize(terms: _Terms) -> SumOfProductsRule:
     products.sort(key=lambda p: (tuple(f.name for f in p.factors), p.constant))
     return SumOfProductsRule(products=tuple(products))
 
-
-def evaluate_rule(rule: SumOfProductsRule, values: dict[str, float]) -> float:
-    """Evaluate dw for one synapse given variable values (missing vars are an error)."""
-    total = 0.0
-    for prod in rule.products:
-        term = prod.constant
-        for f in prod.factors:
-            term *= values[f.name]
-        total += term
-    return total

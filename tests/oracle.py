@@ -8,21 +8,21 @@ rule references below them are exact instead: the rule's traces beside the
 plasticity-off step, label timing, the rule evaluated synapse by synapse or
 as one plain matrix expression, and the store's rounding one synapse at a
 time, each in the order that ``ReadoutLayer.train`` must reproduce bit for
-bit. Test-only by design; speed is a non-goal.
+bit. It lives in ``tests/oracle.py``, beside the tests that compare against
+it, and the ``spikeshot`` package does not ship it; speed is a non-goal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NeuronParams
-from .plasticity import WEIGHT_MAX, WEIGHT_MIN, NonFiniteUpdateError, QuantizedWeightStore
-from .readout import CalibrationReport, ReadoutLayer, ReadoutParams
-from .ruledsl import SumOfProductsRule, evaluate_rule
-from .traces import TraceConfig, update_trace
+from spikeshot.dynamics import NeuronParams
+from spikeshot.plasticity import WEIGHT_MAX, WEIGHT_MIN, NonFiniteUpdateError, QuantizedWeightStore
+from spikeshot.readout import CalibrationReport, ReadoutLayer, ReadoutParams
+from spikeshot.ruledsl import SumOfProductsRule
+from spikeshot.traces import TraceConfig, update_trace
 
 
 # --- scalar dynamics ----------------------------------------------------------
@@ -204,6 +204,17 @@ def oracle_calibrate(params: ReadoutParams, b_err: float, window: int) -> Calibr
 # --- exact references of the learning step ----------------------------------
 
 
+def evaluate_rule(rule: SumOfProductsRule, values: dict[str, float]) -> float:
+    """Evaluate dw for one synapse given variable values (missing vars are an error)."""
+    total = 0.0
+    for prod in rule.products:
+        term = prod.constant
+        for f in prod.factors:
+            term *= values[f.name]
+        total += term
+    return total
+
+
 class StepTraces:
     """The rule's traces beside a ``ReadoutLayer``'s plasticity-off steps.
 
@@ -237,30 +248,12 @@ class StepTraces:
         return out
 
 
-@dataclass(frozen=True)
-class TargetRouting:
-    """Which output neuron receives label spikes, and when."""
-
-    n_out: int
-    label: int | None
-    period: int
-
-    def spikes_at(self, t: int) -> np.ndarray:
-        out = np.zeros(self.n_out, dtype=bool)
-        if self.label is not None and self.period > 0 and t % self.period == 0:
-            out[self.label] = True
-        return out
-
-
-def wire_targets(n_out: int, label: int | None, mode: str, period: int) -> TargetRouting:
-    """Route periodic label spikes to one neuron (train) or nowhere (test)."""
-    if mode not in ("train", "test"):
-        raise ValueError(f"mode must be 'train' or 'test', got {mode!r}")
-    if mode == "train" and label is not None:
-        if not (0 <= label < n_out):
-            raise IndexError(f"label {label} out of range for {n_out} outputs")
-        return TargetRouting(n_out=n_out, label=label, period=period)
-    return TargetRouting(n_out=n_out, label=None, period=0)
+def label_spikes(n_out: int, label: int, period: int, t: int) -> np.ndarray:
+    """The target input at step t: a spike for ``label`` every ``period``
+    steps from t = 0 (none for period 0)."""
+    out = np.zeros(n_out, dtype=bool)
+    out[label] = period > 0 and t % period == 0
+    return out
 
 
 _ZERO = np.zeros(1)

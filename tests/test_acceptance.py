@@ -17,17 +17,18 @@ from spikeshot.dynamics import NeuronParams
 from spikeshot.events import gen_synthetic_task
 from spikeshot.fewshot import EpisodeConfig, run_episode, run_mplusn
 from spikeshot.network import BuildConfig, DenseLayer, LayerSpec, build_network, parse_topology
-from spikeshot.oracle import OracleDenseLayer, StepTraces, evaluate_rule_matrix
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams, calibrate_bias
-from spikeshot.ruledsl import evaluate_rule, parse_rule
+from spikeshot.ruledsl import parse_rule
 from spikeshot.traces import psp_matched_trace_configs, update_trace
 from spikeshot.weightio import load_weights, save_weights
+
+from oracle import OracleDenseLayer, StepTraces, evaluate_rule, evaluate_rule_matrix
 
 # frozen desk-scale defaults for the learning experiments
 HIDDEN_NEURON = NeuronParams(tau_u=8, tau_v=16, bias=-0.2)
 READOUT_PARAMS = ReadoutParams(neuron=NeuronParams(tau_u=8, tau_v=16),
-                               w_tgt=2.0, target_period=4, baseline_period=20)
+                               w_tgt=2.0, baseline_period=20)
 DURATION = 300
 DATA_KW = dict(dim=32, separation=1.5, jitter=0.1, duration=DURATION, r_max=0.2)
 N_SEEDS = 20

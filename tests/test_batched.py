@@ -13,8 +13,7 @@ from spikeshot.readout import ReadoutParams
 
 NEURON = NeuronParams(tau_u=2, tau_v=4, v_th=0.5)
 READOUT = ReadoutParams(neuron=NeuronParams(tau_u=2, tau_v=4))
-BUILD = dict(frozen_scale_exp=-5, frozen_init_lo=-20, frozen_init_hi=100,
-             plastic_init="random", plastic_init_lo=-80, plastic_init_hi=80)
+BUILD = dict(frozen_scale_exp=-5, frozen_init_lo=-20, frozen_init_hi=100)
 
 # (input shape, layer tokens, readout size)
 TOPOLOGIES = {
@@ -90,6 +89,7 @@ def test_batched_equals_per_sample(data):
     input_shape, tokens, n_out = TOPOLOGIES[data.draw(st.sampled_from(sorted(TOPOLOGIES)))]
     seed = data.draw(st.integers(0, 2**16))
     net = build_network(parse_topology(input_shape, tokens, n_out), NEURON, READOUT, BuildConfig(seed=seed, **BUILD))
+    net.readout.store.weights = np.random.default_rng(seed).integers(-80, 81, size=net.readout.store.shape)
     batch = data.draw(st.lists(samples(net.n_in), min_size=1, max_size=6))
 
     solo = []  # per sample: readout input stream, per-step potentials, spike counts

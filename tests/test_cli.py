@@ -3,7 +3,7 @@
 import pytest
 import yaml
 
-from spikeshot.cli import TrajectoryRecord, dump_trajectory, main
+from spikeshot.cli import main
 from spikeshot.events import read_events
 
 SMALL_CONFIG = """
@@ -226,6 +226,17 @@ def test_malformed_yaml_is_config_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+@pytest.mark.parametrize("token", ["0a", "0", "0c5z"])
+def test_zero_sized_layer_is_config_error(tmp_path, capsys, token, dry_run):
+    p = tmp_path / "zero.yaml"
+    p.write_text(SMALL_CONFIG.replace('input: "16"', 'input: "4x2x2"').replace('"32"', f'"{token}"'))
+    assert main(["train", "--config", str(p), "--out", str(tmp_path / "o"), *dry_run]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:") and "size below 1" in err
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("path, code", [("--events", 3), ("data.path", 3), ("--weights", 3), ("--config", 2)])
 def test_directory_input_path_is_error(cfg_file, tmp_path, capsys, path, code):
     folder = tmp_path / "folder"
@@ -287,14 +298,3 @@ def test_env_var_default_out_dir(cfg_file, tmp_path, monkeypatch):
     monkeypatch.setenv("SPIKESHOT_OUT", str(target))
     assert main(["calibrate", "--config", cfg_file]) == 0
     assert (target / "manifest.yaml").exists()
-
-
-def test_dump_trajectory_format():
-    rec = TrajectoryRecord(meta={"seed": 3}, series={"v": [[0.5], [1.0]], "s": [[0.0], [1.0]]})
-    text = dump_trajectory(rec)
-    lines = text.strip().split("\n")
-    assert lines[0] == "# trajectory steps=2"
-    assert "# seed=3" in lines[1]
-    assert lines[2].startswith("# columns: step")
-    assert lines[3].split() == ["0", "0.0", "0.5"]
-    assert lines[4].split() == ["1", "1.0", "1.0"]

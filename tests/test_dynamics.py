@@ -12,7 +12,8 @@ import pytest
 
 from spikeshot.dynamics import NeuronParams
 from spikeshot.network import DenseLayer, LayerSpec, TopologyError
-from spikeshot.oracle import OracleDenseLayer
+
+from oracle import OracleDenseLayer
 
 
 def dense(w_int, params, scale_exp=0):

@@ -430,7 +430,7 @@ def test_two_class_low_dim_feasible():
 
 def test_separation_infeasible_raises():
     with pytest.raises(SeparationError):
-        gen_synthetic_task(10, 1, 2, separation=5.0, seed=0, max_tries=50)
+        gen_synthetic_task(10, 1, 2, separation=5.0, seed=0)
 
 
 def test_uniform_mode_varies_brightness():

@@ -82,6 +82,13 @@ def test_topology_errors():
         parse_topology("64", [], 0)
 
 
+@pytest.mark.parametrize("token", ["0a", "0", "0c5z"])
+def test_zero_sized_layer_tokens_are_refused(token):
+    # a zero pool window, dense width or channel count
+    with pytest.raises(TopologyError, match="size below 1"):
+        parse_topology("8x8x2", [token], 3)
+
+
 def test_pool_block_equals_aggregated_weight():
     # uniform 2x2 spiking block into one pool neuron behaves like a single
     # input with 4x weight into a dense neuron

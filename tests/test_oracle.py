@@ -5,10 +5,11 @@ import pytest
 
 from spikeshot.dynamics import NeuronParams
 from spikeshot.network import DenseLayer, LayerSpec
-from spikeshot.oracle import OracleDenseLayer, OracleReadout, StepTraces
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams, solve_baseline_bias
 from spikeshot.ruledsl import parse_rule
+
+from oracle import OracleDenseLayer, OracleReadout, StepTraces
 
 
 def dense(w_int, params, scale_exp):

@@ -8,11 +8,12 @@ import pytest
 
 from spikeshot import readout as readout_module
 from spikeshot.dynamics import NeuronParams
-from spikeshot.oracle import StepTraces, evaluate_rule_matrix, oracle_calibrate, wire_targets
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import CalibrationError, ReadoutLayer, ReadoutParams, calibrate_bias, solve_baseline_bias
 from spikeshot.ruledsl import parse_rule
 from spikeshot.traces import TraceConfig
+
+from oracle import StepTraces, evaluate_rule_matrix, oracle_calibrate
 
 
 def make_params(**kw):
@@ -230,31 +231,6 @@ def test_label_cancellation_proximal_trajectory_exact():
         assert np.allclose(a.v_out, b.v_out, atol=1e-9)
         assert np.array_equal(a.spiked_out, b.spiked_out)
     assert np.array_equal(a.spike_count, b.spike_count)
-
-
-def test_wire_targets_routing():
-    r = wire_targets(11, 3, "train", 4)
-    at0 = r.spikes_at(0)
-    assert at0[3] and at0.sum() == 1
-    assert not r.spikes_at(1).any()
-    assert r.spikes_at(8)[3]
-
-
-def test_wire_targets_test_mode_empty():
-    r = wire_targets(5, 2, "test", 4)
-    assert not any(r.spikes_at(t).any() for t in range(20))
-
-
-def test_wire_targets_zero_rate_degenerates_to_test_mode():
-    r = wire_targets(5, 2, "train", 0)
-    assert not any(r.spikes_at(t).any() for t in range(20))
-
-
-def test_wire_targets_label_out_of_range():
-    with pytest.raises(IndexError):
-        wire_targets(5, 5, "train", 4)
-    with pytest.raises(ValueError):
-        wire_targets(5, 1, "validate", 4)
 
 
 def test_delta_rule_sign_flip():

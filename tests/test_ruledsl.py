@@ -12,9 +12,10 @@ from spikeshot.ruledsl import (
     Product,
     RuleError,
     SumOfProductsRule,
-    evaluate_rule,
     parse_rule,
 )
+
+from oracle import evaluate_rule
 
 GOLDEN_TEXT = "dw = 2*y1*(x2 - x1) + 2*x1 - 2*x2"
 

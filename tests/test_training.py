@@ -1,9 +1,10 @@
 """ReadoutLayer.train equals its reference, bit for bit.
 
-The reference presents each sample with the plasticity-off ``step``, steps
-the rule's traces beside it (``oracle.StepTraces``) and applies the scalar,
-synapse by synapse rule (``apply_rule_rowmajor``) at every learning step. Both sides record every weight update they hand to the
-store, so a change in the order of the rule's floating-point operations
+The reference, from ``tests/oracle.py``, presents each sample with the
+plasticity-off ``step``, steps the rule's traces beside it (``StepTraces``)
+and applies the scalar, synapse by synapse rule (``apply_rule_rowmajor``)
+at every learning step. Both sides record every weight update they hand to
+the store, so a change in the order of the rule's floating-point operations
 shows even where stochastic rounding would hide it in the weights.
 """
 
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikeshot import oracle, readout
+from spikeshot import readout
 from spikeshot.dynamics import NeuronParams
-from spikeshot.oracle import StepTraces, apply_rule_rowmajor, wire_targets
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams
 from spikeshot.ruledsl import RULE_VARS, Factor, Product, RuleError, SumOfProductsRule, parse_rule
+
+import oracle
+from oracle import StepTraces, apply_rule_rowmajor, label_spikes
 
 READOUT = ReadoutParams(neuron=NeuronParams(tau_u=2, tau_v=4), baseline_period=4)
 
@@ -48,10 +51,9 @@ def _reference(layer, streams, labels, order, target_period):
     learning step."""
     eng, traces = layer.engine, StepTraces(layer)
     for b in order:
-        routing = wire_targets(layer.n_out, labels[b], "train", target_period)
         traces.reset()
         for t in range(len(streams[b])):
-            traces.step(streams[b][t], routing.spikes_at(t))
+            traces.step(streams[b][t], label_spikes(layer.n_out, labels[b], target_period, t))
             if (t + 1) % eng.learn_period == 0:
                 apply_rule_rowmajor(layer.store, eng.rule, traces.pre, traces.post, eng.lr_exp)
 
