@@ -171,6 +171,7 @@ def cmd_train(args) -> int:
     cfg = _apply_overrides(cfgmod.load_config(args.config), args)
     if args.dry_run:
         # a config that train refuses before any work is refused here too
+        cfgmod.seeds(cfg)
         cfgmod.topology(cfg)
         cfgmod.neuron_params(cfg)
         cfgmod.readout_params(cfg)
@@ -179,7 +180,7 @@ def cmd_train(args) -> int:
         print(f"config_hash: {cfgmod.config_hash(cfg)}")
         return EXIT_OK
     out = _out_dir(cfg, args.out)
-    seeds = [int(s) for s in cfg["episode"]["seeds"]]
+    seeds = cfgmod.seeds(cfg)
     results = []
     if args.parallel_episodes and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=args.parallel_episodes) as pool:
@@ -215,7 +216,7 @@ def cmd_eval(args) -> int:
     cfg = _apply_overrides(cfgmod.load_config(args.config), args)
     if not cfg["weights"]["path"]:
         raise ConfigError("eval needs a weight file (--weights or weights.path)")
-    seed = int(cfg["episode"]["seeds"][0])
+    seed = cfgmod.seeds(cfg)[0]
     net = _build_net(cfg, seed)
     dataset = _build_dataset(cfg, seed)
     ecfg = cfgmod.episode_config(cfg, seed)
@@ -240,9 +241,10 @@ def cmd_eval(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+    seed = cfgmod.seeds(cfg)[0]
     out = _out_dir(cfg, args.out)
     samples = read_events(args.events)
-    net = _build_net(cfg, int(cfg["episode"]["seeds"][0]))
+    net = _build_net(cfg, seed)
     check_input_size(net, samples)
     r = net.readout
     rasters = []
@@ -270,7 +272,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _apply_overrides(cfgmod.load_config(args.config), args)
-    seed = int(cfg["episode"]["seeds"][0])
+    seed = cfgmod.seeds(cfg)[0]
     samples = _build_dataset(cfg, seed)
     path = args.out or "synthetic.events"
     write_events(samples, path)
@@ -302,7 +304,9 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--dry-run", action="store_true", help="validate config and exit")
     p.add_argument("--parallel-episodes", type=int, default=0, metavar="N",
-                   help="run independent seeds across N worker processes")
+                   help="run independent seeds across N worker processes; each process steps a "
+                        "large frozen pass in one thread per CPU that its BLAS leaves free "
+                        "(all CPUs with OPENBLAS_NUM_THREADS=1), so up to N x CPUs threads run")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="plasticity-off evaluation of saved weights")

@@ -87,6 +87,15 @@ DEFAULT_CONFIG: dict = {
 }
 
 _SCALARS = (int, float, str, bool, type(None))
+_PATH_KEYS = ("path", "dir")  # the keys whose None default stands for a path; the others for a number
+
+
+def _check_number(val, ref, where: str):
+    """Where the default is an integer only an integer fits, where it is a
+    float any number; a bool is neither."""
+    kinds, what = ((int,), "an integer") if isinstance(ref, int) else ((int, float), "a number")
+    if isinstance(val, bool) or not isinstance(val, kinds):
+        raise ConfigError(f"{where}: expected {what}, got {val!r}")
 
 
 def _check_block(block: dict, defaults: dict, path: str):
@@ -102,8 +111,15 @@ def _check_block(block: dict, defaults: dict, path: str):
         elif isinstance(ref, list):
             if not isinstance(val, list):
                 raise ConfigError(f"{path}.{key}: expected a list")
+            if isinstance(ref[0], int):  # a list of integers, such as the seeds
+                for item in val:
+                    _check_number(item, ref[0], f"{path}.{key}")
         elif not isinstance(val, _SCALARS):
             raise ConfigError(f"{path}.{key}: expected a scalar, got {type(val).__name__}")
+        elif isinstance(ref, (int, float)) and not isinstance(ref, bool):
+            _check_number(val, ref, f"{path}.{key}")
+        elif ref is None and val is not None and key not in _PATH_KEYS:
+            _check_number(val, 0.0, f"{path}.{key}")
 
 
 def merge_config(overrides: dict | None) -> dict:
@@ -184,9 +200,16 @@ def readout_params(cfg: dict) -> ReadoutParams:
         raise ConfigError(f"readout: {e}")
 
 
+def seeds(cfg: dict) -> list[int]:
+    """The episode seeds; a run needs at least one."""
+    if not cfg["episode"]["seeds"]:
+        raise ConfigError("config.episode.seeds: needs at least one seed")
+    return list(cfg["episode"]["seeds"])
+
+
 def topology(cfg: dict) -> Topology:
     t = cfg["topology"]
-    return parse_topology(t["input"], list(t["layers"]), int(t["output"]))
+    return parse_topology(t["input"], list(t["layers"]), t["output"])
 
 
 def build_config(cfg: dict, seed: int) -> BuildConfig:

@@ -10,11 +10,18 @@ persist. Everything is derived from the episode seed.
 Only the readout learns, so an episode runs in three phases:
 
 1. Frozen pass. Every sample, train and test, goes through the frozen
-   layers once, all samples stepped together along a leading batch axis.
-   Each step's input counts come from one time-sorted index of all the
-   samples' event arrays, into which a leading pool's window sum is folded:
-   the pool then only filters. The readout's input spike streams are
-   cached, ``[B, T, fan_in]``.
+   layers once, samples stepped together along a leading batch axis. The
+   batch is cut into contiguous sample groups, one per usable CPU that the
+   BLAS does not already run on, and the groups step at the same time,
+   each in its own thread on its own copy of the layer state; numpy
+   releases the interpreter lock inside the contractions and elementwise
+   loops that make up a step. A group must hold at least ``GROUP_GRAIN``
+   neuron updates per step, so the desk stacks run as one group, and
+   conv-dvs128's nine samples as two on two CPUs with a one-thread BLAS.
+   Each step's input counts come from one time-sorted index of the group's
+   event arrays, into which a leading pool's window sum is folded: the
+   pool then only filters. The readout's input spike streams are cached,
+   ``[B, T, fan_in]``.
 2. Training. ``ReadoutLayer.train`` runs an epoch's training samples in
    their shuffled order, one after another, since the weights carry over;
    it reads each sample's cached stream in place. What no weight reaches is
@@ -26,16 +33,17 @@ Only the readout learns, so an episode runs in three phases:
    is not stepped.
 3. Evaluation. The readout steps every stream at once with plasticity off.
 
-Each sample's trajectory is bit-identical to stepping it alone. Frozen
-layers contract int8 weights with integer counts in float64, or with 0/1
-spikes in float32 up to a fan-in of ``network.F32_EXACT_FAN_IN``; both sum
-exactly in any order, so one contraction over the whole batch gives each
-sample's bits; the readout's contraction is a stacked gemv, one per sample;
-training sums a rule's products with one reduction over the stacked
-products, which adds them left to right; all else is elementwise. Samples
-shorter than the batch's longest are padded with silent steps, and their
-spike counts are read at their own last step; the dynamics are causal, so
-the padding never reaches them.
+Each sample's trajectory is bit-identical to stepping it alone, in any
+batch and so in any group. Frozen layers contract int8 weights with integer
+counts in float64, or with 0/1 spikes in float32 up to a fan-in of
+``network.F32_EXACT_FAN_IN``; both sum exactly in any order, so one
+contraction over a whole batch gives each sample's bits; the readout's
+contraction is a stacked gemv, one per sample; training sums a rule's
+products with one reduction over the stacked products, which adds them
+left to right; all else is elementwise. Samples shorter than the batch's
+longest are padded, with silent steps up to their group's longest and with
+zero streams after it, and their spike counts are read at their own last
+step; the dynamics are causal, so the padding never reaches them.
 
 The M+N variant reuses the same loop on novel classes after resetting the
 plastic layer, with the frozen features carrying a provenance note naming
@@ -44,7 +52,10 @@ the classes they were prepared on.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -172,22 +183,100 @@ def check_input_size(net, samples: list[LabeledSample]):
             )
 
 
+# The fewest neuron updates per step worth a sample group of its own. On a
+# 2-core Xeon VM with one BLAS thread, two groups of the conv-dvs128 stack
+# ran 5-25% slower than one at 65,536 updates each, broke even near 98,304,
+# and ran 25-40% faster from 131,072 on: in smaller groups the interpreter
+# work between numpy calls, which holds the lock, outweighs the split.
+GROUP_GRAIN = 2**17
+
+# Where the BLAS reads its thread count, first match wins. Left unset, the
+# BLAS runs every call on all CPUs, and groups would only contend with it:
+# on that VM two groups took up to 1.8x as long as one for the conv-dvs128 pass.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _free_cpus() -> int:
+    """The usable CPUs over the threads the BLAS runs each call on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for var in _BLAS_THREAD_VARS:
+        threads = os.environ.get(var, "")
+        if threads.isdigit() and int(threads) > 0:
+            return max(1, cpus // int(threads))
+    return 1
+
+
+def _group_count(net, n_b: int) -> int:
+    """How many sample groups the frozen pass steps at once: one per CPU the
+    BLAS leaves free, at most one per sample, and each at least
+    ``GROUP_GRAIN`` neuron updates per step."""
+    updates = n_b * sum(math.prod(layer.spec.out_shape) for layer in net.layers)
+    return max(1, min(_free_cpus(), n_b, updates // GROUP_GRAIN))
+
+
+def _step_group(layers, index, out: np.ndarray):
+    """Step ``layers``, reset to a batch of ``len(out)``, over one group's
+    event index, writing the readout's input at step t to ``out[:, t]``."""
+    flat, bounds, n = index
+    for t in range(len(bounds) - 1):
+        # integer counts: a duplicate event counts twice, as in to_dense
+        x = np.bincount(flat[bounds[t] : bounds[t + 1]], minlength=len(out) * n).astype(np.float64)
+        for layer in layers:
+            x = layer.step(x)
+        out[:, t] = x.reshape(len(out), -1)
+
+
 def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     """The readout's input streams of all samples, ``[B, T, fan_in]``.
 
     One batched pass through the frozen layers; T is the longest duration.
     A stream past its sample's duration is padding and is never read. The
     streams are spikes (bool), or input counts when there is no frozen layer.
+
+    The batch is cut into contiguous sample groups (``_group_count``) that
+    step at the same time: group 0 steps ``net.layers`` in the calling
+    thread, each other group shallow copies of them, with their own state,
+    in a worker thread. The first error of a group reaches the caller, and
+    no thread outlives the call. The copies share the read-only weights, and
+    each group writes only its own samples' streams. Every sample follows
+    its own bits in any batch, so the split never changes a stream.
     """
     check_input_size(net, samples)
     n_b, n_t = len(samples), max((s.duration for s in samples), default=0)
-    flat, bounds, n = _event_index(samples, net)
-    streams = np.empty((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
-    net.reset_state(batch=n_b)
-    for t in range(n_t):
-        # integer counts: a duplicate event counts twice, as in to_dense
-        x = np.bincount(flat[bounds[t] : bounds[t + 1]], minlength=n_b * n)
-        streams[:, t] = net.frozen_step(x)
+    # zeroed: a group shorter than the batch leaves its tail unwritten, and evaluation steps over it
+    streams = np.zeros((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
+    n_g = _group_count(net, n_b)
+    cuts = [g * n_b // n_g for g in range(n_g + 1)]
+    groups = list(zip(cuts[:-1], cuts[1:]))
+    indices = [_event_index(samples[a:b], net) for a, b in groups]  # all before any layer state
+    net.reset_state(batch=cuts[1])
+    stacks = [net.layers]
+    for a, b in groups[1:]:
+        stack = [copy.copy(layer) for layer in net.layers]
+        for layer in stack:
+            layer.reset_state(batch=b - a)  # new state arrays: nothing is shared but the weights
+        stacks.append(stack)
+    # plain threads: concurrent.futures would import logging, 0.6 MB resident on every run
+    errors: list[BaseException] = []
+
+    def run(g):
+        try:
+            _step_group(stacks[g], indices[g], streams[slice(*groups[g])])
+        except BaseException as e:  # re-raised in the calling thread
+            errors.append(e)
+
+    threads = []
+    try:
+        for g in range(1, n_g):
+            th = threading.Thread(target=run, args=(g,), name=f"frozen-pass-{g}")
+            th.start()
+            threads.append(th)
+        run(0)
+    finally:
+        for th in threads:
+            th.join()
+    if errors:
+        raise errors[0]
     return streams
 
 

@@ -1,10 +1,15 @@
 """Batched stepping: every sample of a batch follows its solo trajectory, bit for bit."""
 
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikeshot import fewshot
 from spikeshot.dynamics import NeuronParams
 from spikeshot.events import LabeledSample, SpikeEvent
 from spikeshot.fewshot import evaluate_streams, frozen_pass
@@ -115,8 +120,75 @@ def test_batched_equals_per_sample(data):
                 now = [layer.v[b] for layer in net.layers] + [net.readout.v_out[b]]
                 assert all(np.array_equal(x, y) for x, y in zip(now, potentials[t]))
 
-    streams = frozen_pass(net, batch)
+    # the stacks here sit below the grain, so force a split: groups whose
+    # longest sample is shorter than the batch's, down to duration 0, show
+    n_g = data.draw(st.integers(1, len(batch)))
+    with mock.patch.object(fewshot, "_group_count", lambda net, n_b: n_g):
+        streams = frozen_pass(net, batch)
     for b, (stream, _, _) in enumerate(solo):
         assert np.array_equal(streams[b, : durations[b]], stream)
     counts = evaluate_streams(net.readout, streams, durations)
     assert np.array_equal(counts, np.array([c for _, _, c in solo]))
+
+
+def _conv_batch(n_b, seed=3):
+    net = build_network(parse_topology(*TOPOLOGIES["conv"]), NEURON, READOUT, BuildConfig(seed=seed, **BUILD))
+    rng = np.random.default_rng(seed)
+    batch = [LabeledSample(shape=(net.n_in,), duration=d, label=0,
+                           events=np.argwhere(rng.random((d, net.n_in)) < 0.3))
+             for d in rng.integers(5, 20, size=n_b)]
+    return net, batch
+
+
+def test_many_groups_under_a_short_switch_interval():
+    # more groups than cores, with the interpreter switching threads as often as it can
+    net, batch = _conv_batch(8)
+    alone = frozen_pass(net, batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(fewshot, "_group_count", lambda net, n_b: n_b):
+            split = frozen_pass(net, batch)
+    finally:
+        sys.setswitchinterval(interval)
+    for b, s in enumerate(batch):  # the padding past a sample's duration is never read
+        assert np.array_equal(split[b, : s.duration], alone[b, : s.duration])
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_group_error_reaches_the_caller_and_no_thread_outlives_the_pass(failing):
+    net, batch = _conv_batch(4)
+    step_group = fewshot._step_group
+    caller = threading.current_thread()
+
+    def step_or_fail(layers, index, out):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise RuntimeError(f"boom in the {failing}")
+        step_group(layers, index, out)
+
+    before = threading.active_count()
+    with mock.patch.object(fewshot, "_group_count", lambda net, n_b: 3), \
+            mock.patch.object(fewshot, "_step_group", step_or_fail):
+        with pytest.raises(RuntimeError, match=f"boom in the {failing}"):
+            frozen_pass(net, batch)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus, blas, desk, conv", [
+    (1, "1", 1, 1), (2, "1", 1, 2), (4, "1", 1, 2), (64, "1", 1, 2),
+    (2, None, 1, 1), (2, "2", 1, 1), (4, "2", 1, 2), (2, "auto", 1, 1),  # the BLAS takes the CPUs
+])
+def test_group_count_follows_free_cpus_batch_and_grain(monkeypatch, cpus, blas, desk, conv):
+    desk_net = build_network(parse_topology("32", ["64"], 5), NEURON, READOUT)  # 64 updates per sample
+    conv_net = build_network(parse_topology("128x128x2", ["4a", "16c5z", "2a", "32c5z", "2a"], 3),
+                             NEURON, READOUT)  # 32,768 updates per sample
+    monkeypatch.setattr(fewshot.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var in fewshot._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if blas is not None:
+        monkeypatch.setenv("OMP_NUM_THREADS", blas)
+    assert fewshot._group_count(desk_net, 45) == desk
+    assert fewshot._group_count(conv_net, 9) == conv
+    assert fewshot._group_count(conv_net, 4) == 1  # two groups would fall below the grain
+    assert fewshot._group_count(conv_net, 1) == 1
+    assert fewshot._group_count(conv_net, 0) == 1

@@ -237,6 +237,22 @@ def test_zero_sized_layer_is_config_error(tmp_path, capsys, token, dry_run):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("command", [["train", "--dry-run"], ["train"], ["eval", "--weights", "w.ssw"],
+                                     ["simulate", "--events", "x.events"], ["gen-data"]],
+                         ids=["dry-run", "train", "eval", "simulate", "gen-data"])
+@pytest.mark.parametrize("old, new", [("output: 3", "output: three"), ("seeds: [0]", "seeds: [x]"),
+                                      ("seeds: [0]", "seeds: []"), ("n_way: 3", "n_way: 3.5"),
+                                      ("dim: 16", "dim: true"), ("r_max: 0.3", "r_max: high")],
+                         ids=["output-word", "seed-word", "no-seeds", "float-n_way", "bool-dim", "word-r_max"])
+def test_non_numeric_or_missing_values_are_config_errors(tmp_path, capsys, command, old, new):
+    p = tmp_path / "run.yaml"
+    p.write_text(SMALL_CONFIG.replace(old, new))
+    args = [a if a not in ("w.ssw", "x.events") else str(tmp_path / a) for a in command]
+    assert main([*args, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:") and "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("path, code", [("--events", 3), ("data.path", 3), ("--weights", 3), ("--config", 2)])
 def test_directory_input_path_is_error(cfg_file, tmp_path, capsys, path, code):
     folder = tmp_path / "folder"

@@ -45,6 +45,26 @@ def test_bad_scalar_types_rejected():
         merge_config({"topology": {"layers": "64"}})
 
 
+@pytest.mark.parametrize("block, message", [
+    ({"topology": {"output": "three"}}, "integer"),
+    ({"episode": {"seeds": [0, "x"]}}, "integer"),
+    ({"episode": {"k_shot": True}}, "integer"),
+    ({"episode": {"sample_duration": 30.0}}, "integer"),
+    ({"data": {"separation": "wide"}}, "number"),
+    ({"neuron": {"tau_r": "x"}}, "number"),  # a None default that stands for a number
+    ({"readout": {"b_err": "x"}}, "number"),
+])
+def test_numbers_must_be_numbers(block, message):
+    with pytest.raises(ConfigError, match=message):
+        merge_config(block)
+
+
+def test_numbers_and_optional_values_accepted():
+    cfg = merge_config({"neuron": {"tau_u": 8, "tau_r": 3}, "readout": {"b_err": None, "y1_tau": 5.5},
+                        "data": {"path": "x.events"}, "episode": {"seeds": [3, -1]}})
+    assert cfg["neuron"]["tau_r"] == 3 and cfg["episode"]["seeds"] == [3, -1]
+
+
 def test_typed_views_validate_values():
     cfg = merge_config({"neuron": {"tau_u": 0.1}})
     with pytest.raises(ConfigError):
