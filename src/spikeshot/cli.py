@@ -17,6 +17,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing import get_context
+from unittest import mock
 
 import numpy as np
 import yaml
@@ -40,6 +42,7 @@ from .fewshot import (
     run_episode,
     run_mplusn,
     split_shots,
+    worker_blas_env,
 )
 from .network import TopologyError, build_network
 from .readout import CalibrationError, calibrate_bias, solve_baseline_bias
@@ -183,7 +186,9 @@ def cmd_train(args) -> int:
     seeds = cfgmod.seeds(cfg)
     results = []
     if args.parallel_episodes and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel_episodes) as pool:
+        # spawned workers load their own BLAS; forked ones keep this one's, on all CPUs
+        n = args.parallel_episodes
+        with mock.patch.dict(os.environ, worker_blas_env(n)), ProcessPoolExecutor(n, get_context("spawn")) as pool:
             futures = [pool.submit(_train_one, cfg, s, out) for s in seeds]
             results = [f.result() for f in futures]
     else:
@@ -304,9 +309,9 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--dry-run", action="store_true", help="validate config and exit")
     p.add_argument("--parallel-episodes", type=int, default=0, metavar="N",
-                   help="run independent seeds across N worker processes; each process steps a "
-                        "large frozen pass in one thread per CPU that its BLAS leaves free "
-                        "(all CPUs with OPENBLAS_NUM_THREADS=1), so up to N x CPUs threads run")
+                   help="run independent seeds across N worker processes, each with max(1, CPUs // N) "
+                        "BLAS threads by default; each steps a large frozen pass in one thread per CPU "
+                        "that its BLAS leaves free, so up to N x CPUs threads run")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="plasticity-off evaluation of saved weights")

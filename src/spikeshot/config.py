@@ -12,6 +12,7 @@ import hashlib
 import yaml
 
 from .dynamics import NeuronParams
+from .events import PROTOTYPE_MODES
 from .fewshot import DEFAULT_RULE, EpisodeConfig
 from .network import BuildConfig, Topology, parse_topology
 from .readout import ReadoutParams
@@ -133,6 +134,8 @@ def merge_config(overrides: dict | None) -> dict:
             merged[section].update(block)
         else:
             merged[section] = block
+    if merged["data"]["mode"] not in PROTOTYPE_MODES:
+        raise ConfigError(f"config.data.mode: expected one of {PROTOTYPE_MODES}, got {merged['data']['mode']!r}")
     return merged
 
 

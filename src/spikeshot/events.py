@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+PROTOTYPE_MODES = ("balanced", "uniform")  # see gen_synthetic_task
 BALANCED_HI = 0.85
 BALANCED_LO = 0.05
 
@@ -260,7 +261,7 @@ def gen_synthetic_task(
     """
     if separation <= 0.0:
         raise ValueError("separation must be positive")
-    if mode not in ("balanced", "uniform"):
+    if mode not in PROTOTYPE_MODES:
         raise ValueError(f"unknown prototype mode {mode!r}")
     rng = np.random.default_rng(seed)
     prototypes: list[np.ndarray] = []

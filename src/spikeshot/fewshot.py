@@ -28,9 +28,9 @@ Only the readout learns, so an episode runs in three phases:
    computed ahead of the steps over whole stretches of the sample: the
    pre-synaptic filters and x traces, the rule's constant-times-x factors,
    the rounding uniforms and the label drive. Each step then runs only the
-   drive, the distal compartment, the y traces and one stacked evaluation
-   of the rule. The proximal compartment only matters for evaluation and
-   is not stepped.
+   drive, the distal compartment, one advance of a stack of the y traces
+   and the reset term, and one stacked evaluation of the rule, into buffers
+   made once per sample. The proximal compartment is not stepped.
 3. Evaluation. The readout steps every stream at once with plasticity off.
 
 Each sample's trajectory is bit-identical to stepping it alone, in any
@@ -196,9 +196,20 @@ GROUP_GRAIN = 2**17
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def worker_blas_env(workers: int) -> dict[str, str]:
+    """BLAS thread counts that share the CPUs among ``workers`` processes, unless set."""
+    if any(var in os.environ for var in _BLAS_THREAD_VARS):
+        return {}
+    return dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, _usable_cpus() // workers)))
+
+
 def _free_cpus() -> int:
     """The usable CPUs over the threads the BLAS runs each call on."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cpus = _usable_cpus()
     for var in _BLAS_THREAD_VARS:
         threads = os.environ.get(var, "")
         if threads.isdigit() and int(threads) > 0:

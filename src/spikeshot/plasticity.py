@@ -21,6 +21,15 @@ from .ruledsl import RuleError, SumOfProductsRule
 
 WEIGHT_MIN = -128
 WEIGHT_MAX = 127
+_BOUNDS = np.array(float(WEIGHT_MIN)), np.array(float(WEIGHT_MAX))
+
+
+@functools.cache
+def _pow2(exp: int) -> np.ndarray:
+    """2**exp as a read-only 0-d array, an operand numpy takes faster than a float."""
+    a = np.array(2.0**exp)
+    a.flags.writeable = False
+    return a
 
 
 class NonFiniteUpdateError(ValueError):
@@ -40,6 +49,7 @@ class QuantizedWeightStore:
         self.shape = tuple(shape)
         self.scale_exp = int(scale_exp)
         self.rng_seed = int(seed)
+        self._frac, self._floor = np.empty((2,) + self.shape)  # the rounding's buffers
         if init is None:
             self.weights = np.zeros(self.shape, dtype=np.int8)
         else:
@@ -69,14 +79,10 @@ class QuantizedWeightStore:
         self._float = w.astype(np.float64)
         self._eff_exp = None
 
-    @property
-    def scale(self) -> float:
-        return 2.0**self.scale_exp
-
     def effective(self) -> np.ndarray:
         """Real-valued weights: integer * 2**scale_exp (read-only, cached)."""
         if self._eff_exp != self.scale_exp:
-            self._eff = self._float * self.scale
+            self._eff = np.multiply(self._float, _pow2(self.scale_exp))
             self._eff.flags.writeable = False
             self._eff_exp = self.scale_exp
         return self._eff
@@ -110,19 +116,19 @@ class QuantizedWeightStore:
         """
         if raw_deltas.shape != self.shape:
             raise ValueError(f"delta shape {raw_deltas.shape} != store shape {self.shape}")
-        candidate = self._float + raw_deltas * 2.0**lr_exp
-        floor = np.floor(candidate)
-        frac = candidate - floor
-        # frac lies in [0, 1) where the candidate is finite and is NaN where it is not
-        if math.isnan(np.add.reduce(frac, axis=None)):
-            bad = np.count_nonzero(~np.isfinite(candidate))
-            raise NonFiniteUpdateError(f"{bad} of {candidate.size} weight updates are not finite")
-        rounded = floor + (draws < frac).astype(np.float64)  # a same-type add is the faster loop
-        # clamped in place: integers in [-128, 127], never -0.0, so exactly
-        # the new int8 weights as floats
-        np.maximum(rounded, WEIGHT_MIN, out=rounded)
-        np.minimum(rounded, WEIGHT_MAX, out=rounded)
-        self._float = rounded
+        # buffers and positional outputs: an allocation or a keyword costs
+        # about what a small operation does
+        frac, floor, sub = self._frac, self._floor, np.subtract
+        np.add(self._float, np.multiply(raw_deltas, _pow2(lr_exp), frac), frac)
+        sub(frac, np.floor(frac, floor), frac)
+        # frac lies in [0, 1] where the candidate is finite and is NaN where it is not
+        if math.isnan(np.vdot(frac, frac)):  # numpy's cheapest sum
+            bad = np.count_nonzero(np.isnan(frac))
+            raise NonFiniteUpdateError(f"{bad} of {frac.size} weight updates are not finite")
+        # frac - draw > 0 exactly where draw < frac, so its ceiling is the carry, 1 or ±0
+        np.add(floor, np.ceil(sub(frac, draws, frac), frac), floor)
+        # clamped: integers in [-128, 127], never -0.0, so exactly the new int8 weights as floats
+        np.fmin(np.fmax(floor, _BOUNDS[0], floor), _BOUNDS[1], self._float)
         self._weights = None
         self._eff_exp = None
 
@@ -180,12 +186,13 @@ class PlasticityEngine:
         self._whole = [(k, [(v[0], x_row[v] if v[0] == "x" else y_rows.index(v) if v[0] == "y" else None)
                             for v in rest]) for k, rest in self._whole]
         self._terms = np.empty((len(ys),) + store.shape)
+        self._total = np.empty(store.shape)
         # np.add.reduce sums over axis 0 elementwise, left to right, unless
         # each term is one synapse: then it sums pairwise
         self._lone = store.shape == (1, 1)
 
     def leads(self, x: np.ndarray) -> np.ndarray:
-        """Every product's constant times its leading x factors, ``[n, K,
+        """Every product's constant times its leading x factors, ``[n, K, 1,
         fan_in]``, from x values ``[n, len(x_names), fan_in]`` at n learning
         steps."""
         out = np.empty((len(x), len(self._terms), self.store.shape[1]))
@@ -193,27 +200,27 @@ class PlasticityEngine:
             out[:, k] = c
             for r in rows:
                 out[:, k] *= x[:, r]
-        return out
+        return out[:, :, np.newaxis]
 
     def tick(self, lead: np.ndarray, x: np.ndarray, y: np.ndarray, draws: np.ndarray):
         """One learning step: evaluate the rule and round it into the store.
 
-        ``lead`` is this step's ``leads`` row, ``x`` its x values,
-        ``[len(x_names), fan_in]``, ``y`` its values of ``y_rows``,
-        ``[len(y_rows), n_out]``, and ``draws`` its rounding uniforms.
+        ``lead`` is this step's ``leads`` row, ``x`` its x values, ``[len(x_names),
+        fan_in]``, ``y`` its values of ``y_rows`` (and maybe more rows after
+        them) as columns, ``[rows, n_out, 1]``, and ``draws`` its rounding uniforms.
         """
         # positional outputs: a keyword costs about what a small multiply does
-        terms, mul, cols, n = self._terms, np.multiply, y[:, :, np.newaxis], len(self._terms)
-        mul(lead[:, np.newaxis, :], cols[:n], terms)
+        terms, mul, n = self._terms, np.multiply, len(self._terms)
+        mul(lead, y[:n], terms)
         for d in range(1, self._depth):
-            mul(terms, cols[d * n : (d + 1) * n], terms)
+            mul(terms, y[d * n : (d + 1) * n], terms)
         if self._whole:
             w_eff = self.store.effective()
             for k, rest in self._whole:
                 term, acc = terms[k], lead[k]
                 for kind, r in rest:
-                    acc = mul(acc, w_eff if kind == "w" else x[r] if kind == "x" else cols[r], term)
-        total = functools.reduce(np.add, terms) if self._lone else np.add.reduce(terms, 0)
+                    acc = mul(acc, w_eff if kind == "w" else x[r] if kind == "x" else y[r], term)
+        total = functools.reduce(np.add, terms) if self._lone else np.add.reduce(terms, 0, None, self._total)
         try:
             self.store.apply_update_matrix(total, self.lr_exp, draws)
         except NonFiniteUpdateError as e:

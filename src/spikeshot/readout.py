@@ -253,16 +253,14 @@ class ReadoutLayer:
         q = self._a_q * q + drive
         return q, self._a_p * p + q / self.params.neuron.tau_v
 
-    def _distal(self, drive, label_drive):
-        """Advance the distal compartment by one step; ``drive`` is the
-        synaptic drive, effective() @ p_pre, and ``label_drive`` is
-        w_tgt * p_tgt. Returns its potential without the reset term."""
-        v_th = self.params.neuron.v_th
-        self.r_err = self._a_r * self.r_err - self.spiked_err * v_th
-        base = drive - label_drive + self.b_err
-        self.v_err = base + self.r_err
-        self.spiked_err = self.v_err >= v_th
-        return base
+    def _distal(self, drive, label_drive, r, b_err, v_th, out=(None, None, None)):
+        """One step of the distal compartment from the synaptic drive,
+        effective() @ p_pre, the label drive, w_tgt * p_tgt, and the reset
+        term ``r``, already past the previous step's spikes. Returns the
+        potential without and with ``r`` and the spikes, into ``out``."""
+        base = np.add(np.subtract(drive, label_drive, out[0]), b_err, out[0])
+        v = np.add(base, r, out[1])
+        return base, v, np.greater_equal(v, v_th, out[2])
 
     def step(self, in_spikes: np.ndarray, target_spikes: np.ndarray) -> np.ndarray:
         """One plasticity-off timestep; returns the proximal (output) spike vector.
@@ -285,12 +283,14 @@ class ReadoutLayer:
 
         # one gemv per sample, bit-identical to effective() @ p_pre
         drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
-        u_err = self._distal(drive, prm.w_tgt * self.p_tgt)  # the copied current: no reset term
+        self.r_err = self._a_r * self.r_err - self.spiked_err * n.v_th
+        label_drive = prm.w_tgt * self.p_tgt
+        u_err, self.v_err, self.spiked_err = self._distal(drive, label_drive, self.r_err, self.b_err, n.v_th)
 
         # proximal compartment: integrates the copied current; the label
         # drive re-enters with opposite sign through the same filter, so
         # label spikes cancel exactly
-        self.p_out = self._a_p * self.p_out + u_err + prm.w_tgt * self.p_tgt
+        self.p_out = self._a_p * self.p_out + u_err + label_drive
         self.r_out = self._a_r * self.r_out - self.spiked_out * n.v_th
         self.v_out = self.p_out + self.r_out + self.b_out
         self.spiked_out = self.v_out >= n.v_th
@@ -318,21 +318,23 @@ class ReadoutLayer:
         the ``order`` of their indices, typically one epoch. The state is
         reset before each sample; the weights carry over.
 
-        The work that no weight reaches is done ahead of the steps, over
-        whole stretches of a sample's time axis: the PSC filter and the x
-        traces as one recursion over their stacked rows, the PSP filter as a
-        second one, the rule's leading factors at every learning step and
-        the rounding uniforms; the label drive is filtered once per call.
-        Each step then computes only what depends on the weights: the
-        drive, the distal compartment, the y traces and, at learning steps,
-        the engine's tick. The proximal compartment is not stepped, so
-        ``spike_count`` stays zero. The weights, the rounding stream and the
-        distal trajectory are bit for bit those of ``step`` with the rule
-        applied after every learning step to traces of the step's input and
-        error spikes (``StepTraces`` in ``tests/oracle.py``). A rule whose updates are not
-        finite raises ``RuleError`` at that step, leaving the weights and
-        the stream as the steps before it left them; numpy's overflow and
-        invalid-value warnings on the way there are silenced.
+        What no weight reaches is done ahead of the steps, over whole
+        stretches of a sample: the PSC filter and the x traces as one
+        recursion over their stacked rows, the PSP filter as a second, the
+        rule's leading factors at every learning step and the rounding
+        uniforms; the label drive is filtered once per call. A step then
+        runs only the weight-dependent work, in about 20 numpy calls for
+        the shipped rule: the drive (one gemv), the distal compartment, one
+        decay-and-jump of a stack that holds the y traces and the reset term
+        r_err, and at learning steps the engine's tick. The proximal
+        compartment is not stepped, so ``spike_count`` stays zero. The
+        weights, the rounding stream and the distal state are bit for bit
+        those of ``step`` with the rule applied after every learning step to
+        traces of the step's input and error spikes (``StepTraces`` in
+        ``tests/oracle.py``). A rule whose updates are not finite raises
+        ``RuleError`` at that step, leaving the weights and the stream as
+        the steps before it left them; numpy's overflow and invalid-value
+        warnings on the way there are silenced.
         """
         if self.engine is None:
             raise RuntimeError("train() needs a learning rule: attach_engine() first")
@@ -355,66 +357,67 @@ class ReadoutLayer:
         The pre-work runs in blocks of whole learning periods whose arrays
         take about ``_BLOCK_BYTES``, so that a wide readout adds little
         memory and the block stays in cache; the filters carry their state
-        from block to block.
+        from block to block. A step allocates nothing: its operations write
+        through positional outputs into buffers made once per sample, and
+        take constants as 0-d arrays, which numpy takes faster than floats.
         """
-        engine, store, period = self.engine, self.store, self.engine.learn_period
-        # filter rows: the PSC, then the x values the rule reads; x0 is the
-        # input itself, which decay 0 and jump s give exactly
-        x_cfgs = {"x0": (0.0, 1.0), "x1": (self.x1_cfg.alpha, self.x1_cfg.increment),
-                  "x2": (self.x2_cfg.alpha, self.x2_cfg.increment)}
-        decays = np.array([self._a_q] + [x_cfgs[k][0] for k in engine.x_names])[:, np.newaxis]
+        engine, store, period, n = self.engine, self.store, self.engine.learn_period, self.params.neuron
+        # (decay, jump) of each trace: x0 and y0 are the spikes themselves,
+        # which decay 0 and jump s give exactly; "1" decays by 1, never jumps
+        cfgs = {"1": (1.0, 0.0), "x0": (0.0, 1.0), "y0": (0.0, 1.0)}
+        for name, c in zip(("x1", "x2", "y1", "y2"), (self.x1_cfg, self.x2_cfg, self.y1_cfg, self.y2_cfg)):
+            cfgs[name] = c.alpha, c.increment
+        # filter rows: the PSC, then the x values the rule reads
+        decays = np.array([self._a_q] + [cfgs[k][0] for k in engine.x_names])[:, np.newaxis] * np.ones(self.fan_in)
         filt_state, psp_state = np.zeros((len(decays), self.fan_in)), np.zeros(self.fan_in)
         per_period = 8 * self.fan_in * (len(decays) * period + len(engine.rule.products) + self.n_out)
         block = period * max(1, _BLOCK_BYTES // per_period)
-
-        # every y row steps as a trace of the error spikes: "1" decays by 1
-        # and never jumps, y0 decays by 0 and jumps by 1, which give 1 and
-        # the spikes exactly
-        y_cfgs = {"1": (1.0, 0.0), "y0": (0.0, 1.0), "y1": (self.y1_cfg.alpha, self.y1_cfg.increment),
-                  "y2": (self.y2_cfg.alpha, self.y2_cfg.increment)}
-        y_decays, y_incs = np.array([y_cfgs[k] for k in engine.y_rows]).T[:, :, np.newaxis]
-        y = np.array([[float(k == "1")] * self.n_out for k in engine.y_rows])
-        use_y = any(k != "1" for k in engine.y_rows)
+        # y rows step as traces of the error spikes; the last one, the reset
+        # term, decays by alpha_r and jumps by -v_th (a*r + s*(-v_th) is
+        # a*r - s*v_th exactly), ready for the next step
+        rows = [cfgs[k] for k in engine.y_rows] + [(self._a_r, -n.v_th)]
+        y_decays, y_incs = np.array(rows).T[:, :, np.newaxis] * np.ones(self.n_out)
+        y = np.array([[float(k == "1")] * self.n_out for k in engine.y_rows] + [[0.0] * self.n_out])
+        y_cols, r, jump, drive = y[:, :, np.newaxis], y[-1], np.empty_like(y), np.empty(self.n_out)
+        out = np.zeros(self.n_out), np.zeros(self.n_out), np.zeros(self.n_out, dtype=bool)
+        b_err, v_th, a_p = np.array(self.b_err), np.array(n.v_th), np.array(self._a_p)
         self.reset_state()
         for t0 in range(0, len(stream), block):
             seg = stream[t0 : t0 + block]
             filt = np.empty((len(seg), len(decays), self.fan_in))
-            np.divide(seg, self.params.neuron.tau_u, out=filt[:, 0])
-            for r, k in enumerate(engine.x_names, 1):
-                np.multiply(seg, x_cfgs[k][1], out=filt[:, r])
-            _recur(filt, decays, filt_state)
-            filt_state = filt[-1].copy()
+            np.divide(seg, n.tau_u, out=filt[:, 0])
+            for k, name in enumerate(engine.x_names, 1):
+                np.multiply(seg, cfgs[name][1], out=filt[:, k])
+            filt_state = _recur(filt, decays, filt_state)
             psp = filt[:, 0]  # the PSC row becomes the PSP
-            np.divide(psp, self.params.neuron.tau_v, out=psp)
-            _recur(psp, self._a_p, psp_state)
-            psp_state = psp[-1].copy()
+            psp_state = _recur(np.divide(psp, n.tau_v, out=psp), a_p, psp_state)
             x = filt[period - 1 :: period, 1:]
-            leads = engine.leads(x)
-            draws = store.uniforms(len(leads))
-            tick = 0
-            labels = label_drive[t0 : t0 + block]
+            leads, draws, tick, eff = engine.leads(x), store.uniforms(len(x)), 0, store.effective()
+            last = len(seg) - 1 if t0 + block >= len(stream) else -1
             try:
-                for t in range(len(seg)):
-                    self._distal(np.dot(store.effective(), psp[t]), labels[t])  # a gemv, as in step
-                    if use_y:
-                        y *= y_decays
-                        y += self.spiked_err.astype(np.float64) * y_incs
+                for t, (p, label) in enumerate(zip(psp, label_drive[t0 : t0 + block])):
+                    self._distal(eff.dot(p, drive), label, r, b_err, v_th, out)  # a gemv, as in step
+                    if t == last:  # the reset term of the sample's last step
+                        self.r_err = r.copy()
+                    np.add(np.multiply(y, y_decays, y), np.multiply(out[2], y_incs, jump), y)
                     if t % period == period - 1:
-                        engine.tick(leads[tick], x[tick], y, draws[tick])
-                        tick += 1
+                        engine.tick(leads[tick], x[tick], y_cols, draws[tick])
+                        tick, eff = tick + 1, store.effective()
             except RuleError:
                 store.unread(tick)
                 raise
         self.q_pre, self.p_pre = filt_state[0], psp_state
+        _, self.v_err, self.spiked_err = out
 
 
 # bytes of pre-work arrays per block of a sample's training steps
 _BLOCK_BYTES = 1 << 20
 
 
-def _recur(a: np.ndarray, decay, state: np.ndarray):
+def _recur(a: np.ndarray, decay, state: np.ndarray) -> np.ndarray:
     """In place along axis 0: a[t] = decay * a[t - 1] + a[t], where a[-1]
-    is ``state``."""
+    is ``state``. Returns a copy of the last row, the next state."""
     buf, rows, add, mul = np.empty(a.shape[1:]), [state] + list(a), np.add, np.multiply
     for prev, cur in zip(rows, rows[1:]):
         add(mul(decay, prev, buf), cur, cur)  # positional out: keywords cost more than the add
+    return a[-1].copy()

@@ -237,6 +237,17 @@ def test_zero_sized_layer_is_config_error(tmp_path, capsys, token, dry_run):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+@pytest.mark.parametrize("mode", ["3", "striped"])
+def test_unknown_data_mode_is_config_error(tmp_path, capsys, mode, dry_run):
+    p = tmp_path / "mode.yaml"
+    p.write_text(SMALL_CONFIG + f"  mode: {mode}\n")
+    assert main(["train", "--config", str(p), "--out", str(tmp_path / "o"), *dry_run]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:") and "data.mode" in err
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("command", [["train", "--dry-run"], ["train"], ["eval", "--weights", "w.ssw"],
                                      ["simulate", "--events", "x.events"], ["gen-data"]],
                          ids=["dry-run", "train", "eval", "simulate", "gen-data"])

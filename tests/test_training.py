@@ -129,7 +129,7 @@ def _check(streams, labels, order, target_period, init, rule, lr_exp, learn_peri
     assert len(ours) == n_ticks
     assert np.array_equal(np.array(ours).reshape(-1), np.array(theirs))
     assert np.array_equal(trained.store.weights, reference.store.weights)
-    for name in ("q_pre", "p_pre", "v_err", "spiked_err"):
+    for name in ("q_pre", "p_pre", "v_err", "r_err", "spiked_err"):
         assert np.array_equal(getattr(trained, name), getattr(reference, name))
     assert _stream_position(trained.store) == _stream_position(reference.store)
 
