@@ -2,7 +2,7 @@
 
 from .dynamics import NeuronParams
 from .events import LabeledSample, SpikeEvent, gen_synthetic_task, rate_encode, read_events, write_events
-from .fewshot import EpisodeConfig, EpisodeReport, classify, run_episode, run_mplusn, split_shots
+from .fewshot import EpisodeConfig, EpisodeReport, classify, episode_samples, run_episode, split_shots
 from .network import BuildConfig, LayerSpec, Network, Topology, build_network, parse_topology
 from .plasticity import PlasticityEngine, QuantizedWeightStore
 from .readout import CalibrationReport, ReadoutLayer, ReadoutParams, calibrate_bias, solve_baseline_bias

@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from multiprocessing import get_context
 from unittest import mock
 
@@ -35,12 +34,13 @@ from .events import (
 )
 from .fewshot import (
     DatasetError,
+    EpisodeConfig,
     check_input_size,
     classify,
+    episode_samples,
     evaluate,
     format_report,
     run_episode,
-    run_mplusn,
     split_shots,
     worker_blas_env,
 )
@@ -79,23 +79,22 @@ def _apply_overrides(cfg: dict, args) -> dict:
     return cfg
 
 
-def _build_dataset(cfg: dict, seed: int) -> list[LabeledSample]:
-    d, e = cfg["data"], cfg["episode"]
+def _build_dataset(cfg: dict, ecfg: EpisodeConfig) -> list[LabeledSample]:
+    d = cfg["data"]
     if d["kind"] == "file":
         if not d["path"]:
             raise ConfigError("data.kind is 'file' but data.path is unset")
         return read_events(d["path"])
     if d["kind"] != "synthetic":
         raise ConfigError(f"unknown data.kind {d['kind']!r}")
-    n_classes = int(e["n_way"]) + int(e["m_pretrained"])
     return gen_synthetic_task(
-        n_classes=n_classes,
+        n_classes=ecfg.n_way + ecfg.m_pretrained,
         n_per_class=int(d["n_per_class"]),
         dim=int(d["dim"]),
         separation=float(d["separation"]),
-        seed=int(d["seed_offset"]) + seed,
+        seed=int(d["seed_offset"]) + ecfg.seed,
         jitter=float(d["jitter"]),
-        duration=int(e["sample_duration"]),
+        duration=int(cfg["episode"]["sample_duration"]),
         r_max=float(d["r_max"]),
         mode=d["mode"],
     )
@@ -114,16 +113,9 @@ def _build_net(cfg: dict, seed: int):
 
 
 def _train_one(cfg: dict, seed: int, out: str):
-    net = _build_net(cfg, seed)
-    dataset = _build_dataset(cfg, seed)
     ecfg = cfgmod.episode_config(cfg, seed)
-    if ecfg.m_pretrained > 0:
-        classes = sorted({s.label for s in dataset})
-        pretrain = set(classes[: ecfg.m_pretrained])
-        novel = set(classes[ecfg.m_pretrained :])
-        report = run_mplusn(net, pretrain, novel, ecfg, {"novel": dataset})
-    else:
-        report = run_episode(net, ecfg, dataset)
+    net = _build_net(cfg, seed)
+    report = run_episode(net, ecfg, _build_dataset(cfg, ecfg))
     weights_path = os.path.join(out, f"weights_seed{seed}.ssw")
     save_weights(net, weights_path)
     return report, weights_path
@@ -222,23 +214,12 @@ def cmd_eval(args) -> int:
     if not cfg["weights"]["path"]:
         raise ConfigError("eval needs a weight file (--weights or weights.path)")
     seed = cfgmod.seeds(cfg)[0]
-    net = _build_net(cfg, seed)
-    dataset = _build_dataset(cfg, seed)
     ecfg = cfgmod.episode_config(cfg, seed)
-    if ecfg.m_pretrained > 0:
-        classes = sorted({s.label for s in dataset})
-        novel = classes[ecfg.m_pretrained :]
-        keep = {c: i for i, c in enumerate(novel)}
-        dataset = [replace(s, label=keep[s.label]) for s in dataset if s.label in keep]
-        ecfg = cfgmod.episode_config(cfg, seed, n_way=len(novel))
-    train, test = split_shots(dataset, ecfg)
+    net = _build_net(cfg, seed)
+    train, test = split_shots(episode_samples(net, ecfg, _build_dataset(cfg, ecfg)), ecfg)
     samples = train if args.split == "train" else test
-    if not samples:
-        raise DatasetError(f"{args.split} split is empty")
-    classes = sorted({s.label for s in dataset})
-    class_to_out = {c: i for i, c in enumerate(classes)}
     counts = evaluate(net, samples)
-    correct = sum(classify(c) == class_to_out[s.label] for c, s in zip(counts, samples))
+    correct = sum(classify(c) == s.label for c, s in zip(counts, samples))
     acc = correct / len(samples)
     print(f"EVAL split={args.split} seed={seed} n={len(samples)} accuracy={acc:.6f}")
     return EXIT_OK
@@ -277,8 +258,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _apply_overrides(cfgmod.load_config(args.config), args)
-    seed = cfgmod.seeds(cfg)[0]
-    samples = _build_dataset(cfg, seed)
+    samples = _build_dataset(cfg, cfgmod.episode_config(cfg, cfgmod.seeds(cfg)[0]))
     path = args.out or "synthetic.events"
     write_events(samples, path)
     print(f"wrote {len(samples)} samples -> {path}")
@@ -296,6 +276,12 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--rule", help="override the learning rule text")
 
 
+def _count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="spikeshot", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spikeshot {__version__}")
@@ -308,7 +294,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("train", help="run few-shot episodes and save weights")
     _add_common(p)
     p.add_argument("--dry-run", action="store_true", help="validate config and exit")
-    p.add_argument("--parallel-episodes", type=int, default=0, metavar="N",
+    p.add_argument("--parallel-episodes", type=_count, default=0, metavar="N",
                    help="run independent seeds across N worker processes, each with max(1, CPUs // N) "
                         "BLAS threads by default; each steps a large frozen pass in one thread per CPU "
                         "that its BLAS leaves free, so up to N x CPUs threads run")
@@ -335,7 +321,7 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (EventFormatError, DatasetError, WeightFileError, SeparationError,
-            FileNotFoundError, IsADirectoryError) as e:
+            FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except CalibrationError as e:

@@ -227,11 +227,11 @@ def build_config(cfg: dict, seed: int) -> BuildConfig:
     )
 
 
-def episode_config(cfg: dict, seed: int, n_way: int | None = None) -> EpisodeConfig:
+def episode_config(cfg: dict, seed: int) -> EpisodeConfig:
     e, l = cfg["episode"], cfg["learning"]
     try:
         return EpisodeConfig(
-            n_way=n_way if n_way is not None else e["n_way"],
+            n_way=e["n_way"],
             k_shot=e["k_shot"],
             m_pretrained=e["m_pretrained"],
             epochs=e["epochs"],

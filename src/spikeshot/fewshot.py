@@ -45,9 +45,10 @@ longest are padded, with silent steps up to their group's longest and with
 zero streams after it, and their spike counts are read at their own last
 step; the dynamics are causal, so the padding never reaches them.
 
-The M+N variant reuses the same loop on novel classes after resetting the
-plastic layer, with the frozen features carrying a provenance note naming
-the classes they were prepared on.
+M+N transfer is the same episode with ``m_pretrained`` = M > 0 (see
+``EpisodeConfig``). ``episode_samples`` is the one place that decides an
+episode's classes and labels each sample with its output neuron, for
+training and for ``spikeshot eval`` alike.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import re
 import threading
 import warnings
 from dataclasses import dataclass, replace
@@ -75,7 +77,13 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Protocol parameters of one few-shot task."""
+    """Protocol parameters of one few-shot task.
+
+    ``m_pretrained`` = M counts the dataset's first classes, in sorted order,
+    on which the frozen features are taken to be pretrained: the episode
+    drops them and learns the ``n_way`` classes that remain, on a reset
+    plastic layer. M = 0 is a plain N-way episode on every class.
+    """
 
     n_way: int
     k_shot: int
@@ -95,6 +103,8 @@ class EpisodeConfig:
             raise ValueError("k_shot must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.m_pretrained < 0:
+            raise ValueError("m_pretrained must be >= 0")
 
 
 @dataclass
@@ -111,8 +121,6 @@ class EpisodeReport:
     train_confusion: np.ndarray
     confusion: np.ndarray
     spike_counts: np.ndarray
-    test_labels: list[int]
-    predictions: list[int]
     all_zero_fraction: float
     calibration: CalibrationReport
     weights: np.ndarray
@@ -320,16 +328,53 @@ def _baseline_rule(text: str, b_y1: float) -> SumOfProductsRule:
     return parse_rule(filled)
 
 
-def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> EpisodeReport:
-    """Train K shots per class with plasticity on, then evaluate frozen."""
-    classes = sorted({s.label for s in dataset})
-    if len(classes) != cfg.n_way:
-        raise DatasetError(f"dataset has {len(classes)} classes, config says n_way={cfg.n_way}")
-    if len(classes) != net.n_out:
-        raise DatasetError(f"dataset has {len(classes)} classes, network has {net.n_out} outputs")
-    class_to_out = {c: i for i, c in enumerate(classes)}
+def episode_samples(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> list[LabeledSample]:
+    """The episode's samples, each labelled by its output neuron.
 
-    train, test = split_shots(dataset, cfg)
+    The dataset's classes are sorted. With ``cfg.m_pretrained`` = M > 0 the
+    first M are the pretraining classes: their samples are dropped, and a
+    provenance note on the frozen weights that does not name them warns,
+    without failing. The remaining classes must number ``cfg.n_way`` and the
+    network's outputs, and map in order onto the outputs. The relabelled
+    samples share the dataset's event arrays.
+    """
+    classes = sorted({s.label for s in dataset})
+    m = cfg.m_pretrained
+    if m:
+        note = re.search(r"pretrain-classes=(\S*)", getattr(net, "provenance", ""))
+        expected = ",".join(str(c) for c in classes[:m])
+        if note is None:
+            warnings.warn("frozen weights carry no pretraining provenance note", stacklevel=2)
+        elif note[1] != expected:
+            warnings.warn(f"frozen weights declare pretraining classes {note[1]}, expected {expected}", stacklevel=2)
+        classes = classes[m:]
+    novel = " novel" if m else ""
+    if len(classes) != cfg.n_way:
+        raise DatasetError(f"dataset has {len(classes)}{novel} classes, config says n_way={cfg.n_way}")
+    if len(classes) != net.n_out:
+        raise DatasetError(f"dataset has {len(classes)}{novel} classes, network has {net.n_out} outputs")
+    to_out = {c: i for i, c in enumerate(classes)}
+    return [replace(s, label=to_out[s.label]) for s in dataset if s.label in to_out]
+
+
+def _confusion(n: int, samples: list[LabeledSample], counts: np.ndarray) -> np.ndarray:
+    """Rows are the samples' labels, columns the classes their counts give."""
+    confusion = np.zeros((n, n), dtype=np.int64)
+    for sample, c in zip(samples, counts):
+        confusion[sample.label, classify(c)] += 1
+    return confusion
+
+
+def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> EpisodeReport:
+    """Train K shots per class with plasticity on, then evaluate frozen.
+
+    With ``cfg.m_pretrained`` > 0 the plastic layer is reset first, so that
+    only the novel classes' shots reach it.
+    """
+    samples = episode_samples(net, cfg, dataset)
+    if cfg.m_pretrained:
+        net.reset_plastic()
+    train, test = split_shots(samples, cfg)
     _, order_rng = _episode_rngs(cfg.seed)
 
     calibration = net.calibrate(cfg.calibration_window)
@@ -340,23 +385,14 @@ def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> Episod
 
     readout = net.readout
     train_streams = [streams[b, : s.duration] for b, s in enumerate(train)]  # views
-    train_labels = [class_to_out[s.label] for s in train]
     for _ in range(cfg.epochs):
-        readout.train(train_streams, train_labels, order_rng.permutation(len(train)), cfg.target_period)
+        readout.train(train_streams, [s.label for s in train], order_rng.permutation(len(train)), cfg.target_period)
 
     counts = evaluate_streams(readout, streams, [s.duration for s in samples])
-    n = cfg.n_way
-    train_confusion = np.zeros((n, n), dtype=np.int64)
-    for sample, c in zip(train, counts[: len(train)]):
-        train_confusion[class_to_out[sample.label], classify(c)] += 1
-
-    counts_matrix = counts[len(train) :]
-    confusion = np.zeros((n, n), dtype=np.int64)
-    labels = [class_to_out[s.label] for s in test]
-    preds = [classify(c) for c in counts_matrix]
-    for label, pred in zip(labels, preds):
-        confusion[label, pred] += 1
-    zero = int(np.count_nonzero(counts_matrix.sum(axis=1) == 0))
+    train_confusion = _confusion(cfg.n_way, train, counts[: len(train)])
+    test_counts = counts[len(train) :]
+    confusion = _confusion(cfg.n_way, test, test_counts)
+    zero = int(np.count_nonzero(test_counts.sum(axis=1) == 0))
 
     return EpisodeReport(
         seed=cfg.seed,
@@ -367,48 +403,11 @@ def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> Episod
         test_accuracy=float(np.trace(confusion) / max(1, confusion.sum())),
         train_confusion=train_confusion,
         confusion=confusion,
-        spike_counts=counts_matrix,
-        test_labels=labels,
-        predictions=preds,
+        spike_counts=test_counts,
         all_zero_fraction=zero / max(1, len(test)),
         calibration=calibration,
         weights=np.asarray(net.plastic_weights()),
     )
-
-
-def run_mplusn(
-    net,
-    pretrain_classes: set[int],
-    novel_classes: set[int],
-    cfg: EpisodeConfig,
-    datasets: dict[str, list[LabeledSample]],
-) -> EpisodeReport:
-    """Few-shot train the (reset) output layer on novel classes only.
-
-    The frozen features are expected to come from the pretraining classes;
-    a missing or mismatched provenance note on the network warns but does
-    not fail.
-    """
-    novel = sorted(novel_classes)
-    if pretrain_classes:
-        prov = getattr(net, "provenance", "")
-        marker = "pretrain-classes="
-        if marker not in prov:
-            warnings.warn("frozen weights carry no pretraining provenance note", stacklevel=2)
-        else:
-            declared = prov.split(marker, 1)[1].split()[0]
-            expected = ",".join(str(c) for c in sorted(pretrain_classes))
-            if declared != expected:
-                warnings.warn(
-                    f"frozen weights declare pretraining classes {declared}, expected {expected}",
-                    stacklevel=2,
-                )
-    samples = [s for s in datasets["novel"] if s.label in novel_classes]
-    relabel = {c: i for i, c in enumerate(novel)}
-    relabeled = [replace(s, label=relabel[s.label]) for s in samples]
-    net.reset_plastic()
-    eff = replace(cfg, n_way=len(novel), m_pretrained=len(pretrain_classes))
-    return run_episode(net, eff, relabeled)
 
 
 def format_report(report: EpisodeReport) -> str:

@@ -15,7 +15,7 @@ import pytest
 from spikeshot.cli import main as cli_main
 from spikeshot.dynamics import NeuronParams
 from spikeshot.events import gen_synthetic_task
-from spikeshot.fewshot import EpisodeConfig, run_episode, run_mplusn
+from spikeshot.fewshot import EpisodeConfig, run_episode
 from spikeshot.network import BuildConfig, DenseLayer, LayerSpec, build_network, parse_topology
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams, calibrate_bias
@@ -230,8 +230,9 @@ def test_criterion_7_m_plus_n_transfer(tmp_path):
         data = gen_synthetic_task(6, 9, DATA_KW["dim"], DATA_KW["separation"],
                                   seed=20_000 + seed, jitter=DATA_KW["jitter"],
                                   duration=DURATION, r_max=DATA_KW["r_max"])
-        cfg = EpisodeConfig(n_way=3, k_shot=5, seed=seed)
-        report = run_mplusn(net, {0, 1, 2}, {3, 4, 5}, cfg, {"novel": data})
+        # classes 0-2 are the pretraining classes; 3-5 are learned as a 3-way task
+        cfg = EpisodeConfig(n_way=3, k_shot=5, m_pretrained=3, seed=seed)
+        report = run_episode(net, cfg, data)
         accs.append(report.test_accuracy)
     mean = float(np.mean(accs))
     chance = 1 / 3

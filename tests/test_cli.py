@@ -126,6 +126,24 @@ def test_eval_reproduces_train_accuracy(cfg_file, tmp_path, capsys):
     assert f"accuracy={train_acc}" in line
 
 
+@pytest.mark.parametrize("n_way, message", [(4, "network has 5 outputs"), (5, "config says n_way=5")])
+def test_eval_class_count_must_match_network_and_n_way(tmp_path, capsys, n_way, message):
+    five = tmp_path / "five.yaml"
+    five.write_text(SMALL_CONFIG.replace("output: 3", "output: 5").replace("n_way: 3", "n_way: 5"))
+    assert main(["train", "--config", str(five), "--out", str(tmp_path / "run")]) == 0
+    data = tmp_path / "four.events"
+    four = tmp_path / "four.yaml"
+    four.write_text(SMALL_CONFIG.replace("n_way: 3", "n_way: 4"))
+    assert main(["gen-data", "--config", str(four), "--out", str(data)]) == 0
+    cfg = tmp_path / "eval.yaml"
+    cfg.write_text(SMALL_CONFIG.replace("output: 3", "output: 5").replace("n_way: 3", f"n_way: {n_way}")
+                   + f"  kind: file\n  path: {data}\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--weights", str(tmp_path / "run" / "weights_seed0.ssw")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "dataset has 4 classes" in err and message in err
+
+
 def test_eval_without_weights_is_config_error(cfg_file):
     assert main(["eval", "--config", cfg_file]) == 2
 
@@ -264,23 +282,37 @@ def test_non_numeric_or_missing_values_are_config_errors(tmp_path, capsys, comma
     assert err.startswith("config error:") and "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("path, code", [("--events", 3), ("data.path", 3), ("--weights", 3), ("--config", 2)])
+@pytest.mark.parametrize("path, code", [
+    ("--events", 3), ("data.path", 3), ("--weights", 3), ("--config", 2), ("gen-data --out", 3),
+    ("--events under file", 3), ("data.path under file", 3), ("--weights under file", 3),
+    ("--config under file", 2), ("gen-data --out under file", 3),
+])
 def test_directory_input_path_is_error(cfg_file, tmp_path, capsys, path, code):
-    folder = tmp_path / "folder"
-    folder.mkdir()
+    # a directory where a file is expected, or a path under a regular file
+    if path.endswith(" under file"):
+        path = path.removesuffix(" under file")
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        bad = regular / "x"
+    else:
+        bad = tmp_path / "folder"
+        bad.mkdir()
     out = ["--out", str(tmp_path / "o")]
     if path == "--events":
-        args = ["simulate", "--config", cfg_file, "--events", str(folder), *out]
+        args = ["simulate", "--config", cfg_file, "--events", str(bad), *out]
     elif path == "data.path":
         cfg = tmp_path / "file.yaml"
-        cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {folder}\n")
+        cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {bad}\n")
         args = ["train", "--config", str(cfg), *out]
     elif path == "--weights":
-        args = ["eval", "--config", cfg_file, "--weights", str(folder)]
+        args = ["eval", "--config", cfg_file, "--weights", str(bad)]
+    elif path == "gen-data --out":
+        args = ["gen-data", "--config", cfg_file, "--out", str(bad)]
     else:
-        args = ["train", "--config", str(folder), "--dry-run"]
+        args = ["train", "--config", str(bad), "--dry-run"]
     assert main(args) == code
-    assert capsys.readouterr().err.startswith("config error:" if code == 2 else "data error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "data error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("path", ["missing --config", "--out file", "--out under file", "output.dir file"])
@@ -318,6 +350,27 @@ def test_parallel_episodes_matches_sequential(cfg_file, tmp_path):
     assert main(["train", "--config", str(p), "--out", str(par), "--parallel-episodes", "2"]) == 0
     for name in ("report_seed0.txt", "report_seed1.txt", "weights_seed0.ssw", "weights_seed1.ssw", "manifest.yaml"):
         assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+
+def test_negative_parallel_episodes_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "multi.yaml"
+    p.write_text(SMALL_CONFIG.replace("seeds: [0]", "seeds: [0, 1]"))
+    with pytest.raises(SystemExit) as exit_:
+        main(["train", "--config", str(p), "--out", str(tmp_path / "o"), "--parallel-episodes", "-1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "--parallel-episodes: expected an integer >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["train", "--dry-run"], ["eval", "--weights", "w.ssw"], ["gen-data"]],
+                         ids=["run", "dry-run", "eval", "gen-data"])
+def test_negative_m_pretrained_is_config_error(tmp_path, capsys, command):
+    p = tmp_path / "run.yaml"
+    p.write_text(SMALL_CONFIG.replace("n_way: 3", "n_way: 3\n  m_pretrained: -1"))
+    assert main([*command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "m_pretrained must be >= 0" in err
 
 
 def test_env_var_default_out_dir(cfg_file, tmp_path, monkeypatch):

@@ -10,9 +10,9 @@ from spikeshot.fewshot import (
     EpisodeConfig,
     classify,
     evaluate,
+    episode_samples,
     format_report,
     run_episode,
-    run_mplusn,
     split_shots,
 )
 from spikeshot.network import BuildConfig, build_network, parse_topology
@@ -46,6 +46,8 @@ def test_config_validation():
         EpisodeConfig(n_way=2, k_shot=0)
     with pytest.raises(ValueError):
         EpisodeConfig(n_way=2, k_shot=1, epochs=0)
+    with pytest.raises(ValueError, match="m_pretrained"):
+        EpisodeConfig(n_way=2, k_shot=1, m_pretrained=-1)
 
 
 def test_split_counts_n_times_k():
@@ -167,18 +169,25 @@ def test_format_report_layout():
     assert text.rstrip().split("\n")[-1].startswith("EPISODE seed=0 n_way=3 k_shot=2")
 
 
-def test_mplusn_reduces_to_run_episode_when_m_zero():
-    data = small_dataset()
-    r1 = run_mplusn(small_net(), set(), {0, 1, 2}, small_cfg(), {"novel": data})
-    r2 = run_episode(small_net(), small_cfg(), small_dataset())
-    assert r1.test_accuracy == r2.test_accuracy
-    assert np.array_equal(r1.weights, r2.weights)
-
-
 def test_mplusn_single_novel_class_rejected():
-    # n_way >= 2 invariant propagates through relabeling
-    with pytest.warns(UserWarning), pytest.raises(ValueError):
-        run_mplusn(small_net(), {0}, {1}, small_cfg(), {"novel": small_dataset()})
+    # two pretraining classes leave one novel class, fewer than n_way >= 2
+    with pytest.warns(UserWarning), pytest.raises(DatasetError, match="1 novel classes"):
+        run_episode(small_net(), small_cfg(m_pretrained=2), small_dataset())
+
+
+def test_mplusn_n_way_must_count_the_novel_classes():
+    # 6 classes less 2 pretraining ones are 4 novel classes, not n_way=3
+    with pytest.warns(UserWarning), pytest.raises(DatasetError, match="4 novel classes, config says n_way=3"):
+        run_episode(small_net(), small_cfg(m_pretrained=2), small_dataset(n_classes=6))
+
+
+def test_episode_samples_drop_pretraining_classes_and_share_events():
+    data = small_dataset(n_classes=5)
+    with pytest.warns(UserWarning, match="provenance"):
+        samples = episode_samples(small_net(), small_cfg(m_pretrained=2), data)
+    novel = [s for s in data if s.label >= 2]
+    assert [s.label for s in samples] == [s.label - 2 for s in novel]
+    assert all(np.shares_memory(a.events, b.events) for a, b in zip(samples, novel))
 
 
 def test_mplusn_trains_on_novel_classes_only(tmp_path):
@@ -187,7 +196,7 @@ def test_mplusn_trains_on_novel_classes_only(tmp_path):
     net = small_net()
     save_weights(net, tmp_path / "w.ssw", provenance="pretrain-classes=0,1,2")
     load_weights(net, tmp_path / "w.ssw")
-    report = run_mplusn(net, {0, 1, 2}, {3, 4, 5}, small_cfg(), {"novel": data})
+    report = run_episode(net, small_cfg(m_pretrained=3), data)
     assert report.n_way == 3
     assert report.m_pretrained == 3
     assert report.confusion.shape == (3, 3)
@@ -197,16 +206,17 @@ def test_mplusn_missing_provenance_warns():
     data = small_dataset(n_classes=6)
     net = small_net()  # provenance says random-init, no pretrain marker
     with pytest.warns(UserWarning, match="provenance"):
-        run_mplusn(net, {0, 1, 2}, {3, 4, 5}, small_cfg(), {"novel": data})
+        run_episode(net, small_cfg(m_pretrained=3), data)
 
 
 def test_mplusn_mismatched_provenance_warns(tmp_path):
     data = small_dataset(n_classes=6)
-    net = small_net()
-    save_weights(net, tmp_path / "w.ssw", provenance="pretrain-classes=7,8")
-    load_weights(net, tmp_path / "w.ssw")
-    with pytest.warns(UserWarning, match="declare"):
-        run_mplusn(net, {0, 1, 2}, {3, 4, 5}, small_cfg(), {"novel": data})
+    for provenance in ("pretrain-classes=7,8", "pretrain-classes="):  # the second names no class
+        net = small_net()
+        save_weights(net, tmp_path / "w.ssw", provenance=provenance)
+        load_weights(net, tmp_path / "w.ssw")
+        with pytest.warns(UserWarning, match="declare"):
+            run_episode(net, small_cfg(m_pretrained=3), data)
 
 
 def test_mplusn_resets_plastic_weights():
@@ -215,9 +225,9 @@ def test_mplusn_resets_plastic_weights():
     shape = net.readout.store.shape
     net.readout.store.weights = np.where(np.indices(shape).sum(axis=0) % 2, 55, -55)
     with pytest.warns(UserWarning):
-        report = run_mplusn(net, {0, 1, 2}, {3, 4, 5}, small_cfg(), {"novel": data})
+        report = run_episode(net, small_cfg(m_pretrained=3), data)
     with pytest.warns(UserWarning):
-        fresh = run_mplusn(small_net(), {0, 1, 2}, {3, 4, 5}, small_cfg(), {"novel": data})
+        fresh = run_episode(small_net(), small_cfg(m_pretrained=3), data)
     # weights were zeroed before training, so the report snapshot reflects
     # only what the novel shots taught: the same as from a fresh network
     assert report.weights.max() < 55 or report.weights.min() > -55

@@ -14,6 +14,12 @@ Its frozen layers spike at about 21%, 6% and 7%, and every test sample
 leaves a non-zero readout count, so the conv contraction of spikes and the
 pooling of counts and of spikes all reach the pinned bytes.
 
+The fourth case is M+N transfer through the CLI: ``m_pretrained: 2`` drops
+the first two of five synthetic classes and learns the other three on three
+outputs. It pins ``train``'s outputs and the ``EVAL`` line of ``eval`` on
+the trained weights; noisy data keeps both accuracies below 1, so a sample
+scored against the wrong output moves the line.
+
 The last case pins ``simulate``, the one output that dumps the readout's
 plasticity-off state at every step (``v_err``, ``v_out``, ``p_out`` and the
 output spikes); the ``train`` digests see that step only through spike
@@ -24,6 +30,7 @@ spike.
 import hashlib
 from pathlib import Path
 
+import pytest
 import yaml
 
 from spikeshot.cli import main
@@ -61,6 +68,21 @@ CONV_GOLDEN_SHA256 = {
     "report_seed0.txt": "cb3d386a8dd0562d4ca0fa2f10ec08f737f7235c099b53e92eda1ad8161096f8",
     "manifest.yaml": "d9264b7ed29f65fe7f68229581083e5e043aa29a80233113db29bf42ce88fde3",
 }
+
+
+MPLUSN_CHANGES = {
+    "topology": {"output": 3},
+    "episode": {"n_way": 3, "m_pretrained": 2, "k_shot": 3},
+    "data": {"separation": 0.5, "jitter": 0.6},
+}
+
+MPLUSN_GOLDEN_SHA256 = {
+    "weights_seed0.ssw": "cb88b03c9e7e40dc3bb0d2994fbbce34b0775fa314ca1a12b3c3079e872177d9",
+    "report_seed0.txt": "816953f4f5e15bd27b0925ecf0eb749e14cd1e18d3a05ef285d49f94950ac072",
+    "manifest.yaml": "f97ee0120bc1d852061a04e306255d6ac246958f72f6cce3d40639153f026059",
+}
+
+MPLUSN_EVAL_LINE = "EVAL split=test seed=0 n=18 accuracy=0.611111"
 
 
 SIMULATE_GOLDEN_SHA256 = {
@@ -102,6 +124,22 @@ def test_conv_stack_matches_golden_digest(tmp_path):
     assert _train_digests(config, out) == CONV_GOLDEN_SHA256
     report = (out / "report_seed0.txt").read_text()
     assert "all_zero_fraction: 0.000000" in report
+
+
+def test_m_plus_n_train_and_eval_match_golden(tmp_path, capsys):
+    cfg = yaml.safe_load(CONFIG.read_text())
+    for section, values in MPLUSN_CHANGES.items():
+        cfg[section].update(values)
+    config = tmp_path / "mplusn.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    # the random frozen weights name no pretraining classes: train and eval both warn
+    with pytest.warns(UserWarning, match="provenance"):
+        assert _train_digests(config, out) == MPLUSN_GOLDEN_SHA256
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="provenance"):
+        assert main(["eval", "--config", str(config), "--seed", "0", "--weights", str(out / "weights_seed0.ssw")]) == 0
+    assert capsys.readouterr().out.strip() == MPLUSN_EVAL_LINE
 
 
 def test_simulate_outputs_match_golden_digest(tmp_path):
