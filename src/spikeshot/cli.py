@@ -35,11 +35,12 @@ from .events import (
 from .fewshot import (
     DatasetError,
     EpisodeConfig,
-    check_input_size,
     classify,
     episode_samples,
     evaluate,
     format_report,
+    frozen_pass,
+    readout_steps,
     run_episode,
     split_shots,
     worker_blas_env,
@@ -47,14 +48,13 @@ from .fewshot import (
 from .network import TopologyError, build_network
 from .readout import CalibrationError, calibrate_bias, solve_baseline_bias
 from .ruledsl import RuleError
-from .weightio import WeightFileError, load_weights, save_weights
+from .weightio import FILE_VERSION, WeightFileError, load_weights, save_weights
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CALIBRATION = 4
 
-WEIGHTFILE_VERSION = 1
 EVENTS_VERSION = 1
 
 
@@ -127,7 +127,7 @@ def _write_manifest(cfg: dict, out: str, extra: dict) -> str:
         "config": cfgmod.reproducible_view(cfg),
         "versions": {
             "spikeshot": __version__,
-            "weightfile": WEIGHTFILE_VERSION,
+            "weightfile": FILE_VERSION,
             "events": EVENTS_VERSION,
         },
     }
@@ -188,8 +188,9 @@ def cmd_train(args) -> int:
     episodes = []
     for (report, weights_path), seed in zip(results, seeds):
         report_path = os.path.join(out, f"report_seed{seed}.txt")
+        text = format_report(report)
         with open(report_path, "w") as f:
-            f.write(format_report(report))
+            f.write(text)
         episodes.append({
             "seed": seed,
             "train_accuracy": report.train_accuracy,
@@ -197,9 +198,7 @@ def cmd_train(args) -> int:
             "report": os.path.basename(report_path),
             "weights": os.path.basename(weights_path),
         })
-        print(f"EPISODE seed={seed} n_way={report.n_way} k_shot={report.k_shot} "
-              f"train_acc={report.train_accuracy:.6f} test_acc={report.test_accuracy:.6f} "
-              f"zero_frac={report.all_zero_fraction:.6f}")
+        print(text.splitlines()[-1])  # the report's EPISODE summary line
     cal = results[0][0].calibration
     _write_manifest(cfg, out, {
         "seeds": seeds,
@@ -231,23 +230,20 @@ def cmd_simulate(args) -> int:
     out = _out_dir(cfg, args.out)
     samples = read_events(args.events)
     net = _build_net(cfg, seed)
-    check_input_size(net, samples)
-    r = net.readout
+    streams, r = frozen_pass(net, samples), net.readout
+    # each sample's p_out, output spikes, v_err and v_out at every step
+    steps = np.zeros((len(samples), streams.shape[1], 4, net.n_out))
+    for t in readout_steps(r, streams):
+        steps[:, t] = np.stack([r.p_out, r.spiked_out, r.v_err, r.v_out], axis=1)
     rasters = []
-    for k, sample in enumerate(samples):
-        net.reset_state()
-        dense = sample.to_dense()
-        # the trace: a header, then one row per step; each cell lists one
-        # variable's values
+    for k, (sample, rows) in enumerate(zip(samples, steps)):
+        rows = rows[: sample.duration]
+        # the trace: a header, then one row per step; each cell lists one variable's values
         lines = [f"# trajectory steps={sample.duration}", f"# label={sample.label}", f"# sample={k}",
                  "# columns: step readout.p_out readout.spikes readout.v_err readout.v_out"]
-        raster = np.zeros((sample.duration, net.n_out), dtype=bool)
-        for t in range(sample.duration):
-            raster[t] = net.step(dense[t])
-            cells = (",".join(repr(float(x)) for x in v) for v in (r.p_out, raster[t], r.v_err, r.v_out))
-            lines.append(" ".join((str(t), *cells)))
+        lines += [" ".join((str(t), *(",".join(map(repr, v)) for v in row.tolist()))) for t, row in enumerate(rows)]
         rasters.append(LabeledSample(shape=(net.n_out,), duration=sample.duration,
-                                     label=sample.label, events=np.argwhere(raster)))
+                                     label=sample.label, events=np.argwhere(rows[:, 1])))
         with open(os.path.join(out, f"trace_sample{k}.txt"), "w") as f:
             f.write("\n".join(lines) + "\n")
     raster_path = os.path.join(out, "raster.events")

@@ -136,6 +136,8 @@ def merge_config(overrides: dict | None) -> dict:
             merged[section] = block
     if merged["data"]["mode"] not in PROTOTYPE_MODES:
         raise ConfigError(f"config.data.mode: expected one of {PROTOTYPE_MODES}, got {merged['data']['mode']!r}")
+    if merged["data"]["seed_offset"] < 0:
+        raise ConfigError(f"config.data.seed_offset: expected an integer >= 0, got {merged['data']['seed_offset']}")
     return merged
 
 
@@ -191,23 +193,20 @@ def readout_params(cfg: dict) -> ReadoutParams:
     try:
         neuron = NeuronParams(tau_u=r["tau_u"], tau_v=r["tau_v"], tau_r=r["tau_r"], v_th=r["v_th"])
         y1 = TraceConfig(tau=r["y1_tau"], increment=r["y1_increment"]) if r["y1_tau"] else None
-        return ReadoutParams(
-            neuron=neuron,
-            w_tgt=r["w_tgt"],
-            baseline_period=r["baseline_period"],
-            b_err=r["b_err"],
-            b_out=r["b_out"],
-            y1=y1,
-        )
+        params = ReadoutParams(neuron=neuron, w_tgt=r["w_tgt"], baseline_period=r["baseline_period"],
+                               b_err=r["b_err"], b_out=r["b_out"], y1=y1)
+        params.pre_trace_configs()  # the readout's PSP decomposition needs tau_v > tau_u
+        return params
     except ValueError as e:
         raise ConfigError(f"readout: {e}")
 
 
 def seeds(cfg: dict) -> list[int]:
-    """The episode seeds; a run needs at least one."""
-    if not cfg["episode"]["seeds"]:
-        raise ConfigError("config.episode.seeds: needs at least one seed")
-    return list(cfg["episode"]["seeds"])
+    """The episode seeds, from ``--seed`` or the list; a run needs at least one, none negative."""
+    seeds = list(cfg["episode"]["seeds"])
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"config.episode.seeds: needs at least one seed, each an integer >= 0, got {seeds}")
+    return seeds
 
 
 def topology(cfg: dict) -> Topology:

@@ -18,8 +18,8 @@ of canonical event lines (two fields of at most 18 digits, one space) in one
 other spellings of an event, malformed lines) is classified on its own, with
 the line number that any error names. It holds one block of text at a time,
 plus the samples' arrays. ``SpikeEvent`` names one row: callers outside the
-package still build samples from lists of them, and any sequence of pairs
-converts.
+package, such as perfbench's event generator, still build samples from lists
+of them, and any sequence of pairs converts.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ class LabeledSample:
         return self
 
     def to_dense(self) -> np.ndarray:
-        """[duration, n_channels] float array of spike counts per step."""
+        """[duration, n_channels] float array of spike counts per step. Only
+        the tests and perfbench's ``frozen_rates`` call it; runs index the events."""
         dense = np.zeros((self.duration, self.size))
         np.add.at(dense, tuple(self.events.T), 1.0)
         return dense

@@ -31,7 +31,9 @@ Only the readout learns, so an episode runs in three phases:
    drive, the distal compartment, one advance of a stack of the y traces
    and the reset term, and one stacked evaluation of the rule, into buffers
    made once per sample. The proximal compartment is not stepped.
-3. Evaluation. The readout steps every stream at once with plasticity off.
+3. Evaluation. ``readout_steps`` steps every stream at once with plasticity
+   off. ``spikeshot eval`` and ``simulate`` run phases 1 and 3 too, so every
+   subcommand runs one forward implementation.
 
 Each sample's trajectory is bit-identical to stepping it alone, in any
 batch and so in any group. Frozen layers contract int8 weights with integer
@@ -172,8 +174,8 @@ def _event_index(samples: list[LabeledSample], net) -> tuple[np.ndarray, np.ndar
     time, so within a step the events keep their sample order and each
     sample's own order.
     """
-    n_t = max(s.duration for s in samples)
-    t, neuron = np.concatenate([s.events for s in samples]).T
+    n_t = max((s.duration for s in samples), default=0)
+    t, neuron = np.concatenate([np.empty((0, 2), np.int64)] + [s.events for s in samples]).T
     n = net.n_in
     if net.layers and isinstance(net.layers[0], PoolLayer):
         neuron, n = net.layers[0].pool_index(neuron), math.prod(net.layers[0].spec.out_shape)
@@ -182,7 +184,7 @@ def _event_index(samples: list[LabeledSample], net) -> tuple[np.ndarray, np.ndar
     return (owner * n + neuron)[order], np.searchsorted(t[order], np.arange(n_t + 1)), n
 
 
-def check_input_size(net, samples: list[LabeledSample]):
+def _check_input_size(net, samples: list[LabeledSample]):
     """Raise DatasetError unless every sample has the network's input size."""
     for k, s in enumerate(samples):
         if s.size != net.n_in:
@@ -260,7 +262,7 @@ def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     each group writes only its own samples' streams. Every sample follows
     its own bits in any batch, so the split never changes a stream.
     """
-    check_input_size(net, samples)
+    _check_input_size(net, samples)
     n_b, n_t = len(samples), max((s.duration for s in samples), default=0)
     # zeroed: a group shorter than the batch leaves its tail unwritten, and evaluation steps over it
     streams = np.zeros((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
@@ -299,16 +301,23 @@ def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     return streams
 
 
+def readout_steps(readout: ReadoutLayer, streams: np.ndarray):
+    """Step the readout from zero state over cached streams, ``[B, T, fan_in]``,
+    all at once with plasticity off and no labels, yielding each step t once
+    the state holds it; a row past its sample's duration holds padding."""
+    readout.reset_state(batch=len(streams))
+    no_targets = np.zeros((len(streams), readout.n_out), dtype=bool)
+    for t in range(streams.shape[1]):
+        readout.step(streams[:, t], no_targets)
+        yield t
+
+
 def evaluate_streams(readout: ReadoutLayer, streams: np.ndarray, durations) -> np.ndarray:
     """Plasticity-off spike counts, ``[B, n_out]``, of cached streams in one
     batched readout pass; each row is read at its sample's last step."""
     durations = np.asarray(durations)
-    n_b = len(durations)
-    readout.reset_state(batch=n_b)
-    no_targets = np.zeros((n_b, readout.n_out), dtype=bool)
-    counts = np.zeros((n_b, readout.n_out), dtype=np.int64)
-    for t in range(streams.shape[1]):
-        readout.step(streams[:, t], no_targets)
+    counts = np.zeros((len(durations), readout.n_out), dtype=np.int64)
+    for t in readout_steps(readout, streams):
         done = durations == t + 1
         counts[done] = readout.spike_count[done]
     return counts
@@ -368,22 +377,23 @@ def _confusion(n: int, samples: list[LabeledSample], counts: np.ndarray) -> np.n
 def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> EpisodeReport:
     """Train K shots per class with plasticity on, then evaluate frozen.
 
-    With ``cfg.m_pretrained`` > 0 the plastic layer is reset first, so that
-    only the novel classes' shots reach it.
+    With ``cfg.m_pretrained`` > 0 the plastic store is zeroed and reseeded
+    first, so that only the novel classes' shots reach it.
     """
     samples = episode_samples(net, cfg, dataset)
+    readout = net.readout
     if cfg.m_pretrained:
-        net.reset_plastic()
+        readout.store.weights = np.zeros(readout.store.shape, dtype=np.int8)
+        readout.store.reseed()
     train, test = split_shots(samples, cfg)
     _, order_rng = _episode_rngs(cfg.seed)
 
     calibration = net.calibrate(cfg.calibration_window)
-    net.set_rule(_baseline_rule(cfg.rule, calibration.b_y1), cfg.lr_exp, cfg.learn_period)
+    readout.attach_engine(_baseline_rule(cfg.rule, calibration.b_y1), cfg.lr_exp, cfg.learn_period)
 
     samples = train + test
     streams = frozen_pass(net, samples)
 
-    readout = net.readout
     train_streams = [streams[b, : s.duration] for b, s in enumerate(train)]  # views
     for _ in range(cfg.epochs):
         readout.train(train_streams, [s.label for s in train], order_rng.permutation(len(train)), cfg.target_period)

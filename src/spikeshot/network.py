@@ -323,6 +323,11 @@ class Network:
     stepping context owns the instance; independent instances are fully
     isolated. ``reset_state(batch)`` steps that many samples side by side
     along a leading axis of every input, state and output.
+
+    Runs step it only through ``fewshot.frozen_pass`` and the readout's own
+    passes. ``step``, the ``layer_spikes`` it records, ``calibrate`` and
+    ``plastic_weights`` stay for the tests and for perfbench, which calls or
+    wraps each.
     """
 
     def __init__(self, topology: Topology, layers: list, readout: ReadoutLayer, provenance: str = ""):
@@ -342,23 +347,16 @@ class Network:
         self.layer_spikes = []
         self._lead = () if batch is None else (batch,)
 
-    def frozen_step(self, in_spikes: np.ndarray) -> np.ndarray:
-        """Advance the frozen layers one timestep; returns the readout's
-        input, ``[batch..., fan_in]``, and records each layer's spikes.
-        Under a leading pool the input may be that pool's window sums."""
+    def step(self, in_spikes: np.ndarray) -> np.ndarray:
+        """Advance the whole network one plasticity-off timestep with no
+        label spikes; returns proximal spikes, and records each layer's
+        spikes, the readout's last, in ``layer_spikes``."""
         x = np.asarray(in_spikes, dtype=np.float64)
         self.layer_spikes = []
         for layer in self.layers:
             x = layer.step(x)
             self.layer_spikes.append(x)
-        return x.reshape(self._lead + (-1,))
-
-    def step(self, in_spikes: np.ndarray) -> np.ndarray:
-        """Advance the whole network one plasticity-off timestep with no
-        label spikes; returns proximal spikes. Learning runs through
-        ``ReadoutLayer.train`` on the readout's input stream."""
-        x = self.frozen_step(in_spikes)
-        out = self.readout.step(x, np.zeros(self._lead + (self.n_out,), dtype=bool))
+        out = self.readout.step(x.reshape(self._lead + (-1,)), np.zeros(self._lead + (self.n_out,), dtype=bool))
         self.layer_spikes.append(out)
         return out
 
@@ -366,22 +364,12 @@ class Network:
         """Layers carrying stored weights, in network order (readout last)."""
         return [l for l in self.layers if l.kind in (KIND_DENSE, KIND_CONV)] + [self.readout]
 
-    # harness protocol -----------------------------------------------------
-
-    def set_rule(self, rule, lr_exp: int, learn_period: int):
-        self.readout.attach_engine(rule, lr_exp, learn_period)
-
     def calibrate(self, window: int):
         # looked up on the module at call time, where a tracer may wrap it
         return readout_mod.calibrate_bias(self.readout.params, self.readout.b_err, window)
 
     def plastic_weights(self) -> np.ndarray:
         return self.readout.store.weights.copy()
-
-    def reset_plastic(self):
-        """Zero the plastic store and rewind its rounding stream."""
-        self.readout.store.weights = np.zeros(self.readout.store.shape, dtype=np.int8)
-        self.readout.store.reseed()
 
 
 def build_network(

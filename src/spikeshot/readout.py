@@ -315,8 +315,10 @@ class ReadoutLayer:
         ``streams[b]`` is sample b's readout input, ``[T_b, fan_in]``, and
         ``labels[b]`` its output neuron, which receives a label spike every
         ``target_period`` steps from t = 0 (none for 0). The samples run in
-        the ``order`` of their indices, typically one epoch. The state is
-        reset before each sample; the weights carry over.
+        the ``order`` of their indices, typically one epoch. Each starts
+        from zero state and the weights carry over; training's only outputs
+        are the store's weights and its rounding stream, and the layer's
+        state arrays are neither read nor written.
 
         What no weight reaches is done ahead of the steps, over whole
         stretches of a sample: the PSC filter and the x traces as one
@@ -326,15 +328,14 @@ class ReadoutLayer:
         runs only the weight-dependent work, in about 20 numpy calls for
         the shipped rule: the drive (one gemv), the distal compartment, one
         decay-and-jump of a stack that holds the y traces and the reset term
-        r_err, and at learning steps the engine's tick. The proximal
-        compartment is not stepped, so ``spike_count`` stays zero. The
-        weights, the rounding stream and the distal state are bit for bit
-        those of ``step`` with the rule applied after every learning step to
-        traces of the step's input and error spikes (``StepTraces`` in
-        ``tests/oracle.py``). A rule whose updates are not finite raises
-        ``RuleError`` at that step, leaving the weights and the stream as
-        the steps before it left them; numpy's overflow and invalid-value
-        warnings on the way there are silenced.
+        r_err, and at learning steps the engine's tick; the proximal
+        compartment is not stepped. The weights and the rounding stream are
+        bit for bit those of ``step`` with the rule applied after every
+        learning step to traces of the step's input and error spikes
+        (``StepTraces`` in ``tests/oracle.py``). A rule whose updates are
+        not finite raises ``RuleError`` at that step, leaving the weights
+        and the stream as the steps before it left them; numpy's overflow
+        and invalid-value warnings on the way there are silenced.
         """
         if self.engine is None:
             raise RuntimeError("train() needs a learning rule: attach_engine() first")
@@ -381,7 +382,6 @@ class ReadoutLayer:
         y_cols, r, jump, drive = y[:, :, np.newaxis], y[-1], np.empty_like(y), np.empty(self.n_out)
         out = np.zeros(self.n_out), np.zeros(self.n_out), np.zeros(self.n_out, dtype=bool)
         b_err, v_th, a_p = np.array(self.b_err), np.array(n.v_th), np.array(self._a_p)
-        self.reset_state()
         for t0 in range(0, len(stream), block):
             seg = stream[t0 : t0 + block]
             filt = np.empty((len(seg), len(decays), self.fan_in))
@@ -393,12 +393,9 @@ class ReadoutLayer:
             psp_state = _recur(np.divide(psp, n.tau_v, out=psp), a_p, psp_state)
             x = filt[period - 1 :: period, 1:]
             leads, draws, tick, eff = engine.leads(x), store.uniforms(len(x)), 0, store.effective()
-            last = len(seg) - 1 if t0 + block >= len(stream) else -1
             try:
                 for t, (p, label) in enumerate(zip(psp, label_drive[t0 : t0 + block])):
                     self._distal(eff.dot(p, drive), label, r, b_err, v_th, out)  # a gemv, as in step
-                    if t == last:  # the reset term of the sample's last step
-                        self.r_err = r.copy()
                     np.add(np.multiply(y, y_decays, y), np.multiply(out[2], y_incs, jump), y)
                     if t % period == period - 1:
                         engine.tick(leads[tick], x[tick], y_cols, draws[tick])
@@ -406,8 +403,6 @@ class ReadoutLayer:
             except RuleError:
                 store.unread(tick)
                 raise
-        self.q_pre, self.p_pre = filt_state[0], psp_state
-        _, self.v_err, self.spiked_err = out
 
 
 # bytes of pre-work arrays per block of a sample's training steps

@@ -6,15 +6,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikeshot import config as cfgmod
 from spikeshot import fewshot
+from spikeshot.cli import main
 from spikeshot.dynamics import NeuronParams
-from spikeshot.events import LabeledSample, SpikeEvent
+from spikeshot.events import LabeledSample, SpikeEvent, read_events, write_events
 from spikeshot.fewshot import evaluate_streams, frozen_pass
-from spikeshot.network import BuildConfig, build_network, parse_topology
+from spikeshot.network import BuildConfig, Network, build_network, parse_topology
 from spikeshot.readout import ReadoutParams
+from spikeshot.weightio import save_weights
 
 NEURON = NeuronParams(tau_u=2, tau_v=4, v_th=0.5)
 READOUT = ReadoutParams(neuron=NeuronParams(tau_u=2, tau_v=4))
@@ -192,3 +196,56 @@ def test_group_count_follows_free_cpus_batch_and_grain(monkeypatch, cpus, blas, 
     assert fewshot._group_count(conv_net, 4) == 1  # two groups would fall below the grain
     assert fewshot._group_count(conv_net, 1) == 1
     assert fewshot._group_count(conv_net, 0) == 1
+
+
+@pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+def test_simulate_equals_stepping_each_sample_alone(name, tmp_path):
+    # simulate rides the batched frozen and readout passes; each sample's
+    # trace rows and raster must be those of Network.step on that sample alone
+    input_shape, tokens, n_out = TOPOLOGIES[name]
+    config = tmp_path / "sim.yaml"
+    config.write_text(yaml.safe_dump({
+        "topology": {"input": input_shape, "layers": tokens, "output": n_out},
+        "neuron": {"tau_u": 2.0, "tau_v": 4.0, "v_th": 0.5},
+        "readout": {"tau_u": 2.0, "tau_v": 4.0},
+        "weights": {"plastic_scale_exp": -5, **BUILD},
+    }))
+    cfg = cfgmod.load_config(str(config))
+    net = build_network(cfgmod.topology(cfg), cfgmod.neuron_params(cfg), cfgmod.readout_params(cfg),
+                        cfgmod.build_config(cfg, 5))
+    rng = np.random.default_rng(5)
+    net.readout.store.weights = rng.integers(-80, 81, size=net.readout.store.shape)
+    weights = tmp_path / "w.ssw"
+    save_weights(net, weights)
+    batch = []
+    for k, duration in enumerate([9, 0, 1, 12, 4, 1]):
+        events = np.argwhere(rng.random((duration, net.n_in)) < 0.3)
+        events = np.concatenate([events, events[::3]])  # duplicate events count twice
+        batch.append(LabeledSample(shape=(net.n_in,), duration=duration, label=k,
+                                   events=events[np.argsort(events[:, 0], kind="stable")]))
+    events_path, out = tmp_path / "in.events", tmp_path / "out"
+    write_events(batch, events_path)
+
+    def no_solo_step(self, in_spikes):
+        raise AssertionError("simulate stepped one sample alone")
+
+    with mock.patch.object(Network, "step", no_solo_step):
+        assert main(["simulate", "--config", str(config), "--seed", "5", "--weights", str(weights),
+                     "--events", str(events_path), "--out", str(out)]) == 0
+
+    r, rasters = net.readout, read_events(out / "raster.events")
+    assert len(rasters) == len(batch)
+    for k, s in enumerate(batch):
+        net.reset_state()
+        dense = s.to_dense()
+        lines = [f"# trajectory steps={s.duration}", f"# label={s.label}", f"# sample={k}",
+                 "# columns: step readout.p_out readout.spikes readout.v_err readout.v_out"]
+        raster = np.zeros((s.duration, n_out), dtype=bool)
+        for t in range(s.duration):
+            raster[t] = net.step(dense[t])
+            cells = (",".join(repr(float(x)) for x in v) for v in (r.p_out, raster[t], r.v_err, r.v_out))
+            lines.append(" ".join((str(t), *cells)))
+        assert (out / f"trace_sample{k}.txt").read_text() == "\n".join(lines) + "\n"
+        assert (rasters[k].shape, rasters[k].duration, rasters[k].label) == ((n_out,), s.duration, s.label)
+        assert np.array_equal(rasters[k].events, np.argwhere(raster))
+    assert any(len(raster.events) for raster in rasters)  # the readout spikes

@@ -189,6 +189,11 @@ def test_simulate_zero_events_empty_raster(cfg_file, tmp_path):
     assert main(["simulate", "--config", cfg_file, "--events", str(empty), "--out", str(out)]) == 0
     raster = read_events(out / "raster.events")
     assert raster[0].events.shape == (0, 2)
+    # no sample at all: the batched passes run over an empty batch
+    none = tmp_path / "none.events"
+    none.write_text("")
+    assert main(["simulate", "--config", cfg_file, "--events", str(none), "--out", str(tmp_path / "sim0")]) == 0
+    assert read_events(tmp_path / "sim0" / "raster.events") == []
 
 
 @pytest.mark.parametrize("command", ["simulate", "train"])
@@ -378,3 +383,27 @@ def test_env_var_default_out_dir(cfg_file, tmp_path, monkeypatch):
     monkeypatch.setenv("SPIKESHOT_OUT", str(target))
     assert main(["calibrate", "--config", cfg_file]) == 0
     assert (target / "manifest.yaml").exists()
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+@pytest.mark.parametrize("flags, old, new, message", [
+    (["--seed", "-1"], "seeds: [0]", "seeds: [0]", "config.episode.seeds"),
+    ([], "seeds: [0]", "seeds: [0, -3]", "config.episode.seeds"),
+    ([], "r_max: 0.3", "r_max: 0.3\n  seed_offset: -20000", "config.data.seed_offset"),
+], ids=["--seed", "episode.seeds", "data.seed_offset"])
+def test_negative_seed_is_config_error(tmp_path, capsys, dry_run, flags, old, new, message):
+    p = tmp_path / "run.yaml"
+    p.write_text(SMALL_CONFIG.replace(old, new))
+    assert main(["train", "--config", str(p), "--out", str(tmp_path / "o"), *flags, *dry_run]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:") and message in err and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", [["train"], ["train", "--dry-run"], ["calibrate"]],
+                         ids=["run", "dry-run", "calibrate"])
+def test_readout_tau_u_not_below_tau_v_is_config_error(tmp_path, capsys, command):
+    p = tmp_path / "run.yaml"
+    p.write_text(SMALL_CONFIG + "readout:\n  tau_u: 20.0\n")  # tau_v stays 16
+    assert main([*command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: readout:") and "tau_v > tau_u" in err and "Traceback" not in out + err

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikeshot.dynamics import NeuronParams
+from spikeshot.events import LabeledSample
+from spikeshot.fewshot import frozen_pass
 from spikeshot.network import (
     F32_EXACT_FAN_IN,
     KIND_PLASTIC,
@@ -262,11 +264,10 @@ def test_plastic_random_init():
 def test_frozen_weights_untouched_by_learning():
     topo = parse_topology("8", ["6"], 3)
     net = build_network(topo, NEURON, READOUT, BuildConfig(seed=3))
-    net.set_rule(parse_rule("dw = x1*y1"), 4, 1)
+    net.readout.attach_engine(parse_rule("dw = x1*y1"), 4, 1)
     frozen_before = net.layers[0].weights.tobytes()
-    rng = np.random.default_rng(5)
-    net.reset_state()
-    stream = np.array([net.frozen_step((rng.random(8) < 0.4).astype(float)) for _ in range(300)])
+    events = np.argwhere(np.random.default_rng(5).random((300, 8)) < 0.4)
+    stream = frozen_pass(net, [LabeledSample(shape=(8,), duration=300, label=0, events=events)])[0]
     net.readout.train([stream], [0], [0], target_period=4)  # label spikes at t % 4 == 0
     assert net.layers[0].weights.tobytes() == frozen_before
     assert net.readout.store.weights.any()  # plastic layer did learn
