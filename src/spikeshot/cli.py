@@ -6,6 +6,10 @@ file. Every simulating run writes a manifest carrying the canonical config,
 its hash, the seeds and format versions, which is enough to reproduce the
 run bit-exactly.
 
+``train --dry-run`` does all that ``train`` does before its first step and
+writes nothing: for every seed it builds the network and dataset, reading the
+weight and event files, calibrates and parses the rule.
+
 Exit codes: 0 success, 2 config error, 3 data/weights error, 4 calibration
 failure.
 """
@@ -13,6 +17,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +45,7 @@ from .fewshot import (
     evaluate,
     format_report,
     frozen_pass,
+    prepare_episode,
     readout_steps,
     run_episode,
     split_shots,
@@ -58,8 +64,8 @@ EXIT_CALIBRATION = 4
 EVENTS_VERSION = 1
 
 
-def _out_dir(cfg: dict, override: str | None) -> str:
-    out = override or cfg["output"]["dir"] or os.environ.get("SPIKESHOT_OUT") or "."
+def _out_dir(cfg: dict) -> str:
+    out = cfg["output"]["dir"] or os.environ.get("SPIKESHOT_OUT") or "."
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as e:  # names a regular file, or lies under one
@@ -87,17 +93,20 @@ def _build_dataset(cfg: dict, ecfg: EpisodeConfig) -> list[LabeledSample]:
         return read_events(d["path"])
     if d["kind"] != "synthetic":
         raise ConfigError(f"unknown data.kind {d['kind']!r}")
-    return gen_synthetic_task(
-        n_classes=ecfg.n_way + ecfg.m_pretrained,
-        n_per_class=int(d["n_per_class"]),
-        dim=int(d["dim"]),
-        separation=float(d["separation"]),
-        seed=int(d["seed_offset"]) + ecfg.seed,
-        jitter=float(d["jitter"]),
-        duration=int(cfg["episode"]["sample_duration"]),
-        r_max=float(d["r_max"]),
-        mode=d["mode"],
-    )
+    try:
+        return gen_synthetic_task(
+            n_classes=ecfg.n_way + ecfg.m_pretrained,
+            n_per_class=int(d["n_per_class"]),
+            dim=int(d["dim"]),
+            separation=float(d["separation"]),
+            seed=int(d["seed_offset"]) + ecfg.seed,
+            jitter=float(d["jitter"]),
+            duration=int(cfg["episode"]["sample_duration"]),
+            r_max=float(d["r_max"]),
+            mode=d["mode"],
+        )
+    except ValueError as e:
+        raise ConfigError(f"synthetic task from data.* and episode.sample_duration: {e}") from None
 
 
 def _build_net(cfg: dict, seed: int):
@@ -112,10 +121,15 @@ def _build_net(cfg: dict, seed: int):
     return net
 
 
-def _train_one(cfg: dict, seed: int, out: str):
+def _setup(cfg: dict, seed: int) -> tuple:
+    """One seed's network (weights loaded), ``EpisodeConfig`` and dataset."""
     ecfg = cfgmod.episode_config(cfg, seed)
-    net = _build_net(cfg, seed)
-    report = run_episode(net, ecfg, _build_dataset(cfg, ecfg))
+    return _build_net(cfg, seed), ecfg, _build_dataset(cfg, ecfg)
+
+
+def _train_one(cfg: dict, seed: int, out: str):
+    net, ecfg, dataset = _setup(cfg, seed)
+    report = run_episode(net, ecfg, dataset)
     weights_path = os.path.join(out, f"weights_seed{seed}.ssw")
     save_weights(net, weights_path)
     return report, weights_path
@@ -141,42 +155,26 @@ def _write_manifest(cfg: dict, out: str, extra: dict) -> str:
 # --- subcommands ----------------------------------------------------------------
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
-    out = _out_dir(cfg, args.out)
+def cmd_calibrate(cfg: dict, args) -> int:
+    out = _out_dir(cfg)
     params = cfgmod.readout_params(cfg)
     b_err = params.b_err if params.b_err is not None else solve_baseline_bias(params)
     report = calibrate_bias(params, b_err, int(cfg["episode"]["calibration_window"]))
-    _write_manifest(cfg, out, {
-        "calibration": {
-            "b": report.b,
-            "b_y1": report.b_y1,
-            "b_err": report.b_err,
-            "period": report.period,
-            "window": report.window,
-            "n_spikes": report.n_spikes,
-        },
-    })
+    _write_manifest(cfg, out, {"calibration": dataclasses.asdict(report)})
     print(f"calibration: b={report.b!r} b_y1={report.b_y1!r} b_err={report.b_err!r} "
           f"period={report.period!r} n_spikes={report.n_spikes}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+def cmd_train(cfg: dict, args) -> int:
+    seeds = cfgmod.seeds(cfg)
     if args.dry_run:
-        # a config that train refuses before any work is refused here too
-        cfgmod.seeds(cfg)
-        cfgmod.topology(cfg)
-        cfgmod.neuron_params(cfg)
-        cfgmod.readout_params(cfg)
-        cfgmod.episode_config(cfg, 0)
+        for seed in seeds:
+            prepare_episode(*_setup(cfg, seed))
         sys.stdout.write(cfgmod.canonical_dump(cfg))
         print(f"config_hash: {cfgmod.config_hash(cfg)}")
         return EXIT_OK
-    out = _out_dir(cfg, args.out)
-    seeds = cfgmod.seeds(cfg)
-    results = []
+    out = _out_dir(cfg)
     if args.parallel_episodes and len(seeds) > 1:
         # spawned workers load their own BLAS; forked ones keep this one's, on all CPUs
         n = args.parallel_episodes
@@ -208,14 +206,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+def cmd_eval(cfg: dict, args) -> int:
     if not cfg["weights"]["path"]:
         raise ConfigError("eval needs a weight file (--weights or weights.path)")
     seed = cfgmod.seeds(cfg)[0]
-    ecfg = cfgmod.episode_config(cfg, seed)
-    net = _build_net(cfg, seed)
-    train, test = split_shots(episode_samples(net, ecfg, _build_dataset(cfg, ecfg)), ecfg)
+    net, ecfg, dataset = _setup(cfg, seed)
+    train, test = split_shots(episode_samples(net, ecfg, dataset), ecfg)
     samples = train if args.split == "train" else test
     counts = evaluate(net, samples)
     correct = sum(classify(c) == s.label for c, s in zip(counts, samples))
@@ -224,10 +220,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+def cmd_simulate(cfg: dict, args) -> int:
     seed = cfgmod.seeds(cfg)[0]
-    out = _out_dir(cfg, args.out)
+    out = _out_dir(cfg)
     samples = read_events(args.events)
     net = _build_net(cfg, seed)
     streams, r = frozen_pass(net, samples), net.readout
@@ -252,8 +247,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+def cmd_gen_data(cfg: dict, args) -> int:
     samples = _build_dataset(cfg, cfgmod.episode_config(cfg, cfgmod.seeds(cfg)[0]))
     path = args.out or "synthetic.events"
     write_events(samples, path)
@@ -289,7 +283,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("train", help="run few-shot episodes and save weights")
     _add_common(p)
-    p.add_argument("--dry-run", action="store_true", help="validate config and exit")
+    p.add_argument("--dry-run", action="store_true", help="for every seed, build the network and dataset, calibrate "
+                   "and parse the rule, as train does before its first step; print the config and its hash")
     p.add_argument("--parallel-episodes", type=_count, default=0, metavar="N",
                    help="run independent seeds across N worker processes, each with max(1, CPUs // N) "
                         "BLAS threads by default; each steps a large frozen pass in one thread per CPU "
@@ -312,7 +307,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_apply_overrides(cfgmod.load_config(args.config), args), args)
     except (ConfigError, TopologyError, RuleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -321,7 +316,7 @@ def main(argv=None) -> int:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except CalibrationError as e:
-        print(f"calibration failure: {e}", file=sys.stderr)
+        print(e, file=sys.stderr)  # its message says it is a calibration failure
         return EXIT_CALIBRATION
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 import yaml
 
 from .dynamics import NeuronParams
@@ -93,10 +94,12 @@ _PATH_KEYS = ("path", "dir")  # the keys whose None default stands for a path; t
 
 def _check_number(val, ref, where: str):
     """Where the default is an integer only an integer fits, where it is a
-    float any number; a bool is neither."""
+    float any finite number; a bool is neither."""
     kinds, what = ((int,), "an integer") if isinstance(ref, int) else ((int, float), "a number")
     if isinstance(val, bool) or not isinstance(val, kinds):
         raise ConfigError(f"{where}: expected {what}, got {val!r}")
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
 
 
 def _check_block(block: dict, defaults: dict, path: str):
@@ -216,14 +219,17 @@ def topology(cfg: dict) -> Topology:
 
 def build_config(cfg: dict, seed: int) -> BuildConfig:
     w = cfg["weights"]
-    return BuildConfig(
-        seed=seed,
-        frozen_scale_exp=w["frozen_scale_exp"],
-        frozen_init_lo=w["frozen_init_lo"],
-        frozen_init_hi=w["frozen_init_hi"],
-        plastic_scale_exp=w["plastic_scale_exp"],
-        plastic_init=w["plastic_init"],
-    )
+    try:
+        return BuildConfig(
+            seed=seed,
+            frozen_scale_exp=w["frozen_scale_exp"],
+            frozen_init_lo=w["frozen_init_lo"],
+            frozen_init_hi=w["frozen_init_hi"],
+            plastic_scale_exp=w["plastic_scale_exp"],
+            plastic_init=w["plastic_init"],
+        )
+    except ValueError as e:
+        raise ConfigError(f"weights: {e}")
 
 
 def episode_config(cfg: dict, seed: int) -> EpisodeConfig:

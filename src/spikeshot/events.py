@@ -262,6 +262,8 @@ def gen_synthetic_task(
     """
     if separation <= 0.0:
         raise ValueError("separation must be positive")
+    if jitter < 0.0 or duration < 0:
+        raise ValueError(f"jitter and duration must be >= 0, got {jitter} and {duration}")
     if mode not in PROTOTYPE_MODES:
         raise ValueError(f"unknown prototype mode {mode!r}")
     rng = np.random.default_rng(seed)

@@ -7,7 +7,8 @@ Classification is the argmax of proximal spike counts, ties resolved to the
 lowest index. Neuron states and traces are zeroed between samples; weights
 persist. Everything is derived from the episode seed.
 
-Only the readout learns, so an episode runs in three phases:
+``prepare_episode`` does all that precedes the first step; ``train --dry-run``
+runs it too. Only the readout learns, so the stepping runs in three phases:
 
 1. Frozen pass. Every sample, train and test, goes through the frozen
    layers once, samples stepped together along a leading batch axis. The
@@ -107,6 +108,8 @@ class EpisodeConfig:
             raise ValueError("epochs must be >= 1")
         if self.m_pretrained < 0:
             raise ValueError("m_pretrained must be >= 0")
+        if self.learn_period < 1:
+            raise ValueError("learn_period must be >= 1")
 
 
 @dataclass
@@ -374,22 +377,28 @@ def _confusion(n: int, samples: list[LabeledSample], counts: np.ndarray) -> np.n
     return confusion
 
 
-def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> EpisodeReport:
-    """Train K shots per class with plasticity on, then evaluate frozen.
-
-    With ``cfg.m_pretrained`` > 0 the plastic store is zeroed and reseeded
-    first, so that only the novel classes' shots reach it.
-    """
+def prepare_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> tuple[list, list, CalibrationReport]:
+    """All an episode does before its first step: decide its samples, zero
+    and reseed the plastic store when ``cfg.m_pretrained`` > 0 (only the
+    novel classes' shots reach it), split the shots, calibrate, and attach
+    the rule. Returns the train and test samples and the calibration."""
     samples = episode_samples(net, cfg, dataset)
+    _check_input_size(net, samples)
     readout = net.readout
     if cfg.m_pretrained:
         readout.store.weights = np.zeros(readout.store.shape, dtype=np.int8)
         readout.store.reseed()
     train, test = split_shots(samples, cfg)
-    _, order_rng = _episode_rngs(cfg.seed)
-
     calibration = net.calibrate(cfg.calibration_window)
     readout.attach_engine(_baseline_rule(cfg.rule, calibration.b_y1), cfg.lr_exp, cfg.learn_period)
+    return train, test, calibration
+
+
+def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> EpisodeReport:
+    """Train K shots per class with plasticity on, then evaluate frozen."""
+    train, test, calibration = prepare_episode(net, cfg, dataset)
+    readout = net.readout
+    _, order_rng = _episode_rngs(cfg.seed)
 
     samples = train + test
     streams = frozen_pass(net, samples)

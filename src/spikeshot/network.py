@@ -314,6 +314,12 @@ class BuildConfig:
     plastic_scale_exp: int = -6
     plastic_init: str = "zero"  # or "random"
 
+    def __post_init__(self):
+        if not (-128 <= self.frozen_init_lo <= self.frozen_init_hi <= 127):
+            raise ValueError("frozen_init_lo and frozen_init_hi must satisfy -128 <= lo <= hi <= 127")
+        if self.plastic_init not in ("zero", "random"):
+            raise ValueError(f"plastic_init must be 'zero' or 'random', got {self.plastic_init!r}")
+
 
 class Network:
     """A stack of frozen feature layers feeding one plastic readout layer.
@@ -385,8 +391,6 @@ def build_network(
     init when configured.
     """
     cfg = cfg or BuildConfig()
-    if not (-128 <= cfg.frozen_init_lo <= cfg.frozen_init_hi <= 127):
-        raise ValueError("frozen init range must lie within int8")
     seq = np.random.SeedSequence(cfg.seed)
     children = seq.spawn(len(topology.layers) + 2)
     layers = []
@@ -408,13 +412,10 @@ def build_network(
     fan_in = math.prod(plastic_spec.in_shape)
     n_out = plastic_spec.out_shape[0]
     store_seed = int(np.random.default_rng(children[-2]).integers(0, 2**31 - 1))
-    if cfg.plastic_init == "zero":
-        init = None
-    elif cfg.plastic_init == "random":
+    init = None
+    if cfg.plastic_init == "random":
         rng = np.random.default_rng(children[-1])
         init = rng.integers(-PLASTIC_INIT_MAX, PLASTIC_INIT_MAX + 1, size=(n_out, fan_in))
-    else:
-        raise ValueError(f"unknown plastic_init {cfg.plastic_init!r}")
     store = QuantizedWeightStore((n_out, fan_in), cfg.plastic_scale_exp, store_seed, init=init)
     readout = ReadoutLayer(fan_in, n_out, store, readout_params)
     return Network(topology, layers, readout, provenance=f"random-init seed={cfg.seed}")

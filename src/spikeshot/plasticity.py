@@ -158,8 +158,6 @@ class PlasticityEngine:
         lr_exp: int,
         learn_period: int = 1,
     ):
-        if learn_period < 1:
-            raise ValueError("learn_period must be >= 1")
         self.store = store
         self.rule = rule
         self.lr_exp = int(lr_exp)

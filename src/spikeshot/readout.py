@@ -173,7 +173,8 @@ def solve_baseline_bias(params: ReadoutParams) -> float:
         hi *= 4.0
         widen += 1
         if widen > 10:
-            raise CalibrationError("could not bracket a baseline bias; reset decay too slow for this period")
+            raise CalibrationError(
+                "calibration failure: could not bracket a baseline bias; reset decay too slow for this period")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if _free_run_period(params, mid, steps) > params.baseline_period:

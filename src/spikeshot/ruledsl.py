@@ -224,7 +224,10 @@ def parse_rule(text: str) -> SumOfProductsRule:
     if len(toks) < 2 or toks[0][:2] != ("name", "dw") or toks[1][:2] != ("punct", "="):
         raise RuleError("rule must start with 'dw ='", toks[0][2] if toks else 0)
     parser = _Parser(toks[2:], len(text))
-    terms = parser.parse_expr()
+    try:
+        terms = parser.parse_expr()
+    except RecursionError:  # each nested parenthesis or unary minus is a level of the descent
+        raise RuleError("rule nests too deeply") from None
     kind, _, pos = parser.peek()
     if kind is not None:
         raise RuleError("trailing input after expression", pos)

@@ -1,9 +1,12 @@
 """CLI subcommands: exit codes, manifests, reproducibility."""
 
+import math
+
 import pytest
 import yaml
 
 from spikeshot.cli import main
+from spikeshot.config import DEFAULT_CONFIG, _PATH_KEYS
 from spikeshot.events import read_events
 
 SMALL_CONFIG = """
@@ -48,8 +51,7 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_bad_rule_is_config_error(cfg_file, capsys):
-    assert main(["train", "--config", cfg_file, "--rule", "dw = z1", "--dry-run"]) == 0
-    # rule is parsed during the run, not during dry-run
+    assert main(["train", "--config", cfg_file, "--rule", "dw = z1", "--dry-run"]) == 2
     rc = main(["train", "--config", cfg_file, "--rule", "dw = z1"])
     assert rc == 2
 
@@ -407,3 +409,78 @@ def test_readout_tau_u_not_below_tau_v_is_config_error(tmp_path, capsys, command
     assert main([*command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("config error: readout:") and "tau_v > tau_u" in err and "Traceback" not in out + err
+
+
+def _small_config_with(tmp_path, changes: dict) -> str:
+    """SMALL_CONFIG with ``{section: {key: value}}`` changes, written to a file."""
+    cfg = yaml.safe_load(SMALL_CONFIG)
+    for section, block in changes.items():
+        cfg.setdefault(section, {}).update(block)
+    p = tmp_path / "changed.yaml"
+    p.write_text(yaml.safe_dump(cfg))
+    return str(p)
+
+
+CONFIG_VALUE_ERRORS = {  # values that a component refuses, each checked where its typed view is built
+    "weights.plastic_init": "foo",
+    "weights.frozen_init_lo": -200,
+    "learning.learn_period": 0,
+    "episode.sample_duration": -1,
+    "data.r_max": 0,
+    "data.separation": 0,
+    "data.jitter": -1,
+}
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+@pytest.mark.parametrize("key, value", CONFIG_VALUE_ERRORS.items(), ids=list(CONFIG_VALUE_ERRORS))
+def test_refused_value_is_config_error_naming_its_key(tmp_path, capsys, key, value, dry_run):
+    section, leaf = key.split(".")
+    cfg = _small_config_with(tmp_path, {section: {leaf: value}})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"), *dry_run]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:") and leaf in err and "Traceback" not in out + err
+
+
+def _numeric_keys(block=DEFAULT_CONFIG, path=()):
+    """Every numeric key of the default config, including those whose None default stands for a number."""
+    for key, ref in block.items():
+        if isinstance(ref, dict):
+            yield from _numeric_keys(ref, path + (key,))
+        elif (isinstance(ref, (int, float)) and not isinstance(ref, bool)) or (ref is None and key not in _PATH_KEYS):
+            yield path + (key,)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", list(_numeric_keys()), ids=".".join)
+def test_non_finite_number_is_config_error(tmp_path, capsys, key, value):
+    section, leaf = key
+    cfg = _small_config_with(tmp_path, {section: {leaf: value}})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"), "--dry-run"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error:") and ".".join(key) in err and "Traceback" not in out + err
+
+
+PREFIXES = {2: "config error:", 3: "data error:", 4: "calibration failure:"}
+PROBED_CONFIGS = {  # each refused before the first step: (changes, exit code)
+    **{key: ({key.split(".")[0]: {key.split(".")[1]: value}}, 2) for key, value in CONFIG_VALUE_ERRORS.items()},
+    "rule-400-parentheses": ({"learning": {"rule": "dw = " + "(" * 400 + "x1" + ")" * 400}}, 2),
+    "rule-2000-unary-minus": ({"learning": {"rule": "dw = " + "-" * 2000 + "x1"}}, 2),
+    "episode.k_shot": ({"episode": {"k_shot": 9}}, 3),  # 4 samples per class
+    "data.dim": ({"data": {"dim": 0}}, 3),
+    "weights.path-missing": ({"weights": {"path": "missing.ssw"}}, 3),
+    "rule-dangling-plus": ({"learning": {"rule": "dw = x1 +"}}, 2),
+    "episode.calibration_window": ({"episode": {"calibration_window": 0}}, 4),
+}
+
+
+@pytest.mark.parametrize("changes, code", PROBED_CONFIGS.values(), ids=list(PROBED_CONFIGS))
+def test_dry_run_refuses_what_train_refuses(tmp_path, monkeypatch, capsys, changes, code):
+    monkeypatch.chdir(tmp_path)  # the missing weight file is relative to it
+    cfg = _small_config_with(tmp_path, changes)
+    for flags, out_dir in (([], "run"), (["--dry-run"], "dry-run")):
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / out_dir), *flags]) == code
+        out, err = capsys.readouterr()
+        assert err.startswith(PREFIXES[code]) and err.count(PREFIXES[code]) == 1
+        assert "Traceback" not in out + err
+    assert not (tmp_path / "dry-run").exists()  # the dry run writes nothing

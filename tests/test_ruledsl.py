@@ -125,6 +125,13 @@ def test_non_finite_constants_rejected():
         parse_rule("dw = 1e308*x1 + 1e308*x1")
 
 
+@pytest.mark.parametrize("text", ["dw = " + "(" * 400 + "x1" + ")" * 400, "dw = " + "-" * 2000 + "x1"],
+                         ids=["400-parentheses", "2000-unary-minus"])
+def test_deep_nesting_is_rule_error(text):
+    with pytest.raises(RuleError, match="nests too deeply"):
+        parse_rule(text)
+
+
 def test_rule_must_have_products():
     with pytest.raises(RuleError):
         SumOfProductsRule(products=())
