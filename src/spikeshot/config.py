@@ -186,7 +186,7 @@ def neuron_params(cfg: dict) -> NeuronParams:
     n = cfg["neuron"]
     try:
         return NeuronParams(tau_u=n["tau_u"], tau_v=n["tau_v"], tau_r=n["tau_r"],
-                            v_th=n["v_th"], bias=n["bias"])
+                            v_th=float(n["v_th"]), bias=n["bias"])
     except ValueError as e:
         raise ConfigError(f"neuron: {e}")
 
@@ -194,7 +194,7 @@ def neuron_params(cfg: dict) -> NeuronParams:
 def readout_params(cfg: dict) -> ReadoutParams:
     r = cfg["readout"]
     try:
-        neuron = NeuronParams(tau_u=r["tau_u"], tau_v=r["tau_v"], tau_r=r["tau_r"], v_th=r["v_th"])
+        neuron = NeuronParams(tau_u=r["tau_u"], tau_v=r["tau_v"], tau_r=r["tau_r"], v_th=float(r["v_th"]))
         y1 = TraceConfig(tau=r["y1_tau"], increment=r["y1_increment"]) if r["y1_tau"] else None
         params = ReadoutParams(neuron=neuron, w_tgt=r["w_tgt"], baseline_period=r["baseline_period"],
                                b_err=r["b_err"], b_out=r["b_out"], y1=y1)
@@ -214,7 +214,9 @@ def seeds(cfg: dict) -> list[int]:
 
 def topology(cfg: dict) -> Topology:
     t = cfg["topology"]
-    return parse_topology(t["input"], list(t["layers"]), t["output"])
+    if isinstance(t["input"], bool) or not isinstance(t["input"], (str, int)):
+        raise ConfigError(f'config.topology.input: expected a shape such as "16" or "128x128x2", got {t["input"]!r}')
+    return parse_topology(str(t["input"]), list(t["layers"]), t["output"])
 
 
 def build_config(cfg: dict, seed: int) -> BuildConfig:

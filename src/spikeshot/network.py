@@ -317,6 +317,9 @@ class BuildConfig:
     def __post_init__(self):
         if not (-128 <= self.frozen_init_lo <= self.frozen_init_hi <= 127):
             raise ValueError("frozen_init_lo and frozen_init_hi must satisfy -128 <= lo <= hi <= 127")
+        for name in ("frozen_scale_exp", "plastic_scale_exp"):
+            if not -128 <= getattr(self, name) <= 127:  # the weight file stores it as an i8
+                raise ValueError(f"{name} must satisfy -128 <= {name} <= 127, got {getattr(self, name)}")
         if self.plastic_init not in ("zero", "random"):
             raise ValueError(f"plastic_init must be 'zero' or 'random', got {self.plastic_init!r}")
 

@@ -58,6 +58,8 @@ class ReadoutParams:
             raise ValueError("w_tgt must be positive")
         if self.baseline_period < 2:
             raise ValueError("baseline_period must be >= 2 steps")
+        if self.neuron.alpha_p == 1.0:  # b_out divides by 1 - alpha_p
+            raise ValueError(f"tau_v={self.neuron.tau_v} is so long that its decay exp(-1/tau_v) rounds to 1")
 
     def y1_config(self) -> TraceConfig:
         return self.y1 if self.y1 is not None else TraceConfig(tau=self.neuron.tau_v, increment=1.0)

@@ -1,19 +1,26 @@
 """Text DSL for weight-update rules in sum-of-products form.
 
-A rule is written as ``dw = <expr>`` where expr is built from numeric
-constants, the trace/state variables x0, x1, x2, y0, y1, y2, w, products,
-sums and parentheses:
-
-    rule   := "dw" "=" expr
-    expr   := ["+"|"-"] term (("+"|"-") term)*
-    term   := factor ("*" factor)*
-    factor := const | var | "-" factor | "(" expr ")"
+A rule is written ``dw = <expr>``, where expr is the subset of Python's
+expression syntax (read by ``ast.parse``) made of constants, the variables
+x0, x1, x2, y0, y1, y2, w, unary and binary ``+`` and ``-``, ``*`` and
+parentheses; whitespace and line breaks only separate tokens. Everything
+else Python accepts is refused: ``/``, ``**``, calls, attributes, strings,
+comments, ``True``. A constant is ASCII digits with an optional point and
+exponent (``2``, ``.5``, ``1e-3``, ``2.5E2``) and is read with ``float``;
+``0x10``, ``1_0`` and ``1j`` are refused, and, as in Python, so is an
+integer with a leading zero (``082526``). A unary ``+`` may stand wherever a
+unary ``-`` may, also after an operator (``x1 * +x2``).
 
 Parsing canonicalizes: products are distributed over sums, constants are
 folded, factors are sorted within each product, like products are combined,
 and products are ordered by factor names then constant. Two texts denoting
 the same polynomial therefore parse to an identical rule, and the
 pretty-printed form re-parses to itself.
+
+``RuleError.pos`` indexes the character at fault in the rule text: the start
+of the text lacking ``dw =``, of an unknown name, a non-finite constant or a
+refused subexpression, or where Python's parser stopped (the end of a text
+that ends early). It is None when nesting is too deep or folding overflows.
 
 The variable names follow the hardware learning-engine convention: x* are
 pre-synaptic quantities (x0 = spike this step, x1/x2 = traces), y* are
@@ -22,7 +29,9 @@ post-synaptic, w is the current effective weight.
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from dataclasses import dataclass
 
 RULE_VARS = ("x0", "x1", "x2", "y0", "y1", "y2", "w")
@@ -47,9 +56,6 @@ class Factor:
     def __post_init__(self):
         if self.name not in RULE_VARS:
             raise RuleError(f"unknown variable {self.name!r}")
-
-    def __str__(self):
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -77,20 +83,12 @@ class SumOfProductsRule:
 
     def pretty(self) -> str:
         """Render back to rule text; re-parsing yields an identical rule."""
-        parts = []
-        for k, prod in enumerate(self.products):
+        text = ""
+        for prod in self.products:
             c = prod.constant
-            sign = "-" if c < 0 else "+"
-            pieces = []
-            if abs(c) != 1.0 or not prod.factors:
-                pieces.append(_fmt(abs(c)))
-            pieces.extend(str(f) for f in prod.factors)
-            term = "*".join(pieces)
-            if k == 0:
-                parts.append(term if sign == "+" else f"-{term}")
-            else:
-                parts.append(f" {sign} {term}")
-        return "dw = " + "".join(parts)
+            pieces = [_fmt(abs(c))] if abs(c) != 1.0 or not prod.factors else []
+            text += (" - " if c < 0 else " + ") + "*".join(pieces + [f.name for f in prod.factors])
+        return "dw = " + (text[3:] if text.startswith(" + ") else "-" + text[3:])
 
 
 def _fmt(x: float) -> str:
@@ -99,113 +97,14 @@ def _fmt(x: float) -> str:
     return repr(x)
 
 
-# --- tokenizer -------------------------------------------------------------
+# --- the expression, read by Python's parser and distributed into terms ------
 
-_PUNCT = set("+-*()=")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Yield (kind, value, pos) with kind in {num, name, punct}."""
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _PUNCT:
-            toks.append(("punct", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise RuleError(f"bad number {text[i:j]!r}", i)
-            if not math.isfinite(value):
-                raise RuleError(f"non-finite number {text[i:j]!r}", i)
-            toks.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise RuleError(f"unexpected character {ch!r}", i)
-    return toks
-
-
-# --- recursive-descent parser producing distributed term lists --------------
+_HEAD = re.compile(r"\s*dw\s*=\s*")
+_NUMBER_CHARS = frozenset("0123456789.eE+-")  # the sign of an exponent
+# a comment, and characters that Python cannot read as source at all
+_UNREADABLE = re.compile("[#\x00\ud800-\udfff]")
 
 _Terms = list[tuple[float, tuple[str, ...]]]
-
-
-class _Parser:
-    def __init__(self, toks: list[tuple[str, str, int]], text_len: int):
-        self.toks = toks
-        self.i = 0
-        self.end = text_len
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None, self.end)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_punct(self, value: str):
-        kind, val, pos = self.take()
-        if kind != "punct" or val != value:
-            raise RuleError(f"expected {value!r}", pos)
-
-    def parse_expr(self) -> _Terms:
-        sign = 1.0
-        kind, val, _ = self.peek()
-        if kind == "punct" and val in "+-":
-            self.take()
-            sign = -1.0 if val == "-" else 1.0
-        terms = _scale(self.parse_term(), sign)
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "punct" and val in "+-":
-                self.take()
-                nxt = self.parse_term()
-                terms.extend(_scale(nxt, -1.0 if val == "-" else 1.0))
-            else:
-                return terms
-
-    def parse_term(self) -> _Terms:
-        terms = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "punct" and val == "*":
-                self.take()
-                terms = _cross(terms, self.parse_factor())
-            else:
-                return terms
-
-    def parse_factor(self) -> _Terms:
-        kind, val, pos = self.take()
-        if kind == "punct" and val == "-":
-            return _scale(self.parse_factor(), -1.0)
-        if kind == "num":
-            return [(float(val), ())]
-        if kind == "name":
-            if val not in RULE_VARS:
-                raise RuleError(f"unknown variable {val!r}", pos)
-            return [(1.0, (val,))]
-        if kind == "punct" and val == "(":
-            inner = self.parse_expr()
-            self.expect_punct(")")
-            return inner
-        raise RuleError("expected a constant, variable or parenthesized expression", pos)
 
 
 def _scale(terms: _Terms, c: float) -> _Terms:
@@ -220,18 +119,63 @@ def parse_rule(text: str) -> SumOfProductsRule:
     """Parse rule text into its canonical sum-of-products form."""
     if not text or not text.strip():
         raise RuleError("empty rule")
-    toks = _tokenize(text)
-    if len(toks) < 2 or toks[0][:2] != ("name", "dw") or toks[1][:2] != ("punct", "="):
-        raise RuleError("rule must start with 'dw ='", toks[0][2] if toks else 0)
-    parser = _Parser(toks[2:], len(text))
+    head = _HEAD.match(text)
+    if head is None:
+        raise RuleError("rule must start with 'dw ='", len(text) - len(text.lstrip()))
+    start = head.end()
+    # one space per whitespace character keeps every column and joins a rule split over lines
+    body = re.sub(r"\s", " ", text[start:])
+    if bad := _UNREADABLE.search(body):
+        raise RuleError(f"unexpected character {bad.group()!r}", start + bad.start())
     try:
-        terms = parser.parse_expr()
-    except RecursionError:  # each nested parenthesis or unary minus is a level of the descent
+        terms = _terms(ast.parse(body, mode="eval").body, body, start)
+    except SyntaxError as e:  # offset counts characters from 1; none, or a later line, is the end
+        col = e.offset - 1 if e.lineno == 1 and e.offset else len(body)
+        raise RuleError(e.msg, min(start + col, len(text))) from None
+    except (RecursionError, MemoryError):  # the depth limits of the walk and of Python's parser, by version
         raise RuleError("rule nests too deeply") from None
-    kind, _, pos = parser.peek()
-    if kind is not None:
-        raise RuleError("trailing input after expression", pos)
     return _canonicalize(terms)
+
+
+def _terms(root: ast.expr, body: str, start: int) -> _Terms:
+    """The products of an expression parsed from ``body``, which sits at ``start`` in the rule text."""
+    encoded = body.encode()  # node columns count UTF-8 bytes
+
+    def refuse(message: str, node: ast.expr):
+        raise RuleError(message, start + len(encoded[:node.col_offset].decode()))
+
+    def walk(node: ast.expr) -> _Terms:
+        # a chain of sums and products is a left spine of BinOps: loop down it
+        spine = []
+        while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+            spine.append(node)
+            node = node.left
+        terms = operand(node)
+        for op in reversed(spine):
+            right = walk(op.right)
+            if isinstance(op.op, ast.Mult):
+                terms = _cross(terms, right)
+            else:
+                terms.extend(_scale(right, -1.0) if isinstance(op.op, ast.Sub) else right)
+        return terms
+
+    def operand(node: ast.expr) -> _Terms:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            inner = walk(node.operand)
+            return _scale(inner, -1.0) if isinstance(node.op, ast.USub) else inner
+        source = encoded[node.col_offset:node.end_col_offset].decode()
+        if isinstance(node, ast.Name):
+            if source not in RULE_VARS:  # the spelling, since Python folds a fullwidth x1 to x1
+                refuse(f"unknown variable {source!r}", node)
+            return [(1.0, (source,))]
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float) and _NUMBER_CHARS.issuperset(source):
+            value = float(source)
+            if not math.isfinite(value):
+                refuse(f"non-finite number {source!r}", node)
+            return [(value, ())]
+        refuse(f"expected a constant, variable, +, -, * or parentheses, got {source!r}", node)
+
+    return walk(root)
 
 
 def _canonicalize(terms: _Terms) -> SumOfProductsRule:

@@ -484,3 +484,40 @@ def test_dry_run_refuses_what_train_refuses(tmp_path, monkeypatch, capsys, chang
         assert err.startswith(PREFIXES[code]) and err.count(PREFIXES[code]) == 1
         assert "Traceback" not in out + err
     assert not (tmp_path / "dry-run").exists()  # the dry run writes nothing
+
+
+CONFIG_VALUES_PAST_THEIR_RANGE = {  # (section, key, value): exit code under train and --dry-run, words of its error
+    "weights.plastic_scale_exp=200": ("weights", "plastic_scale_exp", 200, 2, "plastic_scale_exp"),  # a file i8
+    "weights.plastic_scale_exp=-129": ("weights", "plastic_scale_exp", -129, 2, "plastic_scale_exp"),
+    "weights.frozen_scale_exp=300": ("weights", "frozen_scale_exp", 300, 2, "frozen_scale_exp"),
+    "learning.lr_exp=1024": ("learning", "lr_exp", 1024, 2, "lr_exp"),  # 2.0**1024 overflows
+    "readout.tau_v=1e17": ("readout", "tau_v", 1.0e17, 2, "tau_v"),  # exp(-1/tau_v) rounds to 1
+    "neuron.v_th=10**19": ("neuron", "v_th", 10**19, 0, None),  # a float key, past int64 if read as an integer
+    "readout.v_th=10**19": ("readout", "v_th", 10**19, 0, None),
+    "topology.input=1.5": ("topology", "input", 1.5, 2, "topology.input"),
+    "topology.input=true": ("topology", "input", True, 2, "topology.input"),
+    "topology.input=null": ("topology", "input", None, 2, "topology.input"),
+}
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+@pytest.mark.parametrize("section, key, value, code, words", CONFIG_VALUES_PAST_THEIR_RANGE.values(),
+                         ids=list(CONFIG_VALUES_PAST_THEIR_RANGE))
+def test_config_value_past_its_range_ends_without_traceback(tmp_path, capsys, section, key, value, code, words,
+                                                            dry_run):
+    cfg = _small_config_with(tmp_path, {section: {key: value}})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"), *dry_run]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code:
+        assert err.startswith("config error:") and words in err
+
+
+def test_integer_input_shape_runs_as_its_string(tmp_path):
+    runs = {}
+    for name, value in (("text", "16"), ("number", 16)):
+        runs[name] = tmp_path / name
+        cfg = _small_config_with(tmp_path, {"topology": {"input": value}})
+        assert main(["train", "--config", cfg, "--out", str(runs[name])]) == 0
+    for name in ("weights_seed0.ssw", "report_seed0.txt"):
+        assert (runs["text"] / name).read_bytes() == (runs["number"] / name).read_bytes()
