@@ -52,7 +52,7 @@ from .fewshot import (
     worker_blas_env,
 )
 from .network import TopologyError, build_network
-from .readout import CalibrationError, calibrate_bias, solve_baseline_bias
+from .readout import CalibrationError, calibrate_bias
 from .ruledsl import RuleError
 from .weightio import FILE_VERSION, WeightFileError, load_weights, save_weights
 
@@ -158,8 +158,7 @@ def _write_manifest(cfg: dict, out: str, extra: dict) -> str:
 def cmd_calibrate(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     params = cfgmod.readout_params(cfg)
-    b_err = params.b_err if params.b_err is not None else solve_baseline_bias(params)
-    report = calibrate_bias(params, b_err, int(cfg["episode"]["calibration_window"]))
+    report = calibrate_bias(params, params.baseline_bias(), int(cfg["episode"]["calibration_window"]))
     _write_manifest(cfg, out, {"calibration": dataclasses.asdict(report)})
     print(f"calibration: b={report.b!r} b_y1={report.b_y1!r} b_err={report.b_err!r} "
           f"period={report.period!r} n_spikes={report.n_spikes}")
@@ -175,7 +174,7 @@ def cmd_train(cfg: dict, args) -> int:
         print(f"config_hash: {cfgmod.config_hash(cfg)}")
         return EXIT_OK
     out = _out_dir(cfg)
-    if args.parallel_episodes and len(seeds) > 1:
+    if args.parallel_episodes > 1 and len(seeds) > 1:
         # spawned workers load their own BLAS; forked ones keep this one's, on all CPUs
         n = args.parallel_episodes
         with mock.patch.dict(os.environ, worker_blas_env(n)), ProcessPoolExecutor(n, get_context("spawn")) as pool:

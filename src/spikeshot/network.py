@@ -29,7 +29,7 @@ import numpy as np
 
 from . import readout as readout_mod
 from .dynamics import NeuronParams
-from .plasticity import QuantizedWeightStore
+from .plasticity import QuantizedWeightStore, int8_weights
 from .readout import ReadoutLayer, ReadoutParams
 
 KIND_DENSE = "dense"
@@ -151,6 +151,7 @@ class _FrozenLayer:
     """
 
     kind: str
+    weight_shape = staticmethod(lambda spec: ())  # the shape of the stored weights: none
 
     def __init__(self, spec: LayerSpec, params: NeuronParams):
         self.spec = spec
@@ -204,18 +205,11 @@ class _WeightedLayer(_FrozenLayer):
         super().__init__(spec, params)
         self.set_weights(weights, scale_exp)
 
-    def _weight_shape(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
     def set_weights(self, weights: np.ndarray, scale_exp: int):
-        """Replace the weights (stored as a read-only int8 copy) and scale,
-        and rebuild the contraction matrices ``[n_in, n_out]`` derived from
-        them: scaled float64, and unscaled float32 within the exact fan-in."""
-        weights = np.asarray(weights)
-        if weights.shape != self._weight_shape():
-            raise TopologyError(f"{self.kind} weights {weights.shape} != {self._weight_shape()}")
-        self.weights = weights.astype(np.int8)
-        self.weights.flags.writeable = False
+        """Replace the weights (checked by ``int8_weights``) and scale, and
+        rebuild the contraction matrices ``[n_in, n_out]`` derived from them:
+        scaled float64, and unscaled float32 within the exact fan-in."""
+        self.weights = int8_weights(weights, self.weight_shape(self.spec), scale_exp, TopologyError)
         self.scale_exp = int(scale_exp)
         w = self.weights.reshape(self.weights.shape[0], -1).T
         self._w = w * 2.0**self.scale_exp
@@ -237,9 +231,7 @@ class _WeightedLayer(_FrozenLayer):
 
 class DenseLayer(_WeightedLayer):
     kind = KIND_DENSE
-
-    def _weight_shape(self):
-        return (self.spec.out_shape[0], math.prod(self.spec.in_shape))
+    weight_shape = staticmethod(ReadoutLayer.weight_shape)  # the readout is fully connected too
 
     def _cols(self, s, dtype):
         return s.reshape(self._lead + (-1,)).astype(dtype, copy=False)
@@ -250,9 +242,9 @@ class ConvLayer(_WeightedLayer):
 
     kind = KIND_CONV
 
-    def _weight_shape(self):
-        k = self.spec.kernel
-        return (self.spec.channels, k, k, self.spec.in_shape[2])
+    @staticmethod
+    def weight_shape(spec):
+        return (spec.channels, spec.kernel, spec.kernel, spec.in_shape[2])
 
     def _cols(self, s, dtype):
         # im2col over the whole batch, for one gemm: [B*H*W, k*k*C_in] @ [k*k*C_in, C_out]
@@ -301,6 +293,8 @@ class PoolLayer(_FrozenLayer):
 
 
 PLASTIC_INIT_MAX = 16  # "random" plastic init draws integers in [-16, 16]
+DIM_MAX = 2**32 - 1  # the weight file stores every dimension as a u32
+_LAYER_CLASSES = {KIND_POOL: PoolLayer, KIND_DENSE: DenseLayer, KIND_CONV: ConvLayer, KIND_PLASTIC: ReadoutLayer}
 
 
 @dataclass(frozen=True)
@@ -371,7 +365,7 @@ class Network:
 
     def weighted_layers(self) -> list:
         """Layers carrying stored weights, in network order (readout last)."""
-        return [l for l in self.layers if l.kind in (KIND_DENSE, KIND_CONV)] + [self.readout]
+        return [l for l in self.layers if isinstance(l, _WeightedLayer)] + [self.readout]
 
     def calibrate(self, window: int):
         # looked up on the module at call time, where a tracer may wrap it
@@ -389,31 +383,27 @@ def build_network(
 ) -> Network:
     """Allocate a network: frozen weights seeded-random, plastic store zeroed.
 
-    Seed usage is fixed: one child stream per frozen layer (in order), then
-    one for the plastic store's rounding stream, then one for random plastic
-    init when configured.
+    Every layer size and weight dimension must fit the weight file's u32,
+    checked before anything is allocated. Seed usage is fixed: one child
+    stream per frozen layer (in order), then one for the plastic store's
+    rounding stream, then one for random plastic init when configured.
     """
     cfg = cfg or BuildConfig()
-    seq = np.random.SeedSequence(cfg.seed)
-    children = seq.spawn(len(topology.layers) + 2)
+    classes = [_LAYER_CLASSES[spec.kind] for spec in topology.layers]
+    shapes = [cls.weight_shape(spec) for spec, cls in zip(topology.layers, classes)]
+    for spec, shape in zip(topology.layers, shapes):
+        if max(spec.out_shape + shape) > DIM_MAX:
+            raise TopologyError(f"{spec.kind} layer {spec.out_shape}, weights {shape}: a size past the file's u32")
+    children = np.random.SeedSequence(cfg.seed).spawn(len(topology.layers) + 2)
     layers = []
-    for i, spec in enumerate(topology.layers[:-1]):
-        rng = np.random.default_rng(children[i])
-        if spec.kind == KIND_POOL:
-            layers.append(PoolLayer(spec, neuron))
-        elif spec.kind == KIND_DENSE:
-            w = rng.integers(cfg.frozen_init_lo, cfg.frozen_init_hi + 1,
-                             size=(spec.out_shape[0], math.prod(spec.in_shape)))
-            layers.append(DenseLayer(spec, neuron, w, cfg.frozen_scale_exp))
-        elif spec.kind == KIND_CONV:
-            k, c_out, c_in = spec.kernel, spec.channels, spec.in_shape[2]
-            w = rng.integers(cfg.frozen_init_lo, cfg.frozen_init_hi + 1, size=(c_out, k, k, c_in))
-            layers.append(ConvLayer(spec, neuron, w, cfg.frozen_scale_exp))
+    for i, (spec, cls) in enumerate(zip(topology.layers[:-1], classes)):
+        if issubclass(cls, _WeightedLayer):
+            rng = np.random.default_rng(children[i])
+            w = rng.integers(cfg.frozen_init_lo, cfg.frozen_init_hi + 1, size=shapes[i])
+            layers.append(cls(spec, neuron, w, cfg.frozen_scale_exp))
         else:
-            raise TopologyError(f"unexpected layer kind {spec.kind}")
-    plastic_spec = topology.layers[-1]
-    fan_in = math.prod(plastic_spec.in_shape)
-    n_out = plastic_spec.out_shape[0]
+            layers.append(cls(spec, neuron))
+    n_out, fan_in = shapes[-1]
     store_seed = int(np.random.default_rng(children[-2]).integers(0, 2**31 - 1))
     init = None
     if cfg.plastic_init == "random":

@@ -32,6 +32,22 @@ def _pow2(exp: int) -> np.ndarray:
     return a
 
 
+def int8_weights(weights, shape: tuple[int, ...], scale_exp: int, error=ValueError) -> np.ndarray:
+    """A read-only int8 copy of ``weights``: the check of every assignment of
+    stored weights, the store's and the frozen layers'. The shape must be
+    ``shape`` (else ``error``); values and ``scale_exp`` must lie in [-128, 127]."""
+    w = np.asarray(weights)
+    if w.shape != tuple(shape):
+        raise error(f"weights shape {w.shape} != {tuple(shape)}")
+    if w.size and not (w.min() >= WEIGHT_MIN and w.max() <= WEIGHT_MAX):  # also refuses NaN
+        raise ValueError(f"weights outside the int8 range [{WEIGHT_MIN}, {WEIGHT_MAX}]")
+    if not WEIGHT_MIN <= scale_exp <= WEIGHT_MAX:
+        raise ValueError(f"scale_exp {scale_exp} outside the weight file's i8 range [{WEIGHT_MIN}, {WEIGHT_MAX}]")
+    w = w.astype(np.int8)
+    w.flags.writeable = False
+    return w
+
+
 class NonFiniteUpdateError(ValueError):
     """A weight update that is NaN or infinite; the store refuses it."""
 
@@ -47,18 +63,9 @@ class QuantizedWeightStore:
 
     def __init__(self, shape: tuple[int, int], scale_exp: int, seed: int, init: np.ndarray | None = None):
         self.shape = tuple(shape)
-        self.scale_exp = int(scale_exp)
         self.rng_seed = int(seed)
         self._frac, self._floor = np.empty((2,) + self.shape)  # the rounding's buffers
-        if init is None:
-            self.weights = np.zeros(self.shape, dtype=np.int8)
-        else:
-            init = np.asarray(init)
-            if init.shape != self.shape:
-                raise ValueError(f"init shape {init.shape} != store shape {self.shape}")
-            if init.min() < WEIGHT_MIN or init.max() > WEIGHT_MAX:
-                raise ValueError("init weights out of int8 range")
-            self.weights = init.astype(np.int8)
+        self.set_weights(np.zeros(self.shape, dtype=np.int8) if init is None else init, scale_exp)
         self.reseed()
 
     @property
@@ -71,12 +78,13 @@ class QuantizedWeightStore:
 
     @weights.setter
     def weights(self, value: np.ndarray):
-        w = np.array(value, dtype=np.int8)
-        if w.shape != self.shape:
-            raise ValueError(f"weights shape {w.shape} != store shape {self.shape}")
-        w.flags.writeable = False
-        self._weights = w
-        self._float = w.astype(np.float64)
+        self.set_weights(value, self.scale_exp)
+
+    def set_weights(self, weights: np.ndarray, scale_exp: int):
+        """Replace the weights (stored as a read-only int8 copy) and the scale."""
+        self._weights = int8_weights(weights, self.shape, scale_exp)
+        self.scale_exp = int(scale_exp)
+        self._float = self._weights.astype(np.float64)
         self._eff_exp = None
 
     def effective(self) -> np.ndarray:

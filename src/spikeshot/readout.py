@@ -22,6 +22,7 @@ would saturate at one spike per step and spike counts would carry no signal.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,10 @@ class ReadoutParams:
             raise ValueError("baseline_period must be >= 2 steps")
         if self.neuron.alpha_p == 1.0:  # b_out divides by 1 - alpha_p
             raise ValueError(f"tau_v={self.neuron.tau_v} is so long that its decay exp(-1/tau_v) rounds to 1")
+
+    def baseline_bias(self) -> float:
+        """``b_err``, or ``solve_baseline_bias``'s when it is unset."""
+        return self.b_err if self.b_err is not None else solve_baseline_bias(self)
 
     def y1_config(self) -> TraceConfig:
         return self.y1 if self.y1 is not None else TraceConfig(tau=self.neuron.tau_v, increment=1.0)
@@ -206,6 +211,10 @@ class ReadoutLayer:
 
     kind = "plastic-output"
 
+    @staticmethod
+    def weight_shape(spec) -> tuple[int, int]:  # [n_out, fan_in]
+        return (spec.out_shape[0], math.prod(spec.in_shape))
+
     def __init__(
         self,
         fan_in: int,
@@ -219,7 +228,7 @@ class ReadoutLayer:
         self.n_out = n_out
         self.store = store
         self.params = params
-        self.b_err = params.b_err if params.b_err is not None else solve_baseline_bias(params)
+        self.b_err = params.baseline_bias()
         n = params.neuron
         self.b_out = params.b_out if params.b_out is not None else -self.b_err / (1.0 - n.alpha_p)
         self.x1_cfg, self.x2_cfg = params.pre_trace_configs()
@@ -228,6 +237,13 @@ class ReadoutLayer:
         self._a_q, self._a_p, self._a_r = n.alpha_q, n.alpha_p, n.alpha_r
         self.engine: PlasticityEngine | None = None
         self.reset_state()
+
+    # the frozen layers' weight interface, over the store
+    weights = property(lambda self: self.store.weights)
+    scale_exp = property(lambda self: self.store.scale_exp)
+
+    def set_weights(self, weights: np.ndarray, scale_exp: int):
+        self.store.set_weights(weights, scale_exp)
 
     def attach_engine(self, rule: SumOfProductsRule, lr_exp: int, learn_period: int = 1):
         self.engine = PlasticityEngine(self.store, rule, lr_exp, learn_period)

@@ -16,6 +16,13 @@ Layout (little-endian):
 
 The provenance string records where the frozen weights came from (e.g. the
 pretraining class set) and travels with the file; it is advisory only.
+
+Every weighted layer, frozen or plastic, has one interface: ``kind``,
+read-only int8 ``weights``, ``scale_exp`` and ``set_weights``, so one loop
+saves or loads them all. The bounds are this file's fields: each assignment
+passes ``plasticity.int8_weights`` (int8 values, an i8 ``scale_exp``), and
+``build_network`` refuses sizes past the u32 dims before it allocates. A
+load checks every entry first, so a mismatch leaves the network unchanged.
 """
 
 from __future__ import annotations
@@ -37,30 +44,16 @@ class WeightFileError(ValueError):
     """Corrupt, truncated or mismatched weight file."""
 
 
-def _layer_arrays(net) -> list[tuple[str, np.ndarray, int]]:
-    out = []
-    for layer in net.weighted_layers():
-        if layer.kind == "plastic-output":
-            out.append((layer.kind, layer.store.weights, layer.store.scale_exp))
-        else:
-            out.append((layer.kind, layer.weights, layer.scale_exp))
-    return out
-
-
 def save_weights(net, path, provenance: str | None = None) -> None:
     """Write every weighted layer of the network, in order."""
     prov = (provenance if provenance is not None else net.provenance).encode("utf-8")
-    entries = _layer_arrays(net)
-    blob = bytearray()
-    blob += FILE_MAGIC
-    blob += struct.pack("<HHH", FILE_VERSION, len(entries), len(prov))
-    blob += prov
+    layers = net.weighted_layers()
+    blob = bytearray(FILE_MAGIC + struct.pack("<HHH", FILE_VERSION, len(layers), len(prov)) + prov)
     crc = 0
-    for kind, weights, scale_exp in entries:
-        payload = np.ascontiguousarray(weights, dtype=np.int8).tobytes()
-        blob += struct.pack("<BbB", _KIND_TAGS[kind], scale_exp, weights.ndim)
-        blob += struct.pack(f"<{weights.ndim}I", *weights.shape)
-        blob += payload
+    for layer in layers:
+        w = layer.weights
+        payload = w.tobytes()  # C order, whatever the layout
+        blob += struct.pack(f"<BbB{w.ndim}I", _KIND_TAGS[layer.kind], layer.scale_exp, w.ndim, *w.shape) + payload
         crc = zlib.crc32(payload, crc)
     blob += struct.pack("<I", crc)
     with open(path, "wb") as f:
@@ -120,24 +113,18 @@ def load_weights(net, path) -> str:
     """Load a weight file into a built network; returns the provenance string.
 
     Every stored layer must match the network's weighted layers in order,
-    kind, shape and scale exponent source (the scale is taken from the
-    file).
+    kind and shape, and each takes its scale from the file. All are checked
+    before any is set.
     """
     provenance, entries = read_weight_file(path)
     targets = net.weighted_layers()
     if len(entries) != len(targets):
         raise WeightFileError(f"file has {len(entries)} weighted layers, network has {len(targets)}")
-    for (kind, weights, scale_exp), layer in zip(entries, targets):
-        if kind != layer.kind:
-            raise WeightFileError(f"layer kind mismatch: file {kind}, network {layer.kind}")
-        if layer.kind == "plastic-output":
-            if weights.shape != layer.store.shape:
-                raise WeightFileError(f"plastic shape mismatch: {weights.shape} vs {layer.store.shape}")
-            layer.store.weights = weights.copy()
-            layer.store.scale_exp = int(scale_exp)
-        else:
-            if weights.shape != layer.weights.shape:
-                raise WeightFileError(f"{kind} shape mismatch: {weights.shape} vs {layer.weights.shape}")
-            layer.set_weights(weights, scale_exp)
+    for (kind, weights, _), layer in zip(entries, targets):
+        if (kind, weights.shape) != (layer.kind, layer.weights.shape):
+            raise WeightFileError(f"layer mismatch: file {kind} {weights.shape}, "
+                                  f"network {layer.kind} {layer.weights.shape}")
+    for (_, weights, scale_exp), layer in zip(entries, targets):
+        layer.set_weights(weights, scale_exp)
     net.provenance = provenance
     return provenance

@@ -359,6 +359,21 @@ def test_parallel_episodes_matches_sequential(cfg_file, tmp_path):
         assert (seq / name).read_bytes() == (par / name).read_bytes()
 
 
+def test_one_parallel_episode_runs_in_process(tmp_path, monkeypatch):
+    p = tmp_path / "multi.yaml"
+    p.write_text(SMALL_CONFIG.replace("seeds: [0]", "seeds: [0, 1]"))
+    seq, one = tmp_path / "seq", tmp_path / "one"
+    assert main(["train", "--config", str(p), "--out", str(seq)]) == 0
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool of one worker is pure start-up cost")
+
+    monkeypatch.setattr("spikeshot.cli.ProcessPoolExecutor", no_pool)
+    assert main(["train", "--config", str(p), "--out", str(one), "--parallel-episodes", "1"]) == 0
+    for name in ("report_seed0.txt", "report_seed1.txt", "weights_seed0.ssw", "weights_seed1.ssw", "manifest.yaml"):
+        assert (seq / name).read_bytes() == (one / name).read_bytes()
+
+
 def test_negative_parallel_episodes_is_usage_error(tmp_path, capsys):
     p = tmp_path / "multi.yaml"
     p.write_text(SMALL_CONFIG.replace("seeds: [0]", "seeds: [0, 1]"))
@@ -497,6 +512,8 @@ CONFIG_VALUES_PAST_THEIR_RANGE = {  # (section, key, value): exit code under tra
     "topology.input=1.5": ("topology", "input", 1.5, 2, "topology.input"),
     "topology.input=true": ("topology", "input", True, 2, "topology.input"),
     "topology.input=null": ("topology", "input", None, 2, "topology.input"),
+    "topology.input=10**19": ("topology", "input", 10**19, 2, "u32"),  # past the weight file's dimensions
+    "topology.output=10**19": ("topology", "output", 10**19, 2, "u32"),
 }
 
 

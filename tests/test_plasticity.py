@@ -31,6 +31,15 @@ def learner(store, rule, lr_exp, learn_period=1):
     return layer
 
 
+def test_assignment_outside_int8_is_refused_not_wrapped():
+    s = QuantizedWeightStore((1, 2), -6, 0)
+    with pytest.raises(ValueError, match="int8 range"):
+        s.weights = [[200, -300]]  # a cast to int8 would store [[-56, -44]]
+    with pytest.raises(ValueError, match="scale_exp"):
+        QuantizedWeightStore((1, 2), 128, 0)  # the weight file stores it as an i8
+    assert not s.weights.any() and s.scale_exp == -6
+
+
 def test_effective_weights_power_of_two_scale():
     s = QuantizedWeightStore((2, 2), -6, 1, init=np.array([[64, -64], [127, -128]]))
     assert np.array_equal(s.effective(), np.array([[1.0, -1.0], [127 / 64, -2.0]]))

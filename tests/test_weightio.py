@@ -201,3 +201,55 @@ def test_truncated_or_flipped_file_is_weight_file_error(conv_file, data):
             return
     with pytest.raises(WeightFileError):
         read_weight_file(bad)
+
+
+def _layer_state(net):
+    """Each weighted layer's kind, weights and scale; the readout's read from its store."""
+    frozen = [(layer.kind, layer.weights.copy(), layer.scale_exp) for layer in net.weighted_layers()[:-1]]
+    return frozen + [(net.readout.kind, net.readout.store.weights.copy(), net.readout.store.scale_exp)]
+
+
+def test_every_weighted_layer_has_one_interface():
+    net = build_network(CONV_TOPOLOGY, NEURON, READOUT, BuildConfig(seed=5, plastic_init="random"))
+    layers = net.weighted_layers()
+    assert [layer.kind for layer in layers] == ["conv2d", "dense", "plastic-output"]
+    for layer in layers:
+        assert layer.weights.dtype == np.int8 and not layer.weights.flags.writeable
+        w = np.full(layer.weights.shape, -7)
+        layer.set_weights(w, -3)
+        assert np.array_equal(layer.weights, w) and layer.scale_exp == -3
+    assert np.array_equal(net.readout.store.effective(), np.full(net.readout.store.shape, -7 / 8))
+
+
+@pytest.mark.parametrize("value, scale_exp, message", [
+    (200, -6, "int8 range"), (-129, -6, "int8 range"), (np.nan, -6, "int8 range"),
+    (5, 128, "scale_exp"), (5, -129, "scale_exp"), (5, 200, "scale_exp"),
+], ids=["200", "-129", "nan", "scale-128", "scale--129", "scale-200"])
+def test_out_of_range_weights_or_scale_are_refused_everywhere(value, scale_exp, message):
+    net = build_network(CONV_TOPOLOGY, NEURON, READOUT, BuildConfig(seed=5, plastic_init="random"))
+    before = _layer_state(net)
+    store = net.readout.store
+    for layer in net.weighted_layers():
+        with pytest.raises(ValueError, match=message):
+            layer.set_weights(np.full(layer.weights.shape, value), scale_exp)
+    if scale_exp == -6:
+        with pytest.raises(ValueError, match=message):
+            store.weights = np.full(store.shape, value)
+    with pytest.raises(ValueError, match=message):
+        store.set_weights(np.full(store.shape, value), scale_exp)
+    for (kind, w, scale), (_, w_now, scale_now) in zip(before, _layer_state(net)):
+        assert np.array_equal(w, w_now) and scale == scale_now, kind
+
+
+def test_mismatched_last_layer_leaves_every_layer_as_it_was(tmp_path):
+    saved = build_network(CONV_TOPOLOGY, NEURON, READOUT, BuildConfig(seed=2, frozen_scale_exp=-4))
+    path = tmp_path / "w.ssw"
+    save_weights(saved, path)
+    other_topology = parse_topology("8x8x2", ["2a", "4c3z", "8"], 4)  # one more output: only the readout differs
+    net = build_network(other_topology, NEURON, READOUT, BuildConfig(seed=11, plastic_init="random"))
+    before, provenance = _layer_state(net), net.provenance
+    with pytest.raises(WeightFileError, match="mismatch"):
+        load_weights(net, path)
+    for (kind, w, scale), (_, w_now, scale_now) in zip(before, _layer_state(net)):
+        assert np.array_equal(w, w_now) and scale == scale_now, kind
+    assert net.provenance == provenance
