@@ -31,7 +31,8 @@ runs it too. Only the readout learns, so the stepping runs in three phases:
    the rounding uniforms and the label drive. Each step then runs only the
    drive, the distal compartment, one advance of a stack of the y traces
    and the reset term, and one stacked evaluation of the rule, into buffers
-   made once per sample. The proximal compartment is not stepped.
+   made once per ``train`` call: a block allocates nothing, so no freed
+   page faults in again. The proximal compartment is not stepped.
 3. Evaluation. ``readout_steps`` steps every stream at once with plasticity
    off. ``spikeshot eval`` and ``simulate`` run phases 1 and 3 too, so every
    subcommand runs one forward implementation.

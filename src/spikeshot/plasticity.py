@@ -58,7 +58,8 @@ class QuantizedWeightStore:
     The store learns on a float64 copy of the integer weights and caches the
     effective weights, so that a learning step converts nothing. ``weights``
     is a read-only int8 array, rebuilt from the float copy when it is read
-    after an update; to change the weights, assign a new array to it.
+    after an update. ``set_weights`` changes the weights and the scale, and
+    is the one way to change the scale; assigning ``weights`` keeps it.
     """
 
     def __init__(self, shape: tuple[int, int], scale_exp: int, seed: int, init: np.ndarray | None = None):
@@ -80,34 +81,35 @@ class QuantizedWeightStore:
     def weights(self, value: np.ndarray):
         self.set_weights(value, self.scale_exp)
 
+    scale_exp = property(lambda self: self._scale_exp)  # read-only: set_weights checks it
+
     def set_weights(self, weights: np.ndarray, scale_exp: int):
         """Replace the weights (stored as a read-only int8 copy) and the scale."""
         self._weights = int8_weights(weights, self.shape, scale_exp)
-        self.scale_exp = int(scale_exp)
+        self._scale_exp = int(scale_exp)
         self._float = self._weights.astype(np.float64)
-        self._eff_exp = None
+        self._eff = None
 
     def effective(self) -> np.ndarray:
         """Real-valued weights: integer * 2**scale_exp (read-only, cached)."""
-        if self._eff_exp != self.scale_exp:
-            self._eff = np.multiply(self._float, _pow2(self.scale_exp))
+        if self._eff is None:
+            self._eff = np.multiply(self._float, _pow2(self._scale_exp))
             self._eff.flags.writeable = False
-            self._eff_exp = self.scale_exp
         return self._eff
 
     def reseed(self):
         """Rewind the rounding stream; weights are untouched."""
         self.rng = np.random.Generator(np.random.Philox(self.rng_seed))
 
-    def uniforms(self, n_updates: int) -> np.ndarray:
-        """The rounding draws of the next ``n_updates`` updates, ``[n_updates, *shape]``.
+    def uniforms(self, out: np.ndarray) -> np.ndarray:
+        """The rounding draws of the next n updates, filled into ``out``, ``[n, *shape]``.
 
         One call consumes the stream exactly as that many updates drawing
         one matrix each would. ``unread`` puts back the draws of updates
         that were never applied.
         """
         self._unread_from = self.rng.bit_generator.state
-        return self.rng.random((n_updates,) + self.shape)
+        return self.rng.random(out=out)
 
     def unread(self, used: int):
         """Leave the stream after the first ``used`` updates of the last
@@ -138,7 +140,7 @@ class QuantizedWeightStore:
         # clamped: integers in [-128, 127], never -0.0, so exactly the new int8 weights as floats
         np.fmin(np.fmax(floor, _BOUNDS[0], floor), _BOUNDS[1], self._float)
         self._weights = None
-        self._eff_exp = None
+        self._eff = None
 
 
 class PlasticityEngine:
@@ -197,11 +199,10 @@ class PlasticityEngine:
         # each term is one synapse: then it sums pairwise
         self._lone = store.shape == (1, 1)
 
-    def leads(self, x: np.ndarray) -> np.ndarray:
-        """Every product's constant times its leading x factors, ``[n, K, 1,
-        fan_in]``, from x values ``[n, len(x_names), fan_in]`` at n learning
-        steps."""
-        out = np.empty((len(x), len(self._terms), self.store.shape[1]))
+    def leads(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Every product's constant times its leading x factors at n learning
+        steps, from x values ``[n, len(x_names), fan_in]``, into ``out``,
+        ``[n, K, fan_in]``; returns it as ``[n, K, 1, fan_in]``."""
         for k, c, rows in self._leads:
             out[:, k] = c
             for r in rows:

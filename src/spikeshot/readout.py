@@ -348,7 +348,8 @@ class ReadoutLayer:
         the shipped rule: the drive (one gemv), the distal compartment, one
         decay-and-jump of a stack that holds the y traces and the reset term
         r_err, and at learning steps the engine's tick; the proximal
-        compartment is not stepped. The weights and the rounding stream are
+        compartment is not stepped. All of it writes into buffers made once
+        per call (see ``_present``). The weights and the rounding stream are
         bit for bit those of ``step`` with the rule applied after every
         learning step to traces of the step's input and error spikes
         (``StepTraces`` in ``tests/oracle.py``). A rule whose updates are
@@ -363,23 +364,22 @@ class ReadoutLayer:
                 raise ValueError(f"readout stream shape {np.shape(streams[b])} != (T, {self.fan_in})")
             if not 0 <= labels[b] < self.n_out:
                 raise IndexError(f"label {labels[b]} out of range for {self.n_out} outputs")
-        wave = self._label_drive(target_period, max((len(streams[b]) for b in order), default=0))
         # once per call, not per tick: the store's finiteness check raises instead
         with np.errstate(over="ignore", invalid="ignore"):
-            for b in order:
-                label_drive = np.zeros((len(streams[b]), self.n_out))
-                label_drive[:, labels[b]] = wave[: len(streams[b])]
-                self._present(streams[b], label_drive)
+            self._present([streams[b] for b in order], [labels[b] for b in order], target_period)
 
-    def _present(self, stream: np.ndarray, label_drive: np.ndarray):
-        """Train on one sample; ``label_drive`` is w_tgt * p_tgt at every step.
+    def _present(self, streams, labels, target_period: int):
+        """Train on ``streams`` in turn, each with its ``labels`` entry's label drive.
 
         The pre-work runs in blocks of whole learning periods whose arrays
         take about ``_BLOCK_BYTES``, so that a wide readout adds little
         memory and the block stays in cache; the filters carry their state
-        from block to block. A step allocates nothing: its operations write
-        through positional outputs into buffers made once per sample, and
-        take constants as 0-d arrays, which numpy takes faster than floats.
+        from block to block. A block allocates nothing: the pre-work and the
+        steps write, through views and positional outputs, into buffers made
+        once per call and sized for the longest block. Fresh arrays of a
+        block's size (about 1 MB at desk scale) go back to the kernel when
+        freed, so their pages would fault and be zeroed again on every
+        block. Constants are 0-d arrays, which numpy takes faster than floats.
         """
         engine, store, period, n = self.engine, self.store, self.engine.learn_period, self.params.neuron
         # (decay, jump) of each trace: x0 and y0 are the spikes themselves,
@@ -389,49 +389,57 @@ class ReadoutLayer:
             cfgs[name] = c.alpha, c.increment
         # filter rows: the PSC, then the x values the rule reads
         decays = np.array([self._a_q] + [cfgs[k][0] for k in engine.x_names])[:, np.newaxis] * np.ones(self.fan_in)
-        filt_state, psp_state = np.zeros((len(decays), self.fan_in)), np.zeros(self.fan_in)
-        per_period = 8 * self.fan_in * (len(decays) * period + len(engine.rule.products) + self.n_out)
-        block = period * max(1, _BLOCK_BYTES // per_period)
+        n_max, n_k = max(map(len, streams), default=0), len(engine.rule.products)
+        block = period * max(1, _BLOCK_BYTES // (8 * self.fan_in * (len(decays) * period + n_k + self.n_out)))
+        rows, wave = min(block, n_max), self._label_drive(target_period, n_max)
+        filt_buf, leads_buf = np.empty((rows, len(decays), self.fan_in)), np.empty((rows // period, n_k, self.fan_in))
+        draws_buf, label_drive = np.empty((rows // period,) + store.shape), np.empty((n_max, self.n_out))
+        filt_state, psp_state = np.empty_like(decays), np.empty(self.fan_in)
         # y rows step as traces of the error spikes; the last one, the reset
         # term, decays by alpha_r and jumps by -v_th (a*r + s*(-v_th) is
         # a*r - s*v_th exactly), ready for the next step
-        rows = [cfgs[k] for k in engine.y_rows] + [(self._a_r, -n.v_th)]
-        y_decays, y_incs = np.array(rows).T[:, :, np.newaxis] * np.ones(self.n_out)
-        y = np.array([[float(k == "1")] * self.n_out for k in engine.y_rows] + [[0.0] * self.n_out])
-        y_cols, r, jump, drive = y[:, :, np.newaxis], y[-1], np.empty_like(y), np.empty(self.n_out)
+        y_cfgs = [cfgs[k] for k in engine.y_rows] + [(self._a_r, -n.v_th)]
+        y_decays, y_incs = np.array(y_cfgs).T[:, :, np.newaxis] * np.ones(self.n_out)
+        y0 = np.array([[float(k == "1")] * self.n_out for k in engine.y_rows] + [[0.0] * self.n_out])
+        y, jump, drive = np.empty_like(y0), np.empty_like(y0), np.empty(self.n_out)
+        y_cols, r = y[:, :, np.newaxis], y[-1]
         out = np.zeros(self.n_out), np.zeros(self.n_out), np.zeros(self.n_out, dtype=bool)
         b_err, v_th, a_p = np.array(self.b_err), np.array(n.v_th), np.array(self._a_p)
-        for t0 in range(0, len(stream), block):
-            seg = stream[t0 : t0 + block]
-            filt = np.empty((len(seg), len(decays), self.fan_in))
-            np.divide(seg, n.tau_u, out=filt[:, 0])
-            for k, name in enumerate(engine.x_names, 1):
-                np.multiply(seg, cfgs[name][1], out=filt[:, k])
-            filt_state = _recur(filt, decays, filt_state)
-            psp = filt[:, 0]  # the PSC row becomes the PSP
-            psp_state = _recur(np.divide(psp, n.tau_v, out=psp), a_p, psp_state)
-            x = filt[period - 1 :: period, 1:]
-            leads, draws, tick, eff = engine.leads(x), store.uniforms(len(x)), 0, store.effective()
-            try:
-                for t, (p, label) in enumerate(zip(psp, label_drive[t0 : t0 + block])):
-                    self._distal(eff.dot(p, drive), label, r, b_err, v_th, out)  # a gemv, as in step
-                    np.add(np.multiply(y, y_decays, y), np.multiply(out[2], y_incs, jump), y)
-                    if t % period == period - 1:
-                        engine.tick(leads[tick], x[tick], y_cols, draws[tick])
-                        tick, eff = tick + 1, store.effective()
-            except RuleError:
-                store.unread(tick)
-                raise
+        for stream, label in zip(streams, labels):
+            filt_state[...], psp_state[...], y[...], label_drive[...] = 0.0, 0.0, y0, 0.0
+            label_drive[:, label] = wave
+            for t0 in range(0, len(stream), block):
+                seg = stream[t0 : t0 + block]
+                filt = filt_buf[: len(seg)]
+                np.divide(seg, n.tau_u, out=filt[:, 0])
+                for k, name in enumerate(engine.x_names, 1):
+                    np.multiply(seg, cfgs[name][1], out=filt[:, k])
+                _recur(filt, decays, filt_state)
+                psp = filt[:, 0]  # the PSC row becomes the PSP
+                _recur(np.divide(psp, n.tau_v, out=psp), a_p, psp_state)
+                x = filt[period - 1 :: period, 1:]
+                leads, draws = engine.leads(x, leads_buf[: len(x)]), store.uniforms(draws_buf[: len(x)])
+                tick, eff = 0, store.effective()
+                try:
+                    for t, (p, lab) in enumerate(zip(psp, label_drive[t0 : t0 + block])):
+                        self._distal(eff.dot(p, drive), lab, r, b_err, v_th, out)  # a gemv, as in step
+                        np.add(np.multiply(y, y_decays, y), np.multiply(out[2], y_incs, jump), y)
+                        if t % period == period - 1:
+                            engine.tick(leads[tick], x[tick], y_cols, draws[tick])
+                            tick, eff = tick + 1, store.effective()
+                except RuleError:
+                    store.unread(tick)
+                    raise
 
 
 # bytes of pre-work arrays per block of a sample's training steps
 _BLOCK_BYTES = 1 << 20
 
 
-def _recur(a: np.ndarray, decay, state: np.ndarray) -> np.ndarray:
+def _recur(a: np.ndarray, decay, state: np.ndarray):
     """In place along axis 0: a[t] = decay * a[t - 1] + a[t], where a[-1]
-    is ``state``. Returns a copy of the last row, the next state."""
-    buf, rows, add, mul = np.empty(a.shape[1:]), [state] + list(a), np.add, np.multiply
-    for prev, cur in zip(rows, rows[1:]):
-        add(mul(decay, prev, buf), cur, cur)  # positional out: keywords cost more than the add
-    return a[-1].copy()
+    is ``state``, which then takes the last row: the next state."""
+    add, mul = np.add, np.multiply
+    for prev, cur in zip([state] + list(a), a):
+        add(mul(decay, prev, state), cur, cur)  # positional out: keywords cost more than the add
+    state[...] = a[-1]

@@ -126,7 +126,7 @@ def test_criterion_3_stochastic_rounding_unbiased():
     details = []
     for frac in (0.1, 0.25, 0.5, 0.9):
         store = QuantizedWeightStore((1, n), 0, seed=hash(frac) % (2**31), init=np.zeros((1, n)))
-        store.apply_update_matrix(np.full((1, n), frac), 0, store.uniforms(1)[0])
+        store.apply_update_matrix(np.full((1, n), frac), 0, store.uniforms(np.empty((1, 1, n)))[0])
         ceil_freq = float((store.weights == 1).mean())
         se = np.sqrt(frac * (1 - frac) / n)
         assert abs(ceil_freq - frac) <= 3 * se, f"frac {frac}: {ceil_freq} vs {frac} (3se={3*se:.2e})"

@@ -65,7 +65,7 @@ def test_stacked_reduce_is_the_sequential_sum(n, m):
         assert np.array_equal(np.add.reduce(terms, 0), total)
 
 
-# A sample's rounding uniforms come from one draw; the store's stream must
+# A block's rounding uniforms come from one draw; the store's stream must
 # end where one draw per learning step leaves it.
 @pytest.mark.parametrize("k, n, m", [(300, 5, 64), (50, 3, 2048), (7, 1, 1), (0, 5, 64)])
 def test_one_stacked_draw_is_k_matrix_draws(k, n, m):

@@ -1,6 +1,8 @@
 """Quantized weight store, stochastic rounding, rule engine."""
 
 import copy
+import itertools
+import json
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ READOUT = ReadoutParams(neuron=NeuronParams(tau_u=2, tau_v=4), baseline_period=4
 
 def update(store, raw_deltas, lr_exp):
     """One matrix update with the next draws of the store's stream."""
-    store.apply_update_matrix(raw_deltas, lr_exp, store.uniforms(1)[0])
+    store.apply_update_matrix(raw_deltas, lr_exp, store.uniforms(np.empty((1,) + store.shape))[0])
 
 
 def learner(store, rule, lr_exp, learn_period=1):
@@ -239,13 +241,61 @@ def test_effective_follows_assignments_scale_and_updates():
     assert not s.effective().any()
     s.weights = np.array([[64, -32]], dtype=np.int8)
     assert np.array_equal(s.effective(), [[1.0, -0.5]])
-    s.scale_exp = -5
+    s.set_weights(s.weights, -5)
     assert np.array_equal(s.effective(), [[2.0, -1.0]])
     apply_update(s, 0, 0, 1.0, 0)  # candidate 65.0 exactly
     assert np.array_equal(s.effective(), [[65 / 32, -1.0]])
     update(s, np.array([[-1.0, 2.0]]), 0)
     assert np.array_equal(s.effective(), [[2.0, -30 / 32]])
     assert np.array_equal(s.weights, [[64, -30]]) and s.weights.dtype == np.int8
+
+
+def test_scale_is_read_only():
+    s = QuantizedWeightStore((1, 2), -6, 0, init=np.array([[3, -4]]))
+    with pytest.raises(AttributeError):
+        s.scale_exp = 200  # past the weight file's i8; only set_weights sets the scale, and checks it
+    assert s.scale_exp == -6 and np.array_equal(s.effective(), [[3 / 64, -4 / 64]])
+
+
+def _stream_position(store):
+    return json.dumps(store.rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@pytest.mark.parametrize("cuts", [[5], [1, 1, 1, 1, 1], [2, 0, 3], [0, 4, 1]])
+def test_uniforms_into_slices_of_one_buffer_equal_one_fill(cuts):
+    one, split = QuantizedWeightStore((2, 3), 0, 9), QuantizedWeightStore((2, 3), 0, 9)
+    whole = one.uniforms(np.empty((5, 2, 3)))
+    buf, t = np.full((5, 2, 3), np.nan), 0
+    for n in cuts:
+        assert split.uniforms(buf[t : t + n]) is not None
+        t += n
+    assert np.array_equal(buf, whole)
+    assert _stream_position(split) == _stream_position(one)
+
+
+@pytest.mark.parametrize("used", [0, 2, 4])
+def test_unread_after_a_fill_leaves_the_stream_after_the_used_updates(used):
+    filled, drawn = QuantizedWeightStore((2, 3), 0, 9), QuantizedWeightStore((2, 3), 0, 9)
+    filled.uniforms(np.empty((6, 2, 3))[:4])
+    filled.unread(used)
+    for _ in range(used):
+        drawn.uniforms(np.empty((1, 2, 3)))
+    assert _stream_position(filled) == _stream_position(drawn)
+    assert np.array_equal(filled.uniforms(np.empty((2, 2, 3))), drawn.uniforms(np.empty((2, 2, 3))))
+
+
+@pytest.mark.parametrize("rule", [GOLDEN, parse_rule("dw = 0.5 - 0.75*w*x1*y1 + 1.5*x0*x1*x2*y1 - x2*x1 + 2*y2")])
+def test_leads_fill_a_used_buffer_with_each_products_constant_times_its_leading_xs(rule):
+    engine = learner(QuantizedWeightStore((2, 5), -6, 0), rule, 0).engine
+    x = np.random.default_rng(2).normal(size=(7, len(engine.x_names), 5))
+    buf = np.full((9, len(rule.products), 5), np.nan)  # a longer block's rows were here
+    leads = engine.leads(x, buf[:7])
+    assert leads.shape == (7, len(rule.products), 1, 5)
+    for k, prod in enumerate(rule.products):
+        expect = np.full((7, 5), prod.constant)
+        for v in itertools.takewhile(lambda v: v[0] == "x", (f.name for f in prod.factors)):
+            expect = expect * x[:, engine.x_names.index(v)]
+        assert np.array_equal(leads[:, k, 0], expect), prod
 
 
 def test_weights_are_read_only_and_assignments_are_copied():

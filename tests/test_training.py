@@ -94,14 +94,15 @@ def test_train_equals_step_plus_scalar_rule(data, rule):
         # spike counts, as when no frozen layer precedes the readout
         streams.append(np.array(counts, dtype=np.float64).reshape(duration, fan_in))
         labels.append(data.draw(st.integers(0, n_out - 1)))
-    order = data.draw(st.permutations(range(n_samples)))
+    # 1-3 epochs, each its own train call in its own order
+    orders = [data.draw(st.permutations(range(n_samples))) for _ in range(data.draw(st.integers(1, 3)))]
     target_period = data.draw(st.integers(0, 5))
     init = np.array(data.draw(st.lists(st.integers(-128, 127), min_size=n_out * fan_in, max_size=n_out * fan_in)))
     lr_exp, learn_period = data.draw(st.integers(-2, 4)), data.draw(st.integers(1, 3))
     # the pre-work in blocks of one learning period, a few, or whole samples
     block_bytes = data.draw(st.sampled_from([1, 1 << 9, 1 << 18]))
 
-    _check(streams, labels, order, target_period, init.reshape(n_out, fan_in), rule, lr_exp, learn_period,
+    _check(streams, labels, orders, target_period, init.reshape(n_out, fan_in), rule, lr_exp, learn_period,
            block_bytes)
 
 
@@ -110,22 +111,36 @@ def test_lone_synapse_sums_products_in_order():
     # must still run left to right, as the scalar rule's does
     stream = np.array([[1.0], [0.0], [2.0], [1.0], [0.0], [1.0]])
     for lr_exp in (-2, 0, 3):
-        _check([stream, stream[:4]], [0, 0], [0, 1, 0], 2, np.array([[5]]), ALL_FORMS, lr_exp, 1, 1 << 18)
+        _check([stream, stream[:4]], [0, 0], [[0, 1, 0]], 2, np.array([[5]]), ALL_FORMS, lr_exp, 1, 1 << 18)
 
 
-def _check(streams, labels, order, target_period, init, rule, lr_exp, learn_period, block_bytes):
-    """Train and the reference hand the store the same updates and leave
-    the same weights and stream position."""
+@pytest.mark.parametrize("block_bytes", [1, 1 << 9, 1 << 18])  # a block per step, a few, one per sample
+def test_a_short_sample_after_a_long_one_reads_only_its_own_rows(block_bytes):
+    # train's buffers are sized for the longest block, so a short sample
+    # after a long one leaves rows of the long one in them: a stale row
+    # would add learning steps or drive the long sample's label
+    rng = np.random.default_rng(6)
+    long, short = (rng.integers(0, 3, size=(n, 3)).astype(float) for n in (23, 5))
+    init = rng.integers(-128, 128, size=(2, 3))
+    _check([long, short], [1, 0], [[0, 1], [0, 1], [1, 0]], 3, init, ALL_FORMS, 0, 2, block_bytes)
+
+
+def _check(streams, labels, orders, target_period, init, rule, lr_exp, learn_period, block_bytes):
+    """One train call per order, like the epochs of an episode, and the
+    reference over the same orders hand the store the same updates and
+    leave the same weights and stream position."""
     n_out, fan_in = init.shape
     trained = _layer(fan_in, n_out, init, rule, lr_exp, learn_period)
     reference = _layer(fan_in, n_out, init, rule, lr_exp, learn_period)
     ours, theirs = [], []
     with _recording(trained.store, "apply_update_matrix", ours), mock.patch.object(readout, "_BLOCK_BYTES", block_bytes):
-        trained.train(streams, labels, order, target_period)
+        for order in orders:
+            trained.train(streams, labels, order, target_period)
     with _recording(oracle, "apply_update", theirs):
-        _reference(reference, streams, labels, order, target_period)
+        for order in orders:
+            _reference(reference, streams, labels, order, target_period)
 
-    n_ticks = sum(len(streams[b]) // learn_period for b in order)
+    n_ticks = sum(len(streams[b]) // learn_period for order in orders for b in order)
     assert len(ours) == n_ticks
     assert np.array_equal(np.array(ours).reshape(-1), np.array(theirs))
     assert np.array_equal(trained.store.weights, reference.store.weights)
