@@ -3,6 +3,10 @@
 The merged configuration (file + overrides) is the single source of truth
 for a run; its canonical dump is hashed into the run manifest so any run can
 be reproduced bit-exactly from the manifest alone.
+
+A count of samples, classes, epochs or steps past ``network.DIM_MAX`` (the
+weight file's u32) is refused on load, under ``train`` and its dry run
+alike; a count at or below it is left to run, however long that takes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import yaml
 from .dynamics import NeuronParams
 from .events import PROTOTYPE_MODES
 from .fewshot import DEFAULT_RULE, EpisodeConfig
-from .network import BuildConfig, Topology, parse_topology
+from .network import DIM_MAX, BuildConfig, Topology, parse_topology
 from .readout import ReadoutParams
 from .traces import TraceConfig
 
@@ -89,6 +93,8 @@ DEFAULT_CONFIG: dict = {
 }
 
 _SCALARS = (int, float, str, bool, type(None))
+_U32_COUNTS = (("data", "n_per_class"), ("readout", "baseline_period"), ("episode", "n_way"),
+               ("episode", "m_pretrained"), ("episode", "epochs"), ("episode", "calibration_window"))
 _PATH_KEYS = ("path", "dir")  # the keys whose None default stands for a path; the others for a number
 
 
@@ -141,6 +147,9 @@ def merge_config(overrides: dict | None) -> dict:
         raise ConfigError(f"config.data.mode: expected one of {PROTOTYPE_MODES}, got {merged['data']['mode']!r}")
     if merged["data"]["seed_offset"] < 0:
         raise ConfigError(f"config.data.seed_offset: expected an integer >= 0, got {merged['data']['seed_offset']}")
+    for section, key in _U32_COUNTS:
+        if merged[section][key] > DIM_MAX:
+            raise ConfigError(f"config.{section}.{key}: expected at most {DIM_MAX}, got {merged[section][key]}")
     return merged
 
 

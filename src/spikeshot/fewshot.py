@@ -34,8 +34,8 @@ runs it too. Only the readout learns, so the stepping runs in three phases:
    made once per ``train`` call: a block allocates nothing, so no freed
    page faults in again. The proximal compartment is not stepped.
 3. Evaluation. ``readout_steps`` steps every stream at once with plasticity
-   off. ``spikeshot eval`` and ``simulate`` run phases 1 and 3 too, so every
-   subcommand runs one forward implementation.
+   off and no label drive. ``spikeshot eval`` and ``simulate`` run phases 1
+   and 3 too, so every subcommand runs one forward implementation.
 
 Each sample's trajectory is bit-identical to stepping it alone, in any
 batch and so in any group. Frozen layers contract int8 weights with integer
@@ -312,9 +312,8 @@ def readout_steps(readout: ReadoutLayer, streams: np.ndarray):
     all at once with plasticity off and no labels, yielding each step t once
     the state holds it; a row past its sample's duration holds padding."""
     readout.reset_state(batch=len(streams))
-    no_targets = np.zeros((len(streams), readout.n_out), dtype=bool)
     for t in range(streams.shape[1]):
-        readout.step(streams[:, t], no_targets)
+        readout.step(streams[:, t])
         yield t
 
 

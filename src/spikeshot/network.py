@@ -205,12 +205,14 @@ class _WeightedLayer(_FrozenLayer):
         super().__init__(spec, params)
         self.set_weights(weights, scale_exp)
 
+    scale_exp = property(lambda self: self._scale_exp)  # read-only, as the store's: set_weights checks it
+
     def set_weights(self, weights: np.ndarray, scale_exp: int):
         """Replace the weights (checked by ``int8_weights``) and scale, and
         rebuild the contraction matrices ``[n_in, n_out]`` derived from them:
         scaled float64, and unscaled float32 within the exact fan-in."""
         self.weights = int8_weights(weights, self.weight_shape(self.spec), scale_exp, TopologyError)
-        self.scale_exp = int(scale_exp)
+        self._scale_exp = int(scale_exp)
         w = self.weights.reshape(self.weights.shape[0], -1).T
         self._w = w * 2.0**self.scale_exp
         self._w32 = w.astype(np.float32) if w.shape[0] <= F32_EXACT_FAN_IN else None
@@ -352,14 +354,14 @@ class Network:
 
     def step(self, in_spikes: np.ndarray) -> np.ndarray:
         """Advance the whole network one plasticity-off timestep with no
-        label spikes; returns proximal spikes, and records each layer's
+        label drive; returns proximal spikes, and records each layer's
         spikes, the readout's last, in ``layer_spikes``."""
         x = np.asarray(in_spikes, dtype=np.float64)
         self.layer_spikes = []
         for layer in self.layers:
             x = layer.step(x)
             self.layer_spikes.append(x)
-        out = self.readout.step(x.reshape(self._lead + (-1,)), np.zeros(self._lead + (self.n_out,), dtype=bool))
+        out = self.readout.step(x.reshape(self._lead + (-1,)))
         self.layer_spikes.append(out)
         return out
 

@@ -4,16 +4,16 @@ Each output-class neuron has a distal (error) compartment and a proximal
 (output) compartment.
 
 The distal compartment receives the plastic synaptic drive and, during
-training, a PSP-filtered label spike train with weight -w_tgt. A constant
+training, minus a label drive (``ReadoutLayer._label_drive``). A constant
 bias current b_err keeps it firing at a steady baseline rate, so deviations
 of its post-synaptic trace from the calibrated baseline average encode a
 signed error: above baseline means the network drive exceeds the label
 drive, below baseline the opposite.
 
 The proximal compartment integrates the current copied from the distal one
-(its synaptic drive term, pre-reset) and receives the same label train with
-weight +w_tgt through the same integration path, so label spikes cancel
-exactly and never contaminate the spike counts used for classification. A
+(its synaptic drive term, pre-reset) and receives the same label drive with
+the opposite sign through the same integration path, so the label cancels
+exactly and never contaminates the spike counts used for classification. A
 constant offset on the proximal potential cancels the steady-state
 contribution of b_err to the integrated current; without it every neuron
 would saturate at one spike per step and spike counts would carry no signal.
@@ -92,7 +92,7 @@ class CalibrationReport:
 
 
 def _free_run_spikes(params: ReadoutParams, b_err: float, steps: int) -> list[int]:
-    """Spike steps of the bare distal compartment (no input, no targets).
+    """Spike steps of the bare distal compartment (no input, no label).
 
     With zero drive the only dynamics are v = b_err + r and the reset trace,
     so the full trace machinery is skipped.
@@ -112,7 +112,7 @@ def _free_run_spikes(params: ReadoutParams, b_err: float, steps: int) -> list[in
 def calibrate_bias(params: ReadoutParams, b_err: float, window: int) -> CalibrationReport:
     """Measure the baseline trace averages of a free-running error compartment.
 
-    Runs ``window`` steps with zero input and zero targets, filters the
+    Runs ``window`` steps with zero input and no label drive, filters the
     spike train into the two-stage post trace P_err and the rule trace y1,
     then averages both over an integer number of inter-spike periods in the
     steady portion of the run (initial transient discarded). Raises
@@ -156,7 +156,7 @@ def calibrate_bias(params: ReadoutParams, b_err: float, window: int) -> Calibrat
 
 
 def _free_run_period(params: ReadoutParams, b_err: float, steps: int) -> float:
-    """Mean inter-spike interval of the bare compartment (no input/targets)."""
+    """Mean inter-spike interval of the bare compartment (no input, no label)."""
     spikes = _free_run_spikes(params, b_err, steps)
     if len(spikes) < 6:
         return float("inf")
@@ -215,13 +215,7 @@ class ReadoutLayer:
     def weight_shape(spec) -> tuple[int, int]:  # [n_out, fan_in]
         return (spec.out_shape[0], math.prod(spec.in_shape))
 
-    def __init__(
-        self,
-        fan_in: int,
-        n_out: int,
-        store: QuantizedWeightStore,
-        params: ReadoutParams,
-    ):
+    def __init__(self, fan_in: int, n_out: int, store: QuantizedWeightStore, params: ReadoutParams):
         if store.shape != (n_out, fan_in):
             raise ValueError(f"store shape {store.shape} != ({n_out}, {fan_in})")
         self.fan_in = fan_in
@@ -255,8 +249,6 @@ class ReadoutLayer:
         pre, post = lead + (self.fan_in,), lead + (self.n_out,)
         self.q_pre = np.zeros(pre)
         self.p_pre = np.zeros(pre)
-        self.q_tgt = np.zeros(post)
-        self.p_tgt = np.zeros(post)
         self.v_err = np.zeros(post)
         self.r_err = np.zeros(post)
         self.spiked_err = np.zeros(post, dtype=bool)
@@ -274,41 +266,37 @@ class ReadoutLayer:
 
     def _distal(self, drive, label_drive, r, b_err, v_th, out=(None, None, None)):
         """One step of the distal compartment from the synaptic drive,
-        effective() @ p_pre, the label drive, w_tgt * p_tgt, and the reset
-        term ``r``, already past the previous step's spikes. Returns the
-        potential without and with ``r`` and the spikes, into ``out``."""
+        effective() @ p_pre, the label drive (see ``_label_drive``) and the
+        reset term ``r``, already past the previous step's spikes. Returns
+        the potential without and with ``r`` and the spikes, into ``out``."""
         base = np.add(np.subtract(drive, label_drive, out[0]), b_err, out[0])
         v = np.add(base, r, out[1])
         return base, v, np.greater_equal(v, v_th, out[2])
 
-    def step(self, in_spikes: np.ndarray, target_spikes: np.ndarray) -> np.ndarray:
+    def step(self, in_spikes: np.ndarray, label_drive=0.0) -> np.ndarray:
         """One plasticity-off timestep; returns the proximal (output) spike vector.
 
-        Inputs, targets and outputs carry the batch axis of the state, if
-        any. Besides the distal compartment it steps the proximal one, whose
-        spikes are counted for classification. The rule's traces are not
-        stepped: only ``train`` reads them.
+        Inputs and outputs carry the batch axis of the state, if any.
+        ``label_drive`` holds each output neuron's label drive at this step,
+        ``_label_drive``'s value for a labelled one, and broadcasts over the
+        batch; 0 is no label. Besides the distal compartment it steps the
+        proximal one, whose spikes are counted for classification. The
+        rule's traces are not stepped: only ``train`` reads them.
         """
         s = np.asarray(in_spikes, dtype=np.float64)
-        tgt = np.asarray(target_spikes, dtype=np.float64)
-        if s.shape != self.q_pre.shape or tgt.shape != self.q_tgt.shape:
-            raise ValueError("readout input/target shape mismatch")
-        prm = self.params
-        n = prm.neuron
-
-        # pre-synaptic filters shared by all neurons; label-spike filter per neuron
-        self.q_pre, self.p_pre = self._psp(self.q_pre, self.p_pre, s / n.tau_u)
-        self.q_tgt, self.p_tgt = self._psp(self.q_tgt, self.p_tgt, tgt / n.tau_u)
+        if s.shape != self.q_pre.shape:
+            raise ValueError(f"readout input shape {s.shape} != {self.q_pre.shape}")
+        n = self.params.neuron
+        self.q_pre, self.p_pre = self._psp(self.q_pre, self.p_pre, s / n.tau_u)  # shared by all neurons
 
         # one gemv per sample, bit-identical to effective() @ p_pre
         drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
         self.r_err = self._a_r * self.r_err - self.spiked_err * n.v_th
-        label_drive = prm.w_tgt * self.p_tgt
         u_err, self.v_err, self.spiked_err = self._distal(drive, label_drive, self.r_err, self.b_err, n.v_th)
 
         # proximal compartment: integrates the copied current; the label
         # drive re-enters with opposite sign through the same filter, so
-        # label spikes cancel exactly
+        # the label cancels exactly
         self.p_out = self._a_p * self.p_out + u_err + label_drive
         self.r_out = self._a_r * self.r_out - self.spiked_out * n.v_th
         self.v_out = self.p_out + self.r_out + self.b_out
@@ -317,14 +305,13 @@ class ReadoutLayer:
         return self.spiked_out
 
     def _label_drive(self, period: int, n_t: int) -> np.ndarray:
-        """w_tgt * p_tgt of a labelled neuron at each of ``n_t`` steps: a
-        label spike every ``period`` steps from t = 0 (none for period 0)
-        through the PSC/PSP filters, as ``step`` filters target spikes."""
-        n = self.params.neuron
-        drive = np.empty(n_t)
-        q = p = 0.0
+        """A labelled neuron's label drive at each of ``n_t`` steps: as on
+        chip, a label spike every ``period`` steps from t = 0 (none for 0)
+        through the inputs' PSC/PSP filters, times w_tgt. The one label
+        filter: ``train`` and ``step`` take the label as this drive."""
+        drive, q, p = np.empty(n_t), 0.0, 0.0
         for t in range(n_t):
-            q, p = self._psp(q, p, (1.0 if period > 0 and t % period == 0 else 0.0) / n.tau_u)
+            q, p = self._psp(q, p, (1.0 if period > 0 and t % period == 0 else 0.0) / self.params.neuron.tau_u)
             drive[t] = self.params.w_tgt * p
         return drive
 

@@ -235,11 +235,12 @@ class StepTraces:
         self.pre = {"x0": pre, "x1": pre, "x2": pre}
         self.post = {"y0": post, "y1": post, "y2": post}
 
-    def step(self, in_spikes, target_spikes) -> np.ndarray:
-        """One plasticity-off step of the layer and its traces; returns the
-        layer's output spikes."""
+    def step(self, in_spikes, label_drive=0.0) -> np.ndarray:
+        """One plasticity-off step of the layer, with ``label_drive`` (a row
+        of ``label_drives``), and of its traces; returns the layer's output
+        spikes."""
         layer, pre, post = self.layer, self.pre, self.post
-        out = layer.step(in_spikes, target_spikes)
+        out = layer.step(in_spikes, label_drive)
         s, err = np.asarray(in_spikes, dtype=np.float64), layer.spiked_err.astype(np.float64)
         self.pre = {"x0": s, "x1": update_trace(pre["x1"], s, layer.x1_cfg),
                     "x2": update_trace(pre["x2"], s, layer.x2_cfg)}
@@ -248,11 +249,12 @@ class StepTraces:
         return out
 
 
-def label_spikes(n_out: int, label: int, period: int, t: int) -> np.ndarray:
-    """The target input at step t: a spike for ``label`` every ``period``
-    steps from t = 0 (none for period 0)."""
-    out = np.zeros(n_out, dtype=bool)
-    out[label] = period > 0 and t % period == 0
+def label_drives(layer: ReadoutLayer, label: int, period: int, n_t: int) -> np.ndarray:
+    """The label drive of each of ``n_t`` steps, ``[n_t, n_out]``: the
+    layer's ``_label_drive`` for ``label``, with a label spike every
+    ``period`` steps from t = 0 (none for period 0), and 0 elsewhere."""
+    out = np.zeros((n_t, layer.n_out))
+    out[:, label] = layer._label_drive(period, n_t)
     return out
 
 

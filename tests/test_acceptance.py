@@ -23,7 +23,7 @@ from spikeshot.ruledsl import parse_rule
 from spikeshot.traces import psp_matched_trace_configs, update_trace
 from spikeshot.weightio import load_weights, save_weights
 
-from oracle import OracleDenseLayer, StepTraces, evaluate_rule, evaluate_rule_matrix
+from oracle import OracleDenseLayer, StepTraces, evaluate_rule, evaluate_rule_matrix, label_drives
 
 # frozen desk-scale defaults for the learning experiments
 HIDDEN_NEURON = NeuronParams(tau_u=8, tau_v=16, bias=-0.2)
@@ -149,7 +149,7 @@ def test_criterion_4_zero_error_stationarity():
     collect = []
     t = 0
     while t <= warm + (n_periods + 3) * period:
-        traces.step(np.array([1.0]), np.array([False]))
+        traces.step(np.array([1.0]))
         delta = float(evaluate_rule_matrix(rule, traces.pre, traces.post, store.effective())[0, 0])
         if t >= warm:
             collect.append((t, bool(layer.spiked_err[0]), delta))
@@ -174,11 +174,10 @@ def test_criterion_5_delta_rule_sign():
         traces = StepTraces(layer)
         cal = calibrate_bias(layer.params, layer.b_err, 1200)
         rule = parse_rule(f"dw = y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2)")
-        deltas = []
+        deltas, drives = [], label_drives(layer, 0, 4 if with_target else 0, 1200)
         for t in range(1200):
             s = np.array([1.0 if t % 3 == 0 else 0.0])
-            tgt = np.array([with_target and t % 4 == 0])
-            traces.step(s, tgt)
+            traces.step(s, drives[t])
             if t > 300:
                 deltas.append(float(evaluate_rule_matrix(rule, traces.pre, traces.post, store.effective())[0, 0]))
         return float(np.mean(deltas))

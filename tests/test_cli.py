@@ -505,7 +505,10 @@ CONFIG_VALUES_PAST_THEIR_RANGE = {  # (section, key, value): exit code under tra
     "weights.plastic_scale_exp=200": ("weights", "plastic_scale_exp", 200, 2, "plastic_scale_exp"),  # a file i8
     "weights.plastic_scale_exp=-129": ("weights", "plastic_scale_exp", -129, 2, "plastic_scale_exp"),
     "weights.frozen_scale_exp=300": ("weights", "frozen_scale_exp", 300, 2, "frozen_scale_exp"),
+    "learning.lr_exp=1023": ("learning", "lr_exp", 1023, 0, None),  # the largest finite 2.0**lr_exp
     "learning.lr_exp=1024": ("learning", "lr_exp", 1024, 2, "lr_exp"),  # 2.0**1024 overflows
+    "weights.frozen_init_lo=-128": ("weights", "frozen_init_lo", -128, 0, None),  # the int8 minimum
+    "weights.frozen_init_lo=-129": ("weights", "frozen_init_lo", -129, 2, "frozen_init_lo"),
     "readout.tau_v=1e17": ("readout", "tau_v", 1.0e17, 2, "tau_v"),  # exp(-1/tau_v) rounds to 1
     "neuron.v_th=10**19": ("neuron", "v_th", 10**19, 0, None),  # a float key, past int64 if read as an integer
     "readout.v_th=10**19": ("readout", "v_th", 10**19, 0, None),
@@ -514,6 +517,10 @@ CONFIG_VALUES_PAST_THEIR_RANGE = {  # (section, key, value): exit code under tra
     "topology.input=null": ("topology", "input", None, 2, "topology.input"),
     "topology.input=10**19": ("topology", "input", 10**19, 2, "u32"),  # past the weight file's dimensions
     "topology.output=10**19": ("topology", "output", 10**19, 2, "u32"),
+    # counts one past the weight file's u32 sizes: refused at load, before anything runs
+    **{f"{section}.{key}=2**32": (section, key, 2**32, 2, f"{section}.{key}") for section, key in (
+        ("data", "n_per_class"), ("episode", "n_way"), ("episode", "m_pretrained"), ("episode", "epochs"),
+        ("episode", "calibration_window"), ("readout", "baseline_period"))},
 }
 
 

@@ -32,6 +32,7 @@ READOUT = ReadoutParams(neuron=NEURON, b_err=1.5)
 def test_parse_shape():
     assert parse_shape("128x128x2") == (128, 128, 2)
     assert parse_shape("32") == (32,)
+    assert parse_shape("1") == (1,) and parse_shape("1x1x1") == (1, 1, 1)  # the smallest dimension
     with pytest.raises(TopologyError):
         parse_shape("0x4")
     with pytest.raises(TopologyError):

@@ -13,7 +13,7 @@ from spikeshot.readout import CalibrationError, ReadoutLayer, ReadoutParams, cal
 from spikeshot.ruledsl import parse_rule
 from spikeshot.traces import TraceConfig
 
-from oracle import StepTraces, evaluate_rule_matrix, oracle_calibrate
+from oracle import StepTraces, evaluate_rule_matrix, label_drives, oracle_calibrate
 
 
 def make_params(**kw):
@@ -43,12 +43,10 @@ def drive(layer, steps, inputs=None, target_period=0):
     """Step ``layer`` with every channel carrying ``inputs[t]`` (silence if
     None) and a label spike for neuron 0 every ``target_period`` steps (none
     for 0); returns the steps at which neuron 0's distal compartment fires."""
-    spikes = []
+    spikes, drives = [], label_drives(layer, 0, target_period, steps)
     for t in range(steps):
         s = np.full(layer.fan_in, 0.0 if inputs is None else inputs[t])
-        tgt = np.zeros(layer.n_out, dtype=bool)
-        tgt[0] = target_period > 0 and t % target_period == 0
-        layer.step(s, tgt)
+        layer.step(s, drives[t])
         if layer.spiked_err[0]:
             spikes.append(t)
     return spikes
@@ -73,7 +71,7 @@ def test_positive_input_raises_rate_above_baseline(params):
 
 def test_matched_input_and_target_stay_at_baseline(params):
     # the input is the label train itself with weight w_tgt, so its drive
-    # equals w_tgt * p_tgt and the potential reduces to the free-running case
+    # equals the label drive and the potential reduces to the free-running case
     base_spikes = run_free(params, 800)
     labels = (np.arange(800) % 4 == 0).astype(float)
     layer = readout(params, [[int(params.w_tgt)]], scale_exp=0)
@@ -152,7 +150,7 @@ def output_counts(params, weight, steps):
     layer = readout(params, [[weight]])
     counts = []
     for _ in range(steps):
-        layer.step(np.ones(1), np.zeros(1, dtype=bool))
+        layer.step(np.ones(1))
         counts.append(int(layer.spike_count[0]))
     return counts
 
@@ -184,7 +182,7 @@ def make_layer(seed=0, fan_in=6, n_out=3, weights=None, **prm_kw):
 
 def test_layer_matches_scalar_compartment():
     # calibrate_bias runs a scalar copy of the free distal compartment; the
-    # layer, stepped with no input and no targets, with its error spikes
+    # layer, stepped with no input and no label, with its error spikes
     # filtered into the two-stage trace P_err and the rule trace y1, gives
     # the same report
     window = 1200
@@ -199,7 +197,7 @@ def test_layer_matches_scalar_compartment():
         q_err, p_err_t = np.zeros(3), np.zeros(3)
         p_err, y1, spikes = np.empty(window), np.empty(window), []
         for t in range(window):
-            traces.step(np.zeros(6), np.zeros(3, dtype=bool))
+            traces.step(np.zeros(6))
             assert np.all(layer.spiked_err == layer.spiked_err[0])
             q_err = n.alpha_q * q_err + layer.spiked_err.astype(np.float64)
             p_err_t = n.alpha_p * p_err_t + q_err
@@ -216,17 +214,17 @@ def test_layer_matches_scalar_compartment():
 
 
 def test_label_cancellation_proximal_trajectory_exact():
-    # train-mode proximal trajectory equals the no-target trajectory: the
+    # train-mode proximal trajectory equals the no-label trajectory: the
     # label drive entering through the distal current cancels the proximal
     # label term exactly
     a = make_layer(weights=np.full((3, 6), 15))
     b = make_layer(weights=np.full((3, 6), 15))
     rng = np.random.default_rng(7)
+    drives = label_drives(a, 0, 4, 400)
     for t in range(400):
         s = (rng.random(6) < 0.25).astype(float)
-        tgt = np.array([t % 4 == 0, False, False])
-        a.step(s, tgt)
-        b.step(s, np.zeros(3, dtype=bool))
+        a.step(s, drives[t])
+        b.step(s)
         assert np.allclose(a.p_out, b.p_out, atol=1e-9)
         assert np.allclose(a.v_out, b.v_out, atol=1e-9)
         assert np.array_equal(a.spiked_out, b.spiked_out)
@@ -241,11 +239,10 @@ def test_delta_rule_sign_flip():
         traces = StepTraces(layer)
         cal = calibrate_bias(layer.params, layer.b_err, 1200)
         rule = parse_rule(f"dw = y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2)")
-        deltas = []
+        deltas, drives = [], label_drives(layer, 0, 4 if with_target else 0, 1200)
         for t in range(1200):
             s = np.array([1.0 if t % 3 == 0 else 0.0])
-            tgt = np.array([with_target and t % 4 == 0])
-            traces.step(s, tgt)
+            traces.step(s, drives[t])
             if t > 300:
                 deltas.append(
                     float(evaluate_rule_matrix(rule, traces.pre, traces.post, layer.store.effective())[0, 0])
@@ -260,8 +257,8 @@ def test_delta_rule_sign_flip():
 def test_reset_state_zeroes_everything():
     layer = make_layer(weights=np.full((3, 6), 30))
     rng = np.random.default_rng(3)
-    for t in range(50):
-        layer.step((rng.random(6) < 0.5).astype(float), np.array([True, False, False]))
+    for drive in label_drives(layer, 0, 1, 50):
+        layer.step((rng.random(6) < 0.5).astype(float), drive)
     layer.reset_state()
     for arr in (layer.p_pre, layer.q_pre, layer.v_err, layer.p_out, layer.v_out):
         assert not np.asarray(arr).any()

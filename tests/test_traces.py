@@ -22,6 +22,7 @@ def test_decay_without_spike():
 
 
 def test_config_validation():
+    assert TraceConfig(tau=1.0).alpha == math.exp(-1.0)  # the shortest tau, one timestep
     with pytest.raises(ValueError):
         TraceConfig(tau=0.5)
     with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from spikeshot.readout import ReadoutLayer, ReadoutParams
 from spikeshot.ruledsl import RULE_VARS, Factor, Product, RuleError, SumOfProductsRule, parse_rule
 
 import oracle
-from oracle import StepTraces, apply_rule_rowmajor, label_spikes
+from oracle import StepTraces, apply_rule_rowmajor, label_drives
 
 READOUT = ReadoutParams(neuron=NeuronParams(tau_u=2, tau_v=4), baseline_period=4)
 
@@ -52,8 +52,9 @@ def _reference(layer, streams, labels, order, target_period):
     eng, traces = layer.engine, StepTraces(layer)
     for b in order:
         traces.reset()
+        drives = label_drives(layer, labels[b], target_period, len(streams[b]))
         for t in range(len(streams[b])):
-            traces.step(streams[b][t], label_spikes(layer.n_out, labels[b], target_period, t))
+            traces.step(streams[b][t], drives[t])
             if (t + 1) % eng.learn_period == 0:
                 apply_rule_rowmajor(layer.store, eng.rule, traces.pre, traces.post, eng.lr_exp)
 
@@ -151,10 +152,10 @@ def test_train_leaves_the_layer_state_as_it_found_it():
     # training's only outputs are the store's weights and its rounding stream
     layer = _layer(3, 2, np.zeros((2, 3)), ALL_FORMS, 0, 1)
     rng = np.random.default_rng(4)
-    for _ in range(5):  # a state away from the reset one
-        layer.step(rng.integers(0, 3, size=3).astype(float), np.array([True, False]))
+    for drive in label_drives(layer, 0, 4, 5):  # a state away from the reset one
+        layer.step(rng.integers(0, 3, size=3).astype(float), drive)
     state = {name: v.copy() for name, v in vars(layer).items() if isinstance(v, np.ndarray)}
-    assert len(state) == 12 and any(v.any() for v in state.values())
+    assert len(state) == 10 and any(v.any() for v in state.values())
     layer.train([rng.integers(0, 2, size=(12, 3)).astype(float)] * 2, [0, 1], [1, 0], 4)
     assert layer.store.weights.any()
     for name, before in state.items():

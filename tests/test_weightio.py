@@ -221,6 +221,17 @@ def test_every_weighted_layer_has_one_interface():
     assert np.array_equal(net.readout.store.effective(), np.full(net.readout.store.shape, -7 / 8))
 
 
+@pytest.mark.parametrize("kind", ["conv2d", "dense", "plastic-output"])
+def test_scale_is_read_only_on_every_weighted_layer(tmp_path, kind):
+    # only set_weights sets the scale, and checks it; 200 is past the file's i8
+    net = build_network(CONV_TOPOLOGY, NEURON, READOUT, BuildConfig(seed=5))
+    (layer,) = [layer for layer in net.weighted_layers() if layer.kind == kind]
+    with pytest.raises(AttributeError):
+        layer.scale_exp = 200
+    assert layer.scale_exp == -6
+    save_weights(net, tmp_path / "w.ssw")
+
+
 @pytest.mark.parametrize("value, scale_exp, message", [
     (200, -6, "int8 range"), (-129, -6, "int8 range"), (np.nan, -6, "int8 range"),
     (5, 128, "scale_exp"), (5, -129, "scale_exp"), (5, 200, "scale_exp"),
