@@ -10,8 +10,9 @@ run bit-exactly.
 writes nothing: for every seed it builds the network and dataset, reading the
 weight and event files, calibrates and parses the rule.
 
-Exit codes: 0 success, 2 config error, 3 data/weights error, 4 calibration
-failure.
+Exit codes: 0 success, 2 config error (also a config file or output
+directory that cannot be used), 3 data/weights error (also any other path
+that cannot be read or written), 4 calibration failure.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
-from unittest import mock
 
 import numpy as np
 import yaml
@@ -49,7 +47,6 @@ from .fewshot import (
     readout_steps,
     run_episode,
     split_shots,
-    worker_blas_env,
 )
 from .network import TopologyError, build_network
 from .readout import CalibrationError, calibrate_bias
@@ -127,14 +124,6 @@ def _setup(cfg: dict, seed: int) -> tuple:
     return _build_net(cfg, seed), ecfg, _build_dataset(cfg, ecfg)
 
 
-def _train_one(cfg: dict, seed: int, out: str):
-    net, ecfg, dataset = _setup(cfg, seed)
-    report = run_episode(net, ecfg, dataset)
-    weights_path = os.path.join(out, f"weights_seed{seed}.ssw")
-    save_weights(net, weights_path)
-    return report, weights_path
-
-
 def _write_manifest(cfg: dict, out: str, extra: dict) -> str:
     manifest = {
         "config_hash": cfgmod.config_hash(cfg),
@@ -174,16 +163,12 @@ def cmd_train(cfg: dict, args) -> int:
         print(f"config_hash: {cfgmod.config_hash(cfg)}")
         return EXIT_OK
     out = _out_dir(cfg)
-    if args.parallel_episodes > 1 and len(seeds) > 1:
-        # spawned workers load their own BLAS; forked ones keep this one's, on all CPUs
-        n = args.parallel_episodes
-        with mock.patch.dict(os.environ, worker_blas_env(n)), ProcessPoolExecutor(n, get_context("spawn")) as pool:
-            futures = [pool.submit(_train_one, cfg, s, out) for s in seeds]
-            results = [f.result() for f in futures]
-    else:
-        results = [_train_one(cfg, s, out) for s in seeds]
     episodes = []
-    for (report, weights_path), seed in zip(results, seeds):
+    for seed in seeds:
+        net, ecfg, dataset = _setup(cfg, seed)
+        report = run_episode(net, ecfg, dataset)
+        weights_path = os.path.join(out, f"weights_seed{seed}.ssw")
+        save_weights(net, weights_path)
         report_path = os.path.join(out, f"report_seed{seed}.txt")
         text = format_report(report)
         with open(report_path, "w") as f:
@@ -196,7 +181,7 @@ def cmd_train(cfg: dict, args) -> int:
             "weights": os.path.basename(weights_path),
         })
         print(text.splitlines()[-1])  # the report's EPISODE summary line
-    cal = results[0][0].calibration
+    cal = report.calibration  # set by the config alone, so every seed's is the same
     _write_manifest(cfg, out, {
         "seeds": seeds,
         "episodes": episodes,
@@ -265,12 +250,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--rule", help="override the learning rule text")
 
 
-def _count(text: str) -> int:
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="spikeshot", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spikeshot {__version__}")
@@ -284,10 +263,6 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--dry-run", action="store_true", help="for every seed, build the network and dataset, calibrate "
                    "and parse the rule, as train does before its first step; print the config and its hash")
-    p.add_argument("--parallel-episodes", type=_count, default=0, metavar="N",
-                   help="run independent seeds across N worker processes, each with max(1, CPUs // N) "
-                        "BLAS threads by default; each steps a large frozen pass in one thread per CPU "
-                        "that its BLAS leaves free, so up to N x CPUs threads run")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="plasticity-off evaluation of saved weights")
@@ -310,8 +285,7 @@ def main(argv=None) -> int:
     except (ConfigError, TopologyError, RuleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EventFormatError, DatasetError, WeightFileError, SeparationError,
-            FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
+    except (EventFormatError, DatasetError, WeightFileError, SeparationError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except CalibrationError as e:

@@ -216,13 +216,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def worker_blas_env(workers: int) -> dict[str, str]:
-    """BLAS thread counts that share the CPUs among ``workers`` processes, unless set."""
-    if any(var in os.environ for var in _BLAS_THREAD_VARS):
-        return {}
-    return dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, _usable_cpus() // workers)))
-
-
 def _free_cpus() -> int:
     """The usable CPUs over the threads the BLAS runs each call on."""
     cpus = _usable_cpus()

@@ -3,7 +3,7 @@
 Layout (little-endian):
 
     magic   4 bytes  b"SSWF"
-    version u16      format version (currently 1)
+    version u16      format version (currently 2)
     n       u16      number of weighted layers
     plen    u16      provenance length, followed by that many UTF-8 bytes
     per layer:
@@ -12,10 +12,14 @@ Layout (little-endian):
         ndim      u8
         dims      u32 * ndim
         payload   int8 * prod(dims)
-    crc     u32      CRC-32 of all payload bytes concatenated
+    crc     u32      CRC-32 of every byte before it
 
 The provenance string records where the frozen weights came from (e.g. the
 pretraining class set) and travels with the file; it is advisory only.
+
+A version 1 file, whose CRC covered only the payloads, is refused as an
+unsupported version; ``train`` on its run's manifest config writes the same
+weights again as version 2.
 
 Every weighted layer, frozen or plastic, has one interface: ``kind``,
 read-only int8 ``weights``, ``scale_exp`` and ``set_weights``, so one loop
@@ -34,7 +38,7 @@ import zlib
 import numpy as np
 
 FILE_MAGIC = b"SSWF"
-FILE_VERSION = 1
+FILE_VERSION = 2
 
 _KIND_TAGS = {"dense": 1, "conv2d": 2, "plastic-output": 4}
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
@@ -49,13 +53,11 @@ def save_weights(net, path, provenance: str | None = None) -> None:
     prov = (provenance if provenance is not None else net.provenance).encode("utf-8")
     layers = net.weighted_layers()
     blob = bytearray(FILE_MAGIC + struct.pack("<HHH", FILE_VERSION, len(layers), len(prov)) + prov)
-    crc = 0
     for layer in layers:
         w = layer.weights
-        payload = w.tobytes()  # C order, whatever the layout
-        blob += struct.pack(f"<BbB{w.ndim}I", _KIND_TAGS[layer.kind], layer.scale_exp, w.ndim, *w.shape) + payload
-        crc = zlib.crc32(payload, crc)
-    blob += struct.pack("<I", crc)
+        blob += struct.pack(f"<BbB{w.ndim}I", _KIND_TAGS[layer.kind], layer.scale_exp, w.ndim, *w.shape)
+        blob += w.tobytes()  # C order, whatever the layout
+    blob += struct.pack("<I", zlib.crc32(blob))
     with open(path, "wb") as f:
         f.write(bytes(blob))
 
@@ -91,18 +93,17 @@ def read_weight_file(path) -> tuple[str, list[tuple[str, np.ndarray, int]]]:
     except UnicodeDecodeError as e:
         raise WeightFileError(f"provenance is not UTF-8 ({e})")
     entries = []
-    crc = 0
     for _ in range(n_layers):
         tag, scale_exp, ndim = r.unpack("<BbB")
         if tag not in _TAG_KINDS:
             raise WeightFileError(f"unknown layer kind tag {tag}")
         dims = r.unpack(f"<{ndim}I")
         payload = r.take(math.prod(dims))  # a Python int: take checks it against the bytes left
-        crc = zlib.crc32(payload, crc)
         weights = np.frombuffer(payload, dtype=np.int8).reshape(dims)
         entries.append((_TAG_KINDS[tag], weights, scale_exp))
+    covered = data[: r.pos]
     (stored_crc,) = r.unpack("<I")
-    if stored_crc != crc:
+    if stored_crc != zlib.crc32(covered):
         raise WeightFileError("weight file checksum mismatch")
     if r.pos != len(data):
         raise WeightFileError("trailing bytes after checksum")

@@ -289,18 +289,26 @@ def test_non_numeric_or_missing_values_are_config_errors(tmp_path, capsys, comma
     assert err.startswith("config error:") and "Traceback" not in out + err
 
 
-@pytest.mark.parametrize("path, code", [
-    ("--events", 3), ("data.path", 3), ("--weights", 3), ("--config", 2), ("gen-data --out", 3),
-    ("--events under file", 3), ("data.path under file", 3), ("--weights under file", 3),
-    ("--config under file", 2), ("gen-data --out under file", 3),
-])
+PATH_ARGUMENTS = {"--events": 3, "data.path": 3, "--weights": 3, "--config": 2, "gen-data --out": 3}  # exit codes
+
+
+@pytest.mark.parametrize("path, code", [(path + bad, code) for bad in ("", " under file", " symlink loop", " long name")
+                                        for path, code in PATH_ARGUMENTS.items()])
 def test_directory_input_path_is_error(cfg_file, tmp_path, capsys, path, code):
-    # a directory where a file is expected, or a path under a regular file
+    # a directory where a file is expected, a path under a regular file, a
+    # symlink that points at itself (ELOOP) or a 300-character name (ENAMETOOLONG)
     if path.endswith(" under file"):
         path = path.removesuffix(" under file")
         regular = tmp_path / "regular"
         regular.write_text("")
         bad = regular / "x"
+    elif path.endswith(" symlink loop"):
+        path = path.removesuffix(" symlink loop")
+        bad = tmp_path / "loop"
+        bad.symlink_to(bad)
+    elif path.endswith(" long name"):
+        path = path.removesuffix(" long name")
+        bad = tmp_path / ("x" * 300)
     else:
         bad = tmp_path / "folder"
         bad.mkdir()
@@ -348,41 +356,16 @@ def test_seed_flag_overrides_seed_list(cfg_file, tmp_path):
     assert (out / "report_seed7.txt").exists()
 
 
-def test_parallel_episodes_matches_sequential(cfg_file, tmp_path):
-    cfg_text = SMALL_CONFIG.replace("seeds: [0]", "seeds: [0, 1]")
-    p = tmp_path / "multi.yaml"
-    p.write_text(cfg_text)
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert main(["train", "--config", str(p), "--out", str(seq)]) == 0
-    assert main(["train", "--config", str(p), "--out", str(par), "--parallel-episodes", "2"]) == 0
-    for name in ("report_seed0.txt", "report_seed1.txt", "weights_seed0.ssw", "weights_seed1.ssw", "manifest.yaml"):
-        assert (seq / name).read_bytes() == (par / name).read_bytes()
-
-
-def test_one_parallel_episode_runs_in_process(tmp_path, monkeypatch):
+def test_each_seed_of_a_run_writes_what_it_writes_alone(tmp_path):
     p = tmp_path / "multi.yaml"
     p.write_text(SMALL_CONFIG.replace("seeds: [0]", "seeds: [0, 1]"))
-    seq, one = tmp_path / "seq", tmp_path / "one"
-    assert main(["train", "--config", str(p), "--out", str(seq)]) == 0
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool of one worker is pure start-up cost")
-
-    monkeypatch.setattr("spikeshot.cli.ProcessPoolExecutor", no_pool)
-    assert main(["train", "--config", str(p), "--out", str(one), "--parallel-episodes", "1"]) == 0
-    for name in ("report_seed0.txt", "report_seed1.txt", "weights_seed0.ssw", "weights_seed1.ssw", "manifest.yaml"):
-        assert (seq / name).read_bytes() == (one / name).read_bytes()
-
-
-def test_negative_parallel_episodes_is_usage_error(tmp_path, capsys):
-    p = tmp_path / "multi.yaml"
-    p.write_text(SMALL_CONFIG.replace("seeds: [0]", "seeds: [0, 1]"))
-    with pytest.raises(SystemExit) as exit_:
-        main(["train", "--config", str(p), "--out", str(tmp_path / "o"), "--parallel-episodes", "-1"])
-    assert exit_.value.code == 2
-    err = capsys.readouterr().err
-    assert "--parallel-episodes: expected an integer >= 0" in err and "Traceback" not in err
-    assert not (tmp_path / "o").exists()
+    both = tmp_path / "both"
+    assert main(["train", "--config", str(p), "--out", str(both)]) == 0
+    for seed in (0, 1):
+        alone = tmp_path / f"alone{seed}"
+        assert main(["train", "--config", str(p), "--seed", str(seed), "--out", str(alone)]) == 0
+        for name in (f"report_seed{seed}.txt", f"weights_seed{seed}.ssw"):
+            assert (both / name).read_bytes() == (alone / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", [["train"], ["train", "--dry-run"], ["eval", "--weights", "w.ssw"], ["gen-data"]],
@@ -535,6 +518,23 @@ def test_config_value_past_its_range_ends_without_traceback(tmp_path, capsys, se
     assert "Traceback" not in out + err
     if code:
         assert err.startswith("config error:") and words in err
+
+
+SWEPT_VALUES = {"0": 0, "-1": -1, "1e300": 1e300, "10**19": 10**19}
+
+
+@pytest.mark.parametrize("value", SWEPT_VALUES.values(), ids=list(SWEPT_VALUES))
+@pytest.mark.parametrize("key", list(_numeric_keys()), ids=".".join)
+def test_numeric_value_trains_or_ends_in_an_exit_code(tmp_path, capsys, key, value):
+    # short samples and calibration keep each run short, unless the swept key is one of them
+    changes = {"episode": {"sample_duration": 40, "calibration_window": 400}}
+    section, leaf = key
+    changes.setdefault(section, {})[leaf] = value
+    code = main(["train", "--config", _small_config_with(tmp_path, changes), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert code in (0, *PREFIXES) and "Traceback" not in out + err
+    if code:
+        assert err.startswith(PREFIXES[code])
 
 
 def test_integer_input_shape_runs_as_its_string(tmp_path):

@@ -39,17 +39,17 @@ from spikeshot.events import read_events
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fewshot.yaml"
 
 GOLDEN_SHA256 = {
-    "weights_seed0.ssw": "a5602061531e0e0c5564742a40be3160b6492830d7dd278ac6f70c0fb935594e",
+    "weights_seed0.ssw": "0749fef4f67579995645f67a80a683e4a9fc253da65c065bca40fa8ca3b6595d",
     "report_seed0.txt": "2f63d6829f823dbcecd179785183ecdfe51518a974fcc0fdffa437c39afd68c1",
-    "manifest.yaml": "e87ad3f2d20d45f3daf5429488ef17668ac6d57387fbac1089ac8757a108bb61",
+    "manifest.yaml": "e4aafb9d73646fbeb757d35e5367c7932793bbe6bfa60390ef7b99da57659b34",
 }
 
 W_RULE = "dw = -1*(y1*(x2 - x1) + {b}*(x1 - x2)) - 0.1*w*y1*x2"
 
 W_RULE_GOLDEN_SHA256 = {
-    "weights_seed0.ssw": "2204f6efc201400256b8ba34138293da67648dc160545f427577a80313e626e4",
+    "weights_seed0.ssw": "871bc47da0b80c91853dcdc18422f3639c0dfff5ebf1b349e40950d354481421",
     "report_seed0.txt": "5752353451f6c1bbaa74620590de102f90c32fb5f0cae80a7edb7015530cf050",
-    "manifest.yaml": "7f2fbee14fafc3c3feea92b9ae744c35242f659bded3509bd7aa1649b1931ce7",
+    "manifest.yaml": "0f6a837faadc19af9bc93e76b8cbb9e3ca67b86911829932a4d399640e83da6a",
 }
 
 
@@ -64,9 +64,9 @@ CONV_CONFIG = {
 }
 
 CONV_GOLDEN_SHA256 = {
-    "weights_seed0.ssw": "804397ef0eb4c46e8e9f8c1bdf035777d87ed34ef0afd145791b2b67d113fe8a",
+    "weights_seed0.ssw": "9a243cd35b06f3a9670edff99c93307363d56be53948d10ee82d2d3ab542bcb7",
     "report_seed0.txt": "cb3d386a8dd0562d4ca0fa2f10ec08f737f7235c099b53e92eda1ad8161096f8",
-    "manifest.yaml": "d9264b7ed29f65fe7f68229581083e5e043aa29a80233113db29bf42ce88fde3",
+    "manifest.yaml": "6d8eaa59530b2d8e49de17c3d7f2a1fc25037779ed21176eac7c7c98b77f86fe",
 }
 
 
@@ -77,9 +77,9 @@ MPLUSN_CHANGES = {
 }
 
 MPLUSN_GOLDEN_SHA256 = {
-    "weights_seed0.ssw": "cb88b03c9e7e40dc3bb0d2994fbbce34b0775fa314ca1a12b3c3079e872177d9",
+    "weights_seed0.ssw": "a0ec52784c7661cfc560dee3625e5b624902e9c76b4062c7a63cce8017548fe5",
     "report_seed0.txt": "816953f4f5e15bd27b0925ecf0eb749e14cd1e18d3a05ef285d49f94950ac072",
-    "manifest.yaml": "f97ee0120bc1d852061a04e306255d6ac246958f72f6cce3d40639153f026059",
+    "manifest.yaml": "07521dd4831c1fb4816254bb3a788bdd5a6381e0d305dc51df103e285df9a6c5",
 }
 
 MPLUSN_EVAL_LINE = "EVAL split=test seed=0 n=18 accuracy=0.611111"

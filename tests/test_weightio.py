@@ -138,12 +138,10 @@ def test_conv_layers_roundtrip(tmp_path):
 
 def _weight_file(provenance: bytes, layers) -> bytes:
     """A weight file written field by field: ``layers`` is (tag, scale_exp, dims, payload)."""
-    blob = b"SSWF" + struct.pack("<HHH", 1, len(layers), len(provenance)) + provenance
-    crc = 0
+    blob = b"SSWF" + struct.pack("<HHH", 2, len(layers), len(provenance)) + provenance
     for tag, scale_exp, dims, payload in layers:
         blob += struct.pack("<BbB", tag, scale_exp, len(dims)) + struct.pack(f"<{len(dims)}I", *dims) + payload
-        crc = zlib.crc32(payload, crc)
-    return blob + struct.pack("<I", crc)
+    return blob + struct.pack("<I", zlib.crc32(blob))
 
 
 @pytest.mark.parametrize("data, message", [
@@ -166,18 +164,6 @@ def conv_file(tmp_path_factory):
     return path
 
 
-def _unchecked_offsets(data: bytes) -> set[int]:
-    """Offsets of the bytes no check covers: the provenance text and each
-    layer's scale exponent (the CRC covers only the payloads)."""
-    n_layers, plen = struct.unpack_from("<HH", data, 6)
-    offsets, pos = set(range(10, 10 + plen)), 10 + plen
-    for _ in range(n_layers):
-        ndim = data[pos + 2]
-        offsets.add(pos + 1)
-        pos += 3 + 4 * ndim + math.prod(struct.unpack_from(f"<{ndim}I", data, pos + 3))
-    return offsets
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_truncated_or_flipped_file_is_weight_file_error(conv_file, data):
@@ -190,17 +176,43 @@ def test_truncated_or_flipped_file_is_weight_file_error(conv_file, data):
         flipped = bytearray(good)
         flipped[at] ^= data.draw(st.integers(1, 255), label="mask")
         bad.write_bytes(bytes(flipped))
-        if at in _unchecked_offsets(good):
-            # the read may succeed, but only with the saved kinds and payloads
-            try:
-                _, entries = read_weight_file(bad)
-            except WeightFileError:
-                return
-            _, saved = read_weight_file(conv_file)
-            assert [(k, w.tobytes()) for k, w, _ in entries] == [(k, w.tobytes()) for k, w, _ in saved]
-            return
     with pytest.raises(WeightFileError):
         read_weight_file(bad)
+
+
+def _scale_offsets(data: bytes) -> list[int]:
+    """The offset of each layer's scale exponent byte."""
+    n_layers, plen = struct.unpack_from("<HH", data, 6)
+    offsets, pos = [], 10 + plen
+    for _ in range(n_layers):
+        ndim = data[pos + 2]
+        offsets.append(pos + 1)
+        pos += 3 + 4 * ndim + math.prod(struct.unpack_from(f"<{ndim}I", data, pos + 3))
+    return offsets
+
+
+def test_flipped_scale_or_provenance_byte_is_checksum_error(conv_file):
+    good = conv_file.read_bytes()
+    scales = _scale_offsets(good)
+    _, saved = read_weight_file(conv_file)
+    assert [good[at] for at in scales] == [s & 0xFF for _, _, s in saved] and len(scales) == 3
+    bad = conv_file.with_name("flipped.ssw")
+    for at in [*scales, 10]:  # each layer's scale exponent, then the provenance's first byte
+        flipped = bytearray(good)
+        flipped[at] ^= 3  # a scale of -6 becomes -7, which halves every weight of the layer
+        bad.write_bytes(bytes(flipped))
+        with pytest.raises(WeightFileError, match="checksum"):
+            read_weight_file(bad)
+
+
+def test_version_1_file_is_refused(tmp_path):
+    # version 1: the same layout, with a CRC of the payloads alone
+    payload = bytes(range(6))
+    v1 = b"SSWF" + struct.pack("<HHH", 1, 1, 0) + struct.pack("<BbBI", 4, -6, 1, 6) + payload
+    path = tmp_path / "v1.ssw"
+    path.write_bytes(v1 + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(WeightFileError, match="unsupported weight file version 1"):
+        read_weight_file(path)
 
 
 def _layer_state(net):
