@@ -1,18 +1,21 @@
 """Command-line entry point.
 
 Subcommands: calibrate, train, eval, simulate, gen-data. A run is driven by
-one YAML config (defaults apply when omitted); selected flags override the
-file. Every simulating run writes a manifest carrying the canonical config,
-its hash, the seeds and format versions, which is enough to reproduce the
-run bit-exactly.
+one YAML config (defaults apply when omitted); ``--seed``, ``--out``,
+``--weights`` and ``--rule`` each override one config value, and each
+subcommand takes only those it reads (any other is a usage error, exit 2).
+Every simulating run writes a manifest carrying the canonical config, its
+hash, the seeds and format versions, which is enough to reproduce the run
+bit-exactly.
 
 ``train --dry-run`` does all that ``train`` does before its first step and
 writes nothing: for every seed it builds the network and dataset, reading the
 weight and event files, calibrates and parses the rule.
 
 Exit codes: 0 success, 2 config error (also a config file or output
-directory that cannot be used), 3 data/weights error (also any other path
-that cannot be read or written), 4 calibration failure.
+directory that cannot be used, and a network or dataset too large to
+allocate), 3 data/weights error (also any other path that cannot be read or
+written), 4 calibration failure.
 """
 
 from __future__ import annotations
@@ -70,15 +73,21 @@ def _out_dir(cfg: dict) -> str:
     return out
 
 
+# the flags that override one config value each: flag -> (section, key, argparse keywords)
+_OVERRIDES = {
+    "--seed": ("episode", "seeds", {"type": int, "help": "override the episode seed list with one seed"}),
+    "--out": ("output", "dir", {"help": "output directory (default: $SPIKESHOT_OUT or .)"}),
+    "--weights": ("weights", "path", {"help": "weight file to load"}),
+    "--rule": ("learning", "rule", {"help": "override the learning rule text"}),
+}
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        cfg["episode"]["seeds"] = [int(args.seed)]
-    if getattr(args, "rule", None):
-        cfg["learning"]["rule"] = args.rule
-    if getattr(args, "weights", None):
-        cfg["weights"]["path"] = args.weights
-    if getattr(args, "out", None):
-        cfg["output"]["dir"] = args.out
+    for flag in args.overrides:
+        section, key, _ = _OVERRIDES[flag]
+        value = getattr(args, flag[2:])
+        if value not in (None, ""):  # an empty path or rule keeps the config's
+            cfg[section][key] = [value] if key == "seeds" else value
     return cfg
 
 
@@ -242,42 +251,30 @@ def cmd_gen_data(cfg: dict, args) -> int:
 # --- entry point ------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="YAML run configuration")
-    p.add_argument("--seed", type=int, help="override the episode seed list with one seed")
-    p.add_argument("--out", help="output directory (default: $SPIKESHOT_OUT or .)")
-    p.add_argument("--weights", help="weight file to load")
-    p.add_argument("--rule", help="override the learning rule text")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="spikeshot", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spikeshot {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("calibrate", help="measure the error-neuron baseline")
-    _add_common(p)
-    p.set_defaults(func=cmd_calibrate)
+    def subcommand(name: str, func, summary: str, overrides: tuple[str, ...]) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="YAML run configuration")
+        for flag in overrides:
+            p.add_argument(flag, **_OVERRIDES[flag][2])
+        p.set_defaults(func=func, overrides=overrides)
+        return p
 
-    p = sub.add_parser("train", help="run few-shot episodes and save weights")
-    _add_common(p)
+    subcommand("calibrate", cmd_calibrate, "measure the error-neuron baseline", ("--out",))
+    p = subcommand("train", cmd_train, "run few-shot episodes and save weights",
+                   ("--seed", "--out", "--weights", "--rule"))
     p.add_argument("--dry-run", action="store_true", help="for every seed, build the network and dataset, calibrate "
                    "and parse the rule, as train does before its first step; print the config and its hash")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="plasticity-off evaluation of saved weights")
-    _add_common(p)
+    p = subcommand("eval", cmd_eval, "plasticity-off evaluation of saved weights", ("--seed", "--weights"))
     p.add_argument("--split", choices=["train", "test"], default="test")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("simulate", help="forward-only run over an event file")
-    _add_common(p)
+    p = subcommand("simulate", cmd_simulate, "forward-only run over an event file", ("--seed", "--out", "--weights"))
     p.add_argument("--events", required=True, help="input event file")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic task event file")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_data)
+    p = subcommand("gen-data", cmd_gen_data, "generate a synthetic task event file", ("--seed",))
+    p.add_argument("--out", help="event file to write (default: synthetic.events)")
 
     args = parser.parse_args(argv)
     try:
@@ -288,6 +285,9 @@ def main(argv=None) -> int:
     except (EventFormatError, DatasetError, WeightFileError, SeparationError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as e:  # a size within the config's bounds that this machine cannot allocate
+        print(f"config error: out of memory: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except CalibrationError as e:
         print(e, file=sys.stderr)  # its message says it is a calibration failure
         return EXIT_CALIBRATION

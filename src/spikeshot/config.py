@@ -21,7 +21,6 @@ from .events import PROTOTYPE_MODES
 from .fewshot import DEFAULT_RULE, EpisodeConfig
 from .network import DIM_MAX, BuildConfig, Topology, parse_topology
 from .readout import ReadoutParams
-from .traces import TraceConfig
 
 
 class ConfigError(ValueError):
@@ -138,11 +137,8 @@ def merge_config(overrides: dict | None) -> dict:
     if overrides is None:
         return merged
     _check_block(overrides, DEFAULT_CONFIG, "config")
-    for section, block in overrides.items():
-        if isinstance(block, dict):
-            merged[section].update(block)
-        else:
-            merged[section] = block
+    for section, block in overrides.items():  # _check_block refuses a section that is not a mapping
+        merged[section].update(block)
     if merged["data"]["mode"] not in PROTOTYPE_MODES:
         raise ConfigError(f"config.data.mode: expected one of {PROTOTYPE_MODES}, got {merged['data']['mode']!r}")
     if merged["data"]["seed_offset"] < 0:
@@ -204,10 +200,11 @@ def readout_params(cfg: dict) -> ReadoutParams:
     r = cfg["readout"]
     try:
         neuron = NeuronParams(tau_u=r["tau_u"], tau_v=r["tau_v"], tau_r=r["tau_r"], v_th=float(r["v_th"]))
-        y1 = TraceConfig(tau=r["y1_tau"], increment=r["y1_increment"]) if r["y1_tau"] else None
         params = ReadoutParams(neuron=neuron, w_tgt=r["w_tgt"], baseline_period=r["baseline_period"],
-                               b_err=r["b_err"], b_out=r["b_out"], y1=y1)
+                               b_err=r["b_err"], b_out=r["b_out"], y1_tau=r["y1_tau"],
+                               y1_increment=r["y1_increment"])
         params.pre_trace_configs()  # the readout's PSP decomposition needs tau_v > tau_u
+        params.y1_config()  # the rule trace y1 needs y1_tau >= 1 and y1_increment > 0
         return params
     except ValueError as e:
         raise ConfigError(f"readout: {e}")

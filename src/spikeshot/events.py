@@ -150,17 +150,14 @@ def _pieces(f):
             pos = end
 
 
-def _sample_events(chunks: list[np.ndarray], bad_field: str | None) -> np.ndarray:
-    """The closing sample's ``[N, 2]`` events; raises its first unparsable field."""
-    if bad_field:
-        raise EventFormatError(bad_field)
+def _sample_events(chunks: list[np.ndarray]) -> np.ndarray:
+    """The closing sample's ``[N, 2]`` events."""
     return np.concatenate([np.empty(0, np.int64), *chunks]).reshape(-1, 2)
 
 
 def read_events(path) -> list[LabeledSample]:
     samples: list[LabeledSample] = []
     chunks: list[np.ndarray] = []  # the open sample's (t, neuron) values, flat, one array per run or field
-    bad_field = None  # the open sample's first field that is not an int64, raised when the sample closes
     with open(path, encoding="utf-8") as f:
         try:
             for lineno, is_run, text in _pieces(f):
@@ -169,7 +166,7 @@ def read_events(path) -> list[LabeledSample]:
                     continue
                 if line.startswith("shape="):
                     if samples:
-                        samples[-1].events = _sample_events(chunks, bad_field)
+                        samples[-1].events = _sample_events(chunks)
                         chunks = []
                     try:
                         fields = dict(part.split("=", 1) for part in line.split())
@@ -194,20 +191,16 @@ def read_events(path) -> list[LabeledSample]:
                     continue
                 parts = line.split()
                 if len(parts) != 2:
-                    if bad_field:  # a bad field on an earlier line is named first
-                        raise EventFormatError(bad_field)
                     raise EventFormatError(f"line {lineno}: expected '<t> <neuron>', got {line!r}")
-                if bad_field is None:
-                    for tok in parts:
-                        try:
-                            chunks.append(np.array([tok], dtype=np.int64))
-                        except (ValueError, OverflowError):
-                            bad_field = f"line {lineno}: event field {tok!r} is not an int64"
-                            break
+                for tok in parts:
+                    try:
+                        chunks.append(np.array([tok], dtype=np.int64))
+                    except (ValueError, OverflowError):
+                        raise EventFormatError(f"line {lineno}: event field {tok!r} is not an int64") from None
         except UnicodeDecodeError:  # raised by the decoding read
             raise EventFormatError(f"line {_undecodable_line(path)}: bytes that are not UTF-8 text") from None
     if samples:
-        samples[-1].events = _sample_events(chunks, bad_field)
+        samples[-1].events = _sample_events(chunks)
     for s in samples:
         try:
             s.validate()

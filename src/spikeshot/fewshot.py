@@ -111,6 +111,8 @@ class EpisodeConfig:
             raise ValueError("m_pretrained must be >= 0")
         if self.learn_period < 1:
             raise ValueError("learn_period must be >= 1")
+        if self.target_period < 0:  # 0 means no label drive
+            raise ValueError(f"target_period must be >= 0, got {self.target_period}")
         if self.lr_exp > 1023:
             raise ValueError(f"lr_exp must be <= 1023 for 2**lr_exp to be a finite float, got {self.lr_exp}")
 

@@ -296,6 +296,7 @@ class PoolLayer(_FrozenLayer):
 
 PLASTIC_INIT_MAX = 16  # "random" plastic init draws integers in [-16, 16]
 DIM_MAX = 2**32 - 1  # the weight file stores every dimension as a u32
+_ARRAY_MAX = np.iinfo(np.intp).max // 8  # the most 8-byte numbers one numpy array holds
 _LAYER_CLASSES = {KIND_POOL: PoolLayer, KIND_DENSE: DenseLayer, KIND_CONV: ConvLayer, KIND_PLASTIC: ReadoutLayer}
 
 
@@ -336,7 +337,6 @@ class Network:
     """
 
     def __init__(self, topology: Topology, layers: list, readout: ReadoutLayer, provenance: str = ""):
-        self.topology = topology
         self.layers = layers
         self.readout = readout
         self.provenance = provenance
@@ -386,9 +386,10 @@ def build_network(
     """Allocate a network: frozen weights seeded-random, plastic store zeroed.
 
     Every layer size and weight dimension must fit the weight file's u32,
-    checked before anything is allocated. Seed usage is fixed: one child
-    stream per frozen layer (in order), then one for the plastic store's
-    rounding stream, then one for random plastic init when configured.
+    and every layer and weight array numpy's largest array, checked before
+    anything is allocated. Seed usage is fixed: one child stream per frozen
+    layer (in order), then one for the plastic store's rounding stream, then
+    one for random plastic init when configured.
     """
     cfg = cfg or BuildConfig()
     classes = [_LAYER_CLASSES[spec.kind] for spec in topology.layers]
@@ -396,6 +397,8 @@ def build_network(
     for spec, shape in zip(topology.layers, shapes):
         if max(spec.out_shape + shape) > DIM_MAX:
             raise TopologyError(f"{spec.kind} layer {spec.out_shape}, weights {shape}: a size past the file's u32")
+        if max(math.prod(spec.out_shape), math.prod(shape)) > _ARRAY_MAX:
+            raise TopologyError(f"{spec.kind} layer {spec.out_shape}, weights {shape}: past numpy's largest array")
     children = np.random.SeedSequence(cfg.seed).spawn(len(topology.layers) + 2)
     layers = []
     for i, (spec, cls) in enumerate(zip(topology.layers[:-1], classes)):

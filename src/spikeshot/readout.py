@@ -52,7 +52,8 @@ class ReadoutParams:
     baseline_period: int = 20
     b_err: float | None = None
     b_out: float | None = None
-    y1: TraceConfig | None = None
+    y1_tau: float | None = None  # the rule trace y1's; unset means neuron.tau_v
+    y1_increment: float = 1.0
 
     def __post_init__(self):
         if self.w_tgt <= 0.0:
@@ -67,7 +68,8 @@ class ReadoutParams:
         return self.b_err if self.b_err is not None else solve_baseline_bias(self)
 
     def y1_config(self) -> TraceConfig:
-        return self.y1 if self.y1 is not None else TraceConfig(tau=self.neuron.tau_v, increment=1.0)
+        tau = self.neuron.tau_v if self.y1_tau is None else self.y1_tau
+        return TraceConfig(tau=tau, increment=self.y1_increment)
 
     def y2_config(self) -> TraceConfig:
         return TraceConfig(tau=self.neuron.tau_u, increment=1.0)

@@ -48,9 +48,9 @@ class WeightFileError(ValueError):
     """Corrupt, truncated or mismatched weight file."""
 
 
-def save_weights(net, path, provenance: str | None = None) -> None:
-    """Write every weighted layer of the network, in order."""
-    prov = (provenance if provenance is not None else net.provenance).encode("utf-8")
+def save_weights(net, path) -> None:
+    """Write every weighted layer of the network, in order, under its provenance."""
+    prov = net.provenance.encode("utf-8")
     layers = net.weighted_layers()
     blob = bytearray(FILE_MAGIC + struct.pack("<HHH", FILE_VERSION, len(layers), len(prov)) + prov)
     for layer in layers:

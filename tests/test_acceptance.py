@@ -224,7 +224,8 @@ def test_criterion_7_m_plus_n_transfer(tmp_path):
         topo = parse_topology(str(DATA_KW["dim"]), ["64"], 3)
         net = build_network(topo, HIDDEN_NEURON, READOUT_PARAMS, BuildConfig(seed=seed))
         path = tmp_path / f"pre{seed}.ssw"
-        save_weights(net, path, provenance="pretrain-classes=0,1,2")
+        net.provenance = "pretrain-classes=0,1,2"
+        save_weights(net, path)
         load_weights(net, path)
         data = gen_synthetic_task(6, 9, DATA_KW["dim"], DATA_KW["separation"],
                                   seed=20_000 + seed, jitter=DATA_KW["jitter"],

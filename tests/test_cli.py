@@ -1,10 +1,15 @@
 """CLI subcommands: exit codes, manifests, reproducibility."""
 
 import math
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import spikeshot
 from spikeshot.cli import main
 from spikeshot.config import DEFAULT_CONFIG, _PATH_KEYS
 from spikeshot.events import read_events
@@ -284,7 +289,8 @@ def test_non_numeric_or_missing_values_are_config_errors(tmp_path, capsys, comma
     p = tmp_path / "run.yaml"
     p.write_text(SMALL_CONFIG.replace(old, new))
     args = [a if a not in ("w.ssw", "x.events") else str(tmp_path / a) for a in command]
-    assert main([*args, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    out = [] if command[0] == "eval" else ["--out", str(tmp_path / "o")]  # eval writes nothing
+    assert main([*args, "--config", str(p), *out]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("config error:") and "Traceback" not in out + err
 
@@ -373,7 +379,8 @@ def test_each_seed_of_a_run_writes_what_it_writes_alone(tmp_path):
 def test_negative_m_pretrained_is_config_error(tmp_path, capsys, command):
     p = tmp_path / "run.yaml"
     p.write_text(SMALL_CONFIG.replace("n_way: 3", "n_way: 3\n  m_pretrained: -1"))
-    assert main([*command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    out = [] if command[0] == "eval" else ["--out", str(tmp_path / "o")]  # eval writes nothing
+    assert main([*command, "--config", str(p), *out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "m_pretrained must be >= 0" in err
 
@@ -493,6 +500,9 @@ CONFIG_VALUES_PAST_THEIR_RANGE = {  # (section, key, value): exit code under tra
     "weights.frozen_init_lo=-128": ("weights", "frozen_init_lo", -128, 0, None),  # the int8 minimum
     "weights.frozen_init_lo=-129": ("weights", "frozen_init_lo", -129, 2, "frozen_init_lo"),
     "readout.tau_v=1e17": ("readout", "tau_v", 1.0e17, 2, "tau_v"),  # exp(-1/tau_v) rounds to 1
+    "readout.y1_tau=0": ("readout", "y1_tau", 0, 2, "trace tau"),  # only null means tau_v
+    "readout.target_period=-1": ("readout", "target_period", -1, 2, "target_period"),
+    "readout.target_period=0": ("readout", "target_period", 0, 0, None),  # no label drive
     "neuron.v_th=10**19": ("neuron", "v_th", 10**19, 0, None),  # a float key, past int64 if read as an integer
     "readout.v_th=10**19": ("readout", "v_th", 10**19, 0, None),
     "topology.input=1.5": ("topology", "input", 1.5, 2, "topology.input"),
@@ -545,3 +555,86 @@ def test_integer_input_shape_runs_as_its_string(tmp_path):
         assert main(["train", "--config", cfg, "--out", str(runs[name])]) == 0
     for name in ("weights_seed0.ssw", "report_seed0.txt"):
         assert (runs["text"] / name).read_bytes() == (runs["number"] / name).read_bytes()
+
+
+def test_y1_increment_acts_without_y1_tau(tmp_path):
+    # an unset y1_tau means readout.tau_v; the increment scales y1 either way
+    weights = {}
+    for name, readout in (("default", {}), ("increment", {"y1_increment": 2.0}),
+                          ("increment-and-tau", {"y1_increment": 2.0, "y1_tau": 16.0})):
+        cfg = _small_config_with(tmp_path, {"readout": readout})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        weights[name] = (tmp_path / name / "weights_seed0.ssw").read_bytes()
+    assert weights["increment"] == weights["increment-and-tau"]
+    assert weights["increment"] != weights["default"]
+
+
+UNREAD_FLAGS = [("calibrate", "--seed", "3"), ("calibrate", "--weights", "w.ssw"), ("calibrate", "--rule", "dw = x1"),
+                ("eval", "--out", "o"), ("eval", "--rule", "dw = x1"), ("simulate", "--rule", "dw = x1"),
+                ("gen-data", "--weights", "w.ssw"), ("gen-data", "--rule", "dw = x1")]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS, ids=[f"{c} {f}" for c, f, _ in UNREAD_FLAGS])
+def test_flag_a_subcommand_does_not_read_is_usage_error(cfg_file, tmp_path, monkeypatch, capsys, command, flag,
+                                                         value):
+    monkeypatch.chdir(tmp_path)  # where calibrate and gen-data would write by default
+    monkeypatch.delenv("SPIKESHOT_OUT", raising=False)
+    required = {"eval": ["--weights", "w.ssw"], "simulate": ["--events", "x.events"]}.get(command, [])
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", cfg_file, *required, flag, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]  # nothing written
+
+
+def test_seed_flag_of_gen_data_and_simulate_is_a_seed_list_of_one(tmp_path):
+    # random plastic weights, drawn from the seed, carry the frozen layers' spikes to simulate's trace
+    zero, seven = tmp_path / "zero.yaml", tmp_path / "seven.yaml"
+    zero.write_text(SMALL_CONFIG + "weights:\n  plastic_init: random\n")
+    seven.write_text(zero.read_text().replace("seeds: [0]", "seeds: [7]"))
+    events = tmp_path / "d.events"
+    assert main(["gen-data", "--config", str(zero), "--out", str(events)]) == 0
+    outputs = {}
+    for name, cfg, flags in (("flag", str(zero), ["--seed", "7"]), ("list", str(seven), []), ("zero", str(zero), [])):
+        data, sim = tmp_path / f"{name}.events", tmp_path / f"sim-{name}"
+        assert main(["gen-data", "--config", cfg, "--out", str(data), *flags]) == 0
+        assert main(["simulate", "--config", cfg, "--events", str(events), "--out", str(sim), *flags]) == 0
+        outputs[name] = data.read_bytes(), (sim / "trace_sample0.txt").read_bytes()
+    assert outputs["flag"] == outputs["list"]
+    assert all(a != b for a, b in zip(outputs["flag"], outputs["zero"]))
+
+
+@pytest.mark.parametrize("topology, words", [
+    ({"input": "4294967295"}, "TiB"),  # ~1 TiB of weights to draw
+    ({"input": "4294967295", "layers": ["4294967295"]}, "numpy's largest array"),
+], ids=["past-memory", "past-numpy"])
+def test_oversized_network_is_config_error(tmp_path, topology, words):
+    # the address space is capped, so that no run starts a real TiB allocation
+    cfg = _small_config_with(tmp_path, {"topology": topology})
+    limit = 4 << 30
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from spikeshot.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(spikeshot.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code, "train", "--dry-run", "--config", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error:") and words in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_paths_with_a_non_utf8_byte_run_as_ascii_paths(cfg_file, tmp_path):
+    assert main(["train", "--config", cfg_file, "--out", str(tmp_path / "first")]) == 0
+    plain = tmp_path / "w.ssw"
+    shutil.copy(tmp_path / "first" / "weights_seed0.ssw", plain)
+    odd = tmp_path / os.fsdecode(b"w\xff.ssw")  # the byte as Python decodes it from argv
+    shutil.copy(plain, odd)
+    runs = {}
+    for name, weights, out in (("ascii", plain, "ascii"), ("odd", odd, os.fsdecode(b"out\xff"))):
+        runs[name] = tmp_path / out
+        assert main(["train", "--config", cfg_file, "--weights", str(weights), "--out", str(runs[name])]) == 0
+    for name in ("weights_seed0.ssw", "report_seed0.txt"):
+        assert (runs["ascii"] / name).read_bytes() == (runs["odd"] / name).read_bytes()
+    text = (runs["odd"] / "manifest.yaml").read_text(encoding="ascii")
+    assert "\\uDCFF" in text
+    assert yaml.safe_load(text)["config"]["weights"]["path"] == str(odd)  # a path that opens the same file

@@ -163,6 +163,15 @@ def test_unparsable_event_fields_name_their_line(tmp_path):
         read_events(path)
 
 
+def test_bad_field_is_named_before_undecodable_bytes_a_block_later(tmp_path):
+    # the first fault in file order: the field, read a block before the bytes that are not UTF-8
+    path = tmp_path / "bad.events"
+    filler = b"0 1\n" * (events._BLOCK_CHARS // 4 + 1)
+    path.write_bytes(b"shape=3 duration=5 label=0\n1 x\n" + filler + b"3 \xff\n")
+    with pytest.raises(EventFormatError, match="^line 2: event field 'x'"):
+        read_events(path)
+
+
 def _parse_events_reference(tokens, linenos):
     try:
         return np.array(tokens, dtype=np.int64).reshape(-1, 2)

@@ -194,7 +194,8 @@ def test_mplusn_trains_on_novel_classes_only(tmp_path):
     # 6-class dataset: classes 0-2 belong to pretraining, 3-5 are novel
     data = small_dataset(n_classes=6)
     net = small_net()
-    save_weights(net, tmp_path / "w.ssw", provenance="pretrain-classes=0,1,2")
+    net.provenance = "pretrain-classes=0,1,2"
+    save_weights(net, tmp_path / "w.ssw")
     load_weights(net, tmp_path / "w.ssw")
     report = run_episode(net, small_cfg(m_pretrained=3), data)
     assert report.n_way == 3
@@ -213,7 +214,8 @@ def test_mplusn_mismatched_provenance_warns(tmp_path):
     data = small_dataset(n_classes=6)
     for provenance in ("pretrain-classes=7,8", "pretrain-classes="):  # the second names no class
         net = small_net()
-        save_weights(net, tmp_path / "w.ssw", provenance=provenance)
+        net.provenance = provenance
+        save_weights(net, tmp_path / "w.ssw")
         load_weights(net, tmp_path / "w.ssw")
         with pytest.warns(UserWarning, match="declare"):
             run_episode(net, small_cfg(m_pretrained=3), data)

@@ -11,7 +11,6 @@ from spikeshot.dynamics import NeuronParams
 from spikeshot.plasticity import QuantizedWeightStore
 from spikeshot.readout import CalibrationError, ReadoutLayer, ReadoutParams, calibrate_bias, solve_baseline_bias
 from spikeshot.ruledsl import parse_rule
-from spikeshot.traces import TraceConfig
 
 from oracle import StepTraces, evaluate_rule_matrix, label_drives, oracle_calibrate
 
@@ -189,7 +188,7 @@ def test_layer_matches_scalar_compartment():
     for prm_kw in (
         {},
         {"neuron": NeuronParams(tau_u=8, tau_v=32)},
-        {"neuron": NeuronParams(tau_u=5, tau_v=12, tau_r=9), "y1": TraceConfig(tau=10, increment=0.5)},
+        {"neuron": NeuronParams(tau_u=5, tau_v=12, tau_r=9), "y1_tau": 10, "y1_increment": 0.5},
     ):
         layer = make_layer(weights=np.zeros((3, 6)), **prm_kw)
         traces = StepTraces(layer)

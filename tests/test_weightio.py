@@ -32,7 +32,8 @@ def test_save_load_roundtrip_bit_identical(tmp_path):
     load_weights(other, p1)
     assert np.array_equal(other.layers[0].weights, net.layers[0].weights)
     assert np.array_equal(other.readout.store.weights, net.readout.store.weights)
-    save_weights(other, p2, provenance=net.provenance)
+    other.provenance = net.provenance
+    save_weights(other, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -100,7 +101,8 @@ def test_shape_mismatch_against_topology(tmp_path):
 def test_provenance_travels(tmp_path):
     net = fresh_net()
     path = tmp_path / "w.ssw"
-    save_weights(net, path, provenance="pretrain-classes=0,1,2 seed=9")
+    net.provenance = "pretrain-classes=0,1,2 seed=9"
+    save_weights(net, path)
     prov, entries = read_weight_file(path)
     assert prov == "pretrain-classes=0,1,2 seed=9"
     assert [kind for kind, _, _ in entries] == ["dense", "plastic-output"]
