@@ -212,18 +212,22 @@ def read_events(path) -> list[LabeledSample]:
 def rate_encode(features: np.ndarray, duration: int, r_max: float = 0.2) -> np.ndarray:
     """Encode a [0,1] feature vector as regular-interval spike trains.
 
-    Feature f spikes every max(1, round(1/(f*r_max))) steps starting at t=0;
-    f=0 stays silent. Returns ``[N, 2]`` ``(t, channel)`` events, ordered by
-    time and then channel.
+    Feature f spikes every max(1, round(1/(f*r_max))) steps starting at t=0,
+    in int64 with the interval clipped to the duration: f=0 stays silent, and
+    an interval past the duration (infinite where f*r_max underflows) spikes
+    at t=0 only. NaN features and a non-finite r_max are refused. Returns
+    C-contiguous int64 ``[N, 2]`` ``(t, channel)`` events by time, then channel.
     """
     feats = np.asarray(features, dtype=np.float64).ravel()
-    if feats.size and (feats.min() < 0.0 or feats.max() > 1.0):
-        raise ValueError("features must lie in [0, 1]")
-    if r_max <= 0.0:
-        raise ValueError("r_max must be positive")
-    with np.errstate(divide="ignore"):  # silent channels get an infinite interval, masked below
-        interval = np.maximum(1.0, np.round(1.0 / (feats * r_max)))
-    return np.argwhere((feats > 0.0) & (np.arange(duration)[:, None] % interval == 0))
+    if not ((feats >= 0.0) & (feats <= 1.0)).all():
+        raise ValueError("features must lie in [0, 1], NaN refused")
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
+    t = np.arange(duration)[:, None]  # first, so a duration past numpy's sizes fails here, not in a cast
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite interval is clipped to the duration
+        interval = np.minimum(np.maximum(1.0, np.round(1.0 / (feats * r_max))), max(len(t), 1))
+    steps, channels = np.divmod(np.flatnonzero((feats > 0.0) & (t % interval.astype(np.int64) == 0)), feats.size)
+    return np.stack([steps, channels], axis=1)
 
 
 class SeparationError(RuntimeError):

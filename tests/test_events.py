@@ -1,8 +1,10 @@
 """Event file format, rate encoding, synthetic task generation."""
 
+import hashlib
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikeshot import events
+from spikeshot.config import load_config
 from spikeshot.events import (
     EventFormatError,
     LabeledSample,
@@ -383,20 +386,31 @@ def test_rate_encode_monotone_in_feature():
 
 
 def rate_encode_reference(feats, duration, r_max):
-    """``(t, channel)`` pairs of the regular-interval code, one step at a time."""
-    intervals = [(j, max(1, round(1.0 / (f * r_max)))) for j, f in enumerate(feats) if f > 0.0]
+    """``(t, channel)`` pairs of the regular-interval code, one step at a time.
+    Where f*r_max underflows to 0, or its inverse overflows, the interval is
+    infinite and the channel spikes at t = 0 only."""
+    intervals = []
+    for j, f in enumerate(feats):
+        if f > 0.0:
+            inverse = 1.0 / (f * r_max) if f * r_max else math.inf
+            intervals.append((j, max(1, round(inverse)) if math.isfinite(inverse) else math.inf))
     return [[t, j] for t in range(duration) for j, interval in intervals if t % interval == 0]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    feats=st.lists(st.just(0.0) | st.floats(1e-9, 1.0), max_size=12),
-    duration=st.integers(0, 60),
-    r_max=st.floats(1e-3, 4.0),
+    # down to the smallest subnormal and r_max = 1e-300, the intervals run past the duration or to infinity
+    feats=st.lists(st.just(0.0) | st.floats(1e-9, 1.0) | st.floats(5e-324, 1e-9), max_size=12),
+    duration=st.integers(0, 60) | st.integers(0, 400),
+    r_max=st.floats(1e-3, 4.0) | st.floats(1e-300, 1e-3),
 )
+@example(feats=[], duration=400, r_max=0.2)
+@example(feats=[5e-324, 1.0, 0.0], duration=3, r_max=1e-300)  # f*r_max underflows to 0 for the first
+@example(feats=[1e-10, 1e-5], duration=400, r_max=1e-300)  # 1/(f*r_max) overflows to inf
+@example(feats=[0.5, 1.0], duration=400, r_max=0.01)  # intervals of 200 and 100
 def test_rate_encode_equals_scalar_reference(feats, duration, r_max):
     events = rate_encode(np.array(feats), duration, r_max=r_max)
-    assert events.dtype == np.int64 and events.shape[1:] == (2,)
+    assert events.dtype == np.int64 and events.shape[1:] == (2,) and events.flags.c_contiguous
     assert events.tolist() == rate_encode_reference(feats, duration, r_max)
 
 
@@ -405,6 +419,51 @@ def test_rate_encode_validates_range():
         rate_encode(np.array([1.2]), 10)
     with pytest.raises(ValueError):
         rate_encode(np.array([-0.1]), 10)
+
+
+@pytest.mark.parametrize("feats, r_max, words", [
+    ([math.nan, 0.5], 0.5, "NaN"),  # NaN compares false against both bounds: the channel was dropped silently
+    ([0.5], math.nan, "r_max"),  # was an empty code
+    ([0.5], math.inf, "r_max"),  # was a spike on every step
+    ([0.5], 0.0, "r_max"),
+])
+def test_rate_encode_refuses_nan_features_and_r_max_not_positive_and_finite(feats, r_max, words):
+    with pytest.raises(ValueError, match=words):
+        rate_encode(np.array(feats), 10, r_max=r_max)
+
+
+@pytest.mark.parametrize("duration", [10**19, 2**62])
+def test_rate_encode_duration_past_numpy_sizes_fails_before_a_cast(duration):
+    # a RuntimeWarning from casting a huge interval (an error under this suite) would come first
+    with pytest.raises(ValueError, match="size"):
+        rate_encode(np.array([0.0, 5e-324, 0.5]), duration, r_max=1e-300)
+
+
+# SHA-256 over each sample's SHA-256 of its int64 events, in order, of configs/fewshot.yaml's synthetic
+# task at episode seeds 0-4: pins the shipped data directly rather than through the training digests
+SHIPPED_TASK_DIGESTS = {
+    0: "efe1f51cf8d9021fe991236c8f581713c3a776133752cbffe9fc7a95b0c0cc56",
+    1: "c49485cbce92536253092322adfd4a7624bc244e56f62886c7ad57bb12fdb5e1",
+    2: "2934b96df32a5f2047b7f51d0798b3afcfd90d49e706c018e418f3add39194f0",
+    3: "3465e1f1e3e35881b87193f60ac92b3fdc8271481b70f96efd35c9831a57db01",
+    4: "66e6d6883b0512a7346fc1be138c27fb00d3789cd32b7ab6f3129371fe7bf868",
+}
+
+
+@pytest.mark.parametrize("seed", list(SHIPPED_TASK_DIGESTS))
+def test_shipped_config_synthetic_task_is_pinned(seed):
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "fewshot.yaml")
+    d, e = cfg["data"], cfg["episode"]
+    samples = gen_synthetic_task(
+        n_classes=e["n_way"] + e["m_pretrained"], n_per_class=d["n_per_class"], dim=d["dim"],
+        separation=d["separation"], seed=d["seed_offset"] + seed, jitter=d["jitter"],
+        duration=e["sample_duration"], r_max=d["r_max"], mode=d["mode"])
+    assert len(samples) == 45
+    digest = hashlib.sha256()
+    for s in samples:
+        assert s.events.dtype == np.int64
+        digest.update(hashlib.sha256(s.events.tobytes()).digest())
+    assert digest.hexdigest() == SHIPPED_TASK_DIGESTS[seed]
 
 
 def test_generated_streams_satisfy_invariants():
