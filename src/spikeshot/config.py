@@ -36,22 +36,17 @@ DEFAULT_CONFIG: dict = {
     "neuron": {
         "tau_u": 8.0,
         "tau_v": 16.0,
-        "tau_r": None,
         "v_th": 1.0,
         "bias": -0.2,
     },
     "readout": {
         "tau_u": 8.0,
         "tau_v": 16.0,
-        "tau_r": None,
         "v_th": 1.0,
         "w_tgt": 2.0,
         "target_period": 4,
         "baseline_period": 20,
         "b_err": None,
-        "b_out": None,
-        "y1_tau": None,
-        "y1_increment": 1.0,
     },
     "learning": {
         "rule": DEFAULT_RULE,
@@ -93,7 +88,8 @@ DEFAULT_CONFIG: dict = {
 
 _SCALARS = (int, float, str, bool, type(None))
 _U32_COUNTS = (("data", "n_per_class"), ("readout", "baseline_period"), ("episode", "n_way"),
-               ("episode", "m_pretrained"), ("episode", "epochs"), ("episode", "calibration_window"))
+               ("episode", "m_pretrained"), ("episode", "epochs"), ("episode", "calibration_window"),
+               ("episode", "sample_duration"))
 _PATH_KEYS = ("path", "dir")  # the keys whose None default stands for a path; the others for a number
 
 
@@ -190,8 +186,7 @@ def config_hash(cfg: dict) -> str:
 def neuron_params(cfg: dict) -> NeuronParams:
     n = cfg["neuron"]
     try:
-        return NeuronParams(tau_u=n["tau_u"], tau_v=n["tau_v"], tau_r=n["tau_r"],
-                            v_th=float(n["v_th"]), bias=n["bias"])
+        return NeuronParams(tau_u=n["tau_u"], tau_v=n["tau_v"], v_th=float(n["v_th"]), bias=n["bias"])
     except ValueError as e:
         raise ConfigError(f"neuron: {e}")
 
@@ -199,12 +194,10 @@ def neuron_params(cfg: dict) -> NeuronParams:
 def readout_params(cfg: dict) -> ReadoutParams:
     r = cfg["readout"]
     try:
-        neuron = NeuronParams(tau_u=r["tau_u"], tau_v=r["tau_v"], tau_r=r["tau_r"], v_th=float(r["v_th"]))
+        neuron = NeuronParams(tau_u=r["tau_u"], tau_v=r["tau_v"], v_th=float(r["v_th"]))
         params = ReadoutParams(neuron=neuron, w_tgt=r["w_tgt"], baseline_period=r["baseline_period"],
-                               b_err=r["b_err"], b_out=r["b_out"], y1_tau=r["y1_tau"],
-                               y1_increment=r["y1_increment"])
+                               b_err=r["b_err"])
         params.pre_trace_configs()  # the readout's PSP decomposition needs tau_v > tau_u
-        params.y1_config()  # the rule trace y1 needs y1_tau >= 1 and y1_increment > 0
         return params
     except ValueError as e:
         raise ConfigError(f"readout: {e}")

@@ -3,17 +3,17 @@
 Every spiking layer runs the same recursion per neuron. A post-synaptic
 current (PSC) state q filters the weighted input spikes, a post-synaptic
 potential (PSP) state p filters q, and a reset trace r collects -v_th after
-each spike:
+each spike and decays with the potential:
 
     q  <- a_q * q + (1/tau_u) * (w . s_in)
     p  <- a_p * p + (1/tau_v) * q
-    r  <- a_r * r - spiked_prev * v_th
+    r  <- a_p * r - spiked_prev * v_th
     v  <- p + r + bias
     spiked <- v >= v_th            (spike at exact equality)
 
-with a_q = exp(-1/tau_u), a_p = exp(-1/tau_v), a_r = exp(-1/tau_r). r only
-ever receives -v_th decrements, so r <= 0 always and a spike depresses v by
-at least v_th on the following step.
+with a_q = exp(-1/tau_u), a_p = exp(-1/tau_v). r only ever receives -v_th
+decrements, so r <= 0 always and a spike depresses v by at least v_th on the
+following step.
 
 The filters are linear, so filtering the weighted sum equals weighting the
 filtered inputs: ``network._FrozenLayer`` keeps q and p per output neuron
@@ -31,13 +31,11 @@ from dataclasses import dataclass
 class NeuronParams:
     """Time constants (in timesteps), threshold and constant bias current.
 
-    tau_r defaults to tau_v when unset, coupling the reset decay to the
-    potential decay.
+    The reset trace decays by ``alpha_p``, as the potential does.
     """
 
     tau_u: float = 8.0
     tau_v: float = 16.0
-    tau_r: float | None = None
     v_th: float = 1.0
     bias: float = 0.0
 
@@ -45,8 +43,6 @@ class NeuronParams:
         for name in ("tau_u", "tau_v"):
             if getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be >= 1 timestep")
-        if self.tau_r is not None and self.tau_r < 1.0:
-            raise ValueError("tau_r must be >= 1 timestep")
         if self.v_th <= 0.0:
             raise ValueError("v_th must be positive")
 
@@ -57,7 +53,3 @@ class NeuronParams:
     @property
     def alpha_p(self) -> float:
         return math.exp(-1.0 / self.tau_v)
-
-    @property
-    def alpha_r(self) -> float:
-        return math.exp(-1.0 / (self.tau_r if self.tau_r is not None else self.tau_v))

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-PROTOTYPE_MODES = ("balanced", "uniform")  # see gen_synthetic_task
+PROTOTYPE_MODES = ("balanced",)  # data.mode's one value, kept as a key; see gen_synthetic_task
 BALANCED_HI = 0.85
 BALANCED_LO = 0.05
 
@@ -251,11 +251,10 @@ def gen_synthetic_task(
     >= separation (bounded rejection sampling); each instance adds uniform
     jitter and is rate-encoded.
 
-    The default "balanced" mode places every prototype at ``BALANCED_HI`` on
-    a random half of the coordinates and ``BALANCED_LO`` on the rest, so all
-    classes carry the same total spike mass; a spike-count readout then
-    discriminates on pattern rather than brightness. "uniform" mode draws prototypes
-    uniformly instead (class brightness varies).
+    Every prototype sits at ``BALANCED_HI`` on a random half of the
+    coordinates and ``BALANCED_LO`` on the rest (the "balanced" mode, the
+    only one), so all classes carry the same total spike mass; a spike-count
+    readout then discriminates on pattern rather than brightness.
     """
     if separation <= 0.0:
         raise ValueError("separation must be positive")
@@ -267,11 +266,8 @@ def gen_synthetic_task(
     prototypes: list[np.ndarray] = []
     tries = 0
     while len(prototypes) < n_classes:
-        if mode == "balanced":
-            cand = np.full(dim, BALANCED_LO)
-            cand[rng.choice(dim, size=dim // 2, replace=False)] = BALANCED_HI
-        else:
-            cand = rng.random(dim)
+        cand = np.full(dim, BALANCED_LO)
+        cand[rng.choice(dim, size=dim // 2, replace=False)] = BALANCED_HI
         if all(np.linalg.norm(cand - p) >= separation for p in prototypes):
             prototypes.append(cand)
         else:

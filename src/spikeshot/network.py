@@ -185,7 +185,7 @@ class _FrozenLayer:
         q += c
         np.multiply(p, prm.alpha_p, out=p)
         p += q / prm.tau_v
-        np.multiply(r, prm.alpha_r, out=r)
+        np.multiply(r, prm.alpha_p, out=r)
         r -= self.spiked * prm.v_th
         v = p + r
         v += prm.bias

@@ -43,24 +43,21 @@ class ReadoutParams:
     """Wiring and trace parameters of the readout layer.
 
     ``b_err`` is normally left unset and solved numerically so the free
-    compartment fires once per ``baseline_period`` steps. ``b_out`` is the
-    proximal offset; unset means the auto value -b_err/(1 - alpha_p).
+    compartment fires once per ``baseline_period`` steps. The proximal
+    offset is -b_err/(1 - alpha_p); the rule trace y1 decays at tau_v.
     """
 
     neuron: NeuronParams = field(default_factory=NeuronParams)
     w_tgt: float = 2.0
     baseline_period: int = 20
     b_err: float | None = None
-    b_out: float | None = None
-    y1_tau: float | None = None  # the rule trace y1's; unset means neuron.tau_v
-    y1_increment: float = 1.0
 
     def __post_init__(self):
         if self.w_tgt <= 0.0:
             raise ValueError("w_tgt must be positive")
         if self.baseline_period < 2:
             raise ValueError("baseline_period must be >= 2 steps")
-        if self.neuron.alpha_p == 1.0:  # b_out divides by 1 - alpha_p
+        if self.neuron.alpha_p == 1.0:  # the proximal offset divides by 1 - alpha_p
             raise ValueError(f"tau_v={self.neuron.tau_v} is so long that its decay exp(-1/tau_v) rounds to 1")
 
     def baseline_bias(self) -> float:
@@ -68,8 +65,7 @@ class ReadoutParams:
         return self.b_err if self.b_err is not None else solve_baseline_bias(self)
 
     def y1_config(self) -> TraceConfig:
-        tau = self.neuron.tau_v if self.y1_tau is None else self.y1_tau
-        return TraceConfig(tau=tau, increment=self.y1_increment)
+        return TraceConfig(tau=self.neuron.tau_v)
 
     def y2_config(self) -> TraceConfig:
         return TraceConfig(tau=self.neuron.tau_u, increment=1.0)
@@ -100,11 +96,11 @@ def _free_run_spikes(params: ReadoutParams, b_err: float, steps: int) -> list[in
     so the full trace machinery is skipped.
     """
     n = params.neuron
-    alpha_r, v_th = n.alpha_r, n.v_th
+    alpha_p, v_th = n.alpha_p, n.v_th
     r, spiked = 0.0, False
     spikes = []
     for t in range(steps):
-        r = alpha_r * r - (v_th if spiked else 0.0)
+        r = alpha_p * r - (v_th if spiked else 0.0)
         spiked = b_err + r >= v_th
         if spiked:
             spikes.append(t)
@@ -131,8 +127,7 @@ def calibrate_bias(params: ReadoutParams, b_err: float, window: int) -> Calibrat
             "need >= 10 full periods (enlarge window or raise b_err)"
         )
     n = params.neuron
-    y1_cfg = params.y1_config()
-    a_q, a_p, a_y, inc_y = n.alpha_q, n.alpha_p, y1_cfg.alpha, y1_cfg.increment
+    a_q, a_p, a_y = n.alpha_q, n.alpha_p, params.y1_config().alpha
     train = np.zeros(window)
     train[spikes] = 1.0
     p_err_hist = np.empty(window)
@@ -141,7 +136,7 @@ def calibrate_bias(params: ReadoutParams, b_err: float, window: int) -> Calibrat
     for t, spike in enumerate(train.tolist()):
         q_err = a_q * q_err + spike
         p_err = a_p * p_err + q_err
-        y1 = a_y * y1 + spike * inc_y
+        y1 = a_y * y1 + spike
         p_err_hist[t] = p_err
         y1_hist[t] = y1
     warmup = max(2, len(spikes) // 4)
@@ -226,11 +221,11 @@ class ReadoutLayer:
         self.params = params
         self.b_err = params.baseline_bias()
         n = params.neuron
-        self.b_out = params.b_out if params.b_out is not None else -self.b_err / (1.0 - n.alpha_p)
+        self.b_out = -self.b_err / (1.0 - n.alpha_p)
         self.x1_cfg, self.x2_cfg = params.pre_trace_configs()
         self.y1_cfg = params.y1_config()
         self.y2_cfg = params.y2_config()
-        self._a_q, self._a_p, self._a_r = n.alpha_q, n.alpha_p, n.alpha_r
+        self._a_q, self._a_p = n.alpha_q, n.alpha_p
         self.engine: PlasticityEngine | None = None
         self.reset_state()
 
@@ -293,14 +288,14 @@ class ReadoutLayer:
 
         # one gemv per sample, bit-identical to effective() @ p_pre
         drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
-        self.r_err = self._a_r * self.r_err - self.spiked_err * n.v_th
+        self.r_err = self._a_p * self.r_err - self.spiked_err * n.v_th
         u_err, self.v_err, self.spiked_err = self._distal(drive, label_drive, self.r_err, self.b_err, n.v_th)
 
         # proximal compartment: integrates the copied current; the label
         # drive re-enters with opposite sign through the same filter, so
         # the label cancels exactly
         self.p_out = self._a_p * self.p_out + u_err + label_drive
-        self.r_out = self._a_r * self.r_out - self.spiked_out * n.v_th
+        self.r_out = self._a_p * self.r_out - self.spiked_out * n.v_th
         self.v_out = self.p_out + self.r_out + self.b_out
         self.spiked_out = self.v_out >= n.v_th
         self.spike_count += self.spiked_out
@@ -385,9 +380,9 @@ class ReadoutLayer:
         draws_buf, label_drive = np.empty((rows // period,) + store.shape), np.empty((n_max, self.n_out))
         filt_state, psp_state = np.empty_like(decays), np.empty(self.fan_in)
         # y rows step as traces of the error spikes; the last one, the reset
-        # term, decays by alpha_r and jumps by -v_th (a*r + s*(-v_th) is
+        # term, decays by alpha_p and jumps by -v_th (a*r + s*(-v_th) is
         # a*r - s*v_th exactly), ready for the next step
-        y_cfgs = [cfgs[k] for k in engine.y_rows] + [(self._a_r, -n.v_th)]
+        y_cfgs = [cfgs[k] for k in engine.y_rows] + [(self._a_p, -n.v_th)]
         y_decays, y_incs = np.array(y_cfgs).T[:, :, np.newaxis] * np.ones(self.n_out)
         y0 = np.array([[float(k == "1")] * self.n_out for k in engine.y_rows] + [[0.0] * self.n_out])
         y, jump, drive = np.empty_like(y0), np.empty_like(y0), np.empty(self.n_out)

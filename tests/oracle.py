@@ -47,12 +47,12 @@ class OracleDenseLayer:
 
     def step(self, s):
         prm = self.prm
-        aq, ap, ar = prm.alpha_q, prm.alpha_p, prm.alpha_r
+        aq, ap = prm.alpha_q, prm.alpha_p
         for j in range(self.fan_in):
             self.q[j] = aq * self.q[j] + float(s[j]) / prm.tau_u
             self.p[j] = ap * self.p[j] + self.q[j] / prm.tau_v
         for i in range(self.n_out):
-            self.r[i] = ar * self.r[i] - (prm.v_th if self.spiked[i] else 0.0)
+            self.r[i] = ap * self.r[i] - (prm.v_th if self.spiked[i] else 0.0)
             acc = prm.bias + self.r[i]
             wi = self.w[i]
             for j in range(self.fan_in):
@@ -76,9 +76,9 @@ class OracleReadout:
         self.prm = params
         self.b_err = b_err
         n = params.neuron
-        self.b_out = params.b_out if params.b_out is not None else -b_err / (1.0 - n.alpha_p)
+        self.b_out = -b_err / (1.0 - n.alpha_p)  # cancels b_err's steady share of the proximal potential
         self.x1_cfg, self.x2_cfg = params.pre_trace_configs()
-        self.y1_cfg = params.y1_config()
+        self.y1_cfg = TraceConfig(tau=n.tau_v)  # the error spikes at the PSP time constant
         self.y2_cfg = params.y2_config()
         self.w_scale = w_scale  # granularity of one integer weight step
         self.rule: SumOfProductsRule | None = None
@@ -119,7 +119,7 @@ class OracleReadout:
     def step(self, s, tgt, learn: bool = False):
         prm = self.prm
         n = prm.neuron
-        aq, ap, ar = n.alpha_q, n.alpha_p, n.alpha_r
+        aq, ap = n.alpha_q, n.alpha_p
         for j in range(self.fan_in):
             self.q_pre[j] = aq * self.q_pre[j] + float(s[j]) / n.tau_u
             self.p_pre[j] = ap * self.p_pre[j] + self.q_pre[j] / n.tau_v
@@ -132,7 +132,7 @@ class OracleReadout:
             wi = self.w[i]
             for j in range(self.fan_in):
                 drive += wi[j] * self.p_pre[j]
-            self.r_err[i] = ar * self.r_err[i] - (n.v_th if self.spiked_err[i] else 0.0)
+            self.r_err[i] = ap * self.r_err[i] - (n.v_th if self.spiked_err[i] else 0.0)
             base = drive - prm.w_tgt * self.p_tgt[i] + self.b_err
             self.u_err[i] = base
             self.v_err[i] = base + self.r_err[i]
@@ -149,7 +149,7 @@ class OracleReadout:
             self.x2[j] = _trace_step(self.x2[j], sj, self.x2_cfg)
         for i in range(self.n_out):
             self.p_out[i] = ap * self.p_out[i] + self.u_err[i] + prm.w_tgt * self.p_tgt[i]
-            self.r_out[i] = ar * self.r_out[i] - (n.v_th if self.spiked_out[i] else 0.0)
+            self.r_out[i] = ap * self.r_out[i] - (n.v_th if self.spiked_out[i] else 0.0)
             self.v_out[i] = self.p_out[i] + self.r_out[i] + self.b_out
             self.spiked_out[i] = self.v_out[i] >= n.v_th
             if self.spiked_out[i]:

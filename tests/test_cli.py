@@ -268,7 +268,7 @@ def test_zero_sized_layer_is_config_error(tmp_path, capsys, token, dry_run):
 
 
 @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
-@pytest.mark.parametrize("mode", ["3", "striped"])
+@pytest.mark.parametrize("mode", ["3", "striped", "uniform"])  # an old config may still name "uniform"
 def test_unknown_data_mode_is_config_error(tmp_path, capsys, mode, dry_run):
     p = tmp_path / "mode.yaml"
     p.write_text(SMALL_CONFIG + f"  mode: {mode}\n")
@@ -456,14 +456,21 @@ def _numeric_keys(block=DEFAULT_CONFIG, path=()):
             yield path + (key,)
 
 
+# numeric keys that were removed: a config from an old manifest that still sets one ends in exit 2, "unknown key"
+REMOVED_KEYS = (("neuron", "tau_r"), ("readout", "tau_r"), ("readout", "b_out"), ("readout", "y1_tau"),
+                ("readout", "y1_increment"))
+SWEPT_KEYS = list(_numeric_keys()) + list(REMOVED_KEYS)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", list(_numeric_keys()), ids=".".join)
+@pytest.mark.parametrize("key", SWEPT_KEYS, ids=".".join)
 def test_non_finite_number_is_config_error(tmp_path, capsys, key, value):
     section, leaf = key
     cfg = _small_config_with(tmp_path, {section: {leaf: value}})
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"), "--dry-run"]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("config error:") and ".".join(key) in err and "Traceback" not in out + err
+    assert ("unknown key" in err) == (key in REMOVED_KEYS)
 
 
 PREFIXES = {2: "config error:", 3: "data error:", 4: "calibration failure:"}
@@ -500,7 +507,6 @@ CONFIG_VALUES_PAST_THEIR_RANGE = {  # (section, key, value): exit code under tra
     "weights.frozen_init_lo=-128": ("weights", "frozen_init_lo", -128, 0, None),  # the int8 minimum
     "weights.frozen_init_lo=-129": ("weights", "frozen_init_lo", -129, 2, "frozen_init_lo"),
     "readout.tau_v=1e17": ("readout", "tau_v", 1.0e17, 2, "tau_v"),  # exp(-1/tau_v) rounds to 1
-    "readout.y1_tau=0": ("readout", "y1_tau", 0, 2, "trace tau"),  # only null means tau_v
     "readout.target_period=-1": ("readout", "target_period", -1, 2, "target_period"),
     "readout.target_period=0": ("readout", "target_period", 0, 0, None),  # no label drive
     "neuron.v_th=10**19": ("neuron", "v_th", 10**19, 0, None),  # a float key, past int64 if read as an integer
@@ -513,7 +519,7 @@ CONFIG_VALUES_PAST_THEIR_RANGE = {  # (section, key, value): exit code under tra
     # counts one past the weight file's u32 sizes: refused at load, before anything runs
     **{f"{section}.{key}=2**32": (section, key, 2**32, 2, f"{section}.{key}") for section, key in (
         ("data", "n_per_class"), ("episode", "n_way"), ("episode", "m_pretrained"), ("episode", "epochs"),
-        ("episode", "calibration_window"), ("readout", "baseline_period"))},
+        ("episode", "calibration_window"), ("episode", "sample_duration"), ("readout", "baseline_period"))},
 }
 
 
@@ -530,11 +536,11 @@ def test_config_value_past_its_range_ends_without_traceback(tmp_path, capsys, se
         assert err.startswith("config error:") and words in err
 
 
-SWEPT_VALUES = {"0": 0, "-1": -1, "1e300": 1e300, "10**19": 10**19}
+SWEPT_VALUES = {"0": 0, "-1": -1, "1e300": 1e300, "10**19": 10**19, "2**63": 2**63}  # 2**63 is past int64
 
 
 @pytest.mark.parametrize("value", SWEPT_VALUES.values(), ids=list(SWEPT_VALUES))
-@pytest.mark.parametrize("key", list(_numeric_keys()), ids=".".join)
+@pytest.mark.parametrize("key", SWEPT_KEYS, ids=".".join)
 def test_numeric_value_trains_or_ends_in_an_exit_code(tmp_path, capsys, key, value):
     # short samples and calibration keep each run short, unless the swept key is one of them
     changes = {"episode": {"sample_duration": 40, "calibration_window": 400}}
@@ -545,6 +551,7 @@ def test_numeric_value_trains_or_ends_in_an_exit_code(tmp_path, capsys, key, val
     assert code in (0, *PREFIXES) and "Traceback" not in out + err
     if code:
         assert err.startswith(PREFIXES[code])
+    assert ("unknown key" in err) == (key in REMOVED_KEYS)
 
 
 def test_integer_input_shape_runs_as_its_string(tmp_path):
@@ -555,18 +562,6 @@ def test_integer_input_shape_runs_as_its_string(tmp_path):
         assert main(["train", "--config", cfg, "--out", str(runs[name])]) == 0
     for name in ("weights_seed0.ssw", "report_seed0.txt"):
         assert (runs["text"] / name).read_bytes() == (runs["number"] / name).read_bytes()
-
-
-def test_y1_increment_acts_without_y1_tau(tmp_path):
-    # an unset y1_tau means readout.tau_v; the increment scales y1 either way
-    weights = {}
-    for name, readout in (("default", {}), ("increment", {"y1_increment": 2.0}),
-                          ("increment-and-tau", {"y1_increment": 2.0, "y1_tau": 16.0})):
-        cfg = _small_config_with(tmp_path, {"readout": readout})
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == 0
-        weights[name] = (tmp_path / name / "weights_seed0.ssw").read_bytes()
-    assert weights["increment"] == weights["increment-and-tau"]
-    assert weights["increment"] != weights["default"]
 
 
 UNREAD_FLAGS = [("calibrate", "--seed", "3"), ("calibrate", "--weights", "w.ssw"), ("calibrate", "--rule", "dw = x1"),

@@ -28,6 +28,11 @@ def test_unknown_keys_rejected():
         merge_config({"episode": {"n_way": 3, "banana": 1}})
     with pytest.raises(ConfigError, match="unknown key"):
         merge_config({"turbo": True})
+    # keys that were removed: a config that still sets one is refused, not ignored
+    for section, key, value in (("neuron", "tau_r", 16.0), ("readout", "tau_r", 16.0), ("readout", "b_out", 0.5),
+                                ("readout", "y1_tau", 16.0), ("readout", "y1_increment", 1.0)):
+        with pytest.raises(ConfigError, match=rf"config\.{section}\.{key}: unknown key"):
+            merge_config({section: {key: value}})
 
 
 def test_partial_file_merges_over_defaults(tmp_path):
@@ -51,7 +56,7 @@ def test_bad_scalar_types_rejected():
     ({"episode": {"k_shot": True}}, "integer"),
     ({"episode": {"sample_duration": 30.0}}, "integer"),
     ({"data": {"separation": "wide"}}, "number"),
-    ({"neuron": {"tau_r": "x"}}, "number"),  # a None default that stands for a number
+    ({"neuron": {"v_th": True}}, "number"),  # a bool is not a number
     ({"readout": {"b_err": "x"}}, "number"),
 ])
 def test_numbers_must_be_numbers(block, message):
@@ -60,9 +65,10 @@ def test_numbers_must_be_numbers(block, message):
 
 
 def test_numbers_and_optional_values_accepted():
-    cfg = merge_config({"neuron": {"tau_u": 8, "tau_r": 3}, "readout": {"b_err": None, "y1_tau": 5.5},
-                        "data": {"path": "x.events"}, "episode": {"seeds": [3, -1]}})
-    assert cfg["neuron"]["tau_r"] == 3 and cfg["episode"]["seeds"] == [3, -1]
+    cfg = merge_config({"neuron": {"tau_u": 8}, "readout": {"b_err": 3}, "data": {"path": "x.events"},
+                        "episode": {"seeds": [3, -1]}})
+    assert cfg["readout"]["b_err"] == 3 and cfg["episode"]["seeds"] == [3, -1]
+    assert merge_config({"readout": {"b_err": None}})["readout"]["b_err"] is None
 
 
 def test_typed_views_validate_values():

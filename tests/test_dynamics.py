@@ -34,15 +34,6 @@ def test_params_validation():
         NeuronParams(tau_u=0.5)
     with pytest.raises(ValueError):
         NeuronParams(v_th=0.0)
-    with pytest.raises(ValueError):
-        NeuronParams(tau_r=0.2)
-
-
-def test_alpha_r_defaults_to_alpha_p():
-    p = NeuronParams(tau_u=4, tau_v=12)
-    assert p.alpha_r == p.alpha_p
-    q = NeuronParams(tau_u=4, tau_v=12, tau_r=5)
-    assert q.alpha_r == math.exp(-1 / 5)
 
 
 def test_psc_spike_jump():
@@ -151,7 +142,7 @@ def test_single_spike_to_one_output_spike_with_reset_decay():
     # reset trace jumps by -v_th the step after the spike and then decays
     assert r_after[k + 1] == pytest.approx(-p.v_th)
     for m in range(2, 10):
-        assert r_after[k + m] == pytest.approx(-p.v_th * p.alpha_r ** (m - 1), rel=1e-12)
+        assert r_after[k + m] == pytest.approx(-p.v_th * p.alpha_p ** (m - 1), rel=1e-12)
 
 
 def test_refractory_drops_v_by_at_least_threshold():

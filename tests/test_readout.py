@@ -188,7 +188,7 @@ def test_layer_matches_scalar_compartment():
     for prm_kw in (
         {},
         {"neuron": NeuronParams(tau_u=8, tau_v=32)},
-        {"neuron": NeuronParams(tau_u=5, tau_v=12, tau_r=9), "y1_tau": 10, "y1_increment": 0.5},
+        {"neuron": NeuronParams(tau_u=5, tau_v=12)},
     ):
         layer = make_layer(weights=np.zeros((3, 6)), **prm_kw)
         traces = StepTraces(layer)
