@@ -4,9 +4,9 @@ Subcommands: calibrate, train, eval, simulate, gen-data. A run is driven by
 one YAML config (defaults apply when omitted); ``--seed``, ``--out``,
 ``--weights`` and ``--rule`` each override one config value, and each
 subcommand takes only those it reads (any other is a usage error, exit 2).
-Every simulating run writes a manifest carrying the canonical config, its
-hash, the seeds and format versions, which is enough to reproduce the run
-bit-exactly.
+``train`` and ``calibrate`` write a manifest carrying the canonical config,
+its hash, the format versions and, for ``train``, the seeds, which is enough
+to reproduce the run bit-exactly; ``simulate`` writes none.
 
 ``train --dry-run`` does all that ``train`` does before its first step and
 writes nothing: for every seed it builds the network and dataset, reading the
@@ -52,7 +52,7 @@ from .fewshot import (
     split_shots,
 )
 from .network import TopologyError, build_network
-from .readout import CalibrationError, calibrate_bias
+from .readout import CalibrationError, calibrate_bias, solve_baseline_bias
 from .ruledsl import RuleError
 from .weightio import FILE_VERSION, WeightFileError, load_weights, save_weights
 
@@ -156,7 +156,7 @@ def _write_manifest(cfg: dict, out: str, extra: dict) -> str:
 def cmd_calibrate(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     params = cfgmod.readout_params(cfg)
-    report = calibrate_bias(params, params.baseline_bias(), int(cfg["episode"]["calibration_window"]))
+    report = calibrate_bias(params, solve_baseline_bias(params), int(cfg["episode"]["calibration_window"]))
     _write_manifest(cfg, out, {"calibration": dataclasses.asdict(report)})
     print(f"calibration: b={report.b!r} b_y1={report.b_y1!r} b_err={report.b_err!r} "
           f"period={report.period!r} n_spikes={report.n_spikes}")

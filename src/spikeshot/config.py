@@ -4,6 +4,8 @@ The merged configuration (file + overrides) is the single source of truth
 for a run; its canonical dump is hashed into the run manifest so any run can
 be reproduced bit-exactly from the manifest alone.
 
+A key whose default is None names a path (``data.path``, ``weights.path``,
+``output.dir``): it takes a string, or None for unset, and nothing else.
 A count of samples, classes, epochs or steps past ``network.DIM_MAX`` (the
 weight file's u32) is refused on load, under ``train`` and its dry run
 alike; a count at or below it is left to run, however long that takes.
@@ -46,7 +48,6 @@ DEFAULT_CONFIG: dict = {
         "w_tgt": 2.0,
         "target_period": 4,
         "baseline_period": 20,
-        "b_err": None,
     },
     "learning": {
         "rule": DEFAULT_RULE,
@@ -75,7 +76,6 @@ DEFAULT_CONFIG: dict = {
     },
     "weights": {
         "path": None,
-        "frozen_scale_exp": -6,
         "frozen_init_lo": -40,
         "frozen_init_hi": 80,
         "plastic_scale_exp": -6,
@@ -90,7 +90,6 @@ _SCALARS = (int, float, str, bool, type(None))
 _U32_COUNTS = (("data", "n_per_class"), ("readout", "baseline_period"), ("episode", "n_way"),
                ("episode", "m_pretrained"), ("episode", "epochs"), ("episode", "calibration_window"),
                ("episode", "sample_duration"))
-_PATH_KEYS = ("path", "dir")  # the keys whose None default stands for a path; the others for a number
 
 
 def _check_number(val, ref, where: str):
@@ -123,8 +122,8 @@ def _check_block(block: dict, defaults: dict, path: str):
             raise ConfigError(f"{path}.{key}: expected a scalar, got {type(val).__name__}")
         elif isinstance(ref, (int, float)) and not isinstance(ref, bool):
             _check_number(val, ref, f"{path}.{key}")
-        elif ref is None and val is not None and key not in _PATH_KEYS:
-            _check_number(val, 0.0, f"{path}.{key}")
+        elif ref is None and not isinstance(val, (str, type(None))):  # every None default is a path
+            raise ConfigError(f"{path}.{key}: expected a path, got {val!r}")
 
 
 def merge_config(overrides: dict | None) -> dict:
@@ -195,8 +194,7 @@ def readout_params(cfg: dict) -> ReadoutParams:
     r = cfg["readout"]
     try:
         neuron = NeuronParams(tau_u=r["tau_u"], tau_v=r["tau_v"], v_th=float(r["v_th"]))
-        params = ReadoutParams(neuron=neuron, w_tgt=r["w_tgt"], baseline_period=r["baseline_period"],
-                               b_err=r["b_err"])
+        params = ReadoutParams(neuron=neuron, w_tgt=r["w_tgt"], baseline_period=r["baseline_period"])
         params.pre_trace_configs()  # the readout's PSP decomposition needs tau_v > tau_u
         return params
     except ValueError as e:
@@ -223,7 +221,6 @@ def build_config(cfg: dict, seed: int) -> BuildConfig:
     try:
         return BuildConfig(
             seed=seed,
-            frozen_scale_exp=w["frozen_scale_exp"],
             frozen_init_lo=w["frozen_init_lo"],
             frozen_init_hi=w["frozen_init_hi"],
             plastic_scale_exp=w["plastic_scale_exp"],

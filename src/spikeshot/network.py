@@ -295,6 +295,7 @@ class PoolLayer(_FrozenLayer):
 
 
 PLASTIC_INIT_MAX = 16  # "random" plastic init draws integers in [-16, 16]
+FROZEN_SCALE_EXP = -6  # random frozen weights are integer * 2**-6; a weight file carries its own scales
 DIM_MAX = 2**32 - 1  # the weight file stores every dimension as a u32
 _ARRAY_MAX = np.iinfo(np.intp).max // 8  # the most 8-byte numbers one numpy array holds
 _LAYER_CLASSES = {KIND_POOL: PoolLayer, KIND_DENSE: DenseLayer, KIND_CONV: ConvLayer, KIND_PLASTIC: ReadoutLayer}
@@ -305,7 +306,6 @@ class BuildConfig:
     """Weight initialization and scaling knobs for build_network."""
 
     seed: int = 0
-    frozen_scale_exp: int = -6
     frozen_init_lo: int = -40
     frozen_init_hi: int = 80
     plastic_scale_exp: int = -6
@@ -314,9 +314,8 @@ class BuildConfig:
     def __post_init__(self):
         if not (-128 <= self.frozen_init_lo <= self.frozen_init_hi <= 127):
             raise ValueError("frozen_init_lo and frozen_init_hi must satisfy -128 <= lo <= hi <= 127")
-        for name in ("frozen_scale_exp", "plastic_scale_exp"):
-            if not -128 <= getattr(self, name) <= 127:  # the weight file stores it as an i8
-                raise ValueError(f"{name} must satisfy -128 <= {name} <= 127, got {getattr(self, name)}")
+        if not -128 <= self.plastic_scale_exp <= 127:  # the weight file stores it as an i8
+            raise ValueError(f"plastic_scale_exp must satisfy -128 <= it <= 127, got {self.plastic_scale_exp}")
         if self.plastic_init not in ("zero", "random"):
             raise ValueError(f"plastic_init must be 'zero' or 'random', got {self.plastic_init!r}")
 
@@ -331,9 +330,9 @@ class Network:
     along a leading axis of every input, state and output.
 
     Runs step it only through ``fewshot.frozen_pass`` and the readout's own
-    passes. ``step``, the ``layer_spikes`` it records, ``calibrate`` and
-    ``plastic_weights`` stay for the tests and for perfbench, which calls or
-    wraps each.
+    passes. ``fewshot.prepare_episode`` calls ``calibrate``, which perfbench
+    wraps, and ``fewshot.run_episode`` calls ``plastic_weights``. ``step``
+    and the ``layer_spikes`` it records stay for the tests and for perfbench.
     """
 
     def __init__(self, topology: Topology, layers: list, readout: ReadoutLayer, provenance: str = ""):
@@ -405,7 +404,7 @@ def build_network(
         if issubclass(cls, _WeightedLayer):
             rng = np.random.default_rng(children[i])
             w = rng.integers(cfg.frozen_init_lo, cfg.frozen_init_hi + 1, size=shapes[i])
-            layers.append(cls(spec, neuron, w, cfg.frozen_scale_exp))
+            layers.append(cls(spec, neuron, w, FROZEN_SCALE_EXP))
         else:
             layers.append(cls(spec, neuron))
     n_out, fan_in = shapes[-1]

@@ -42,7 +42,7 @@ class CalibrationError(RuntimeError):
 class ReadoutParams:
     """Wiring and trace parameters of the readout layer.
 
-    ``b_err`` is normally left unset and solved numerically so the free
+    The distal bias b_err is ``solve_baseline_bias(params)``: the free
     compartment fires once per ``baseline_period`` steps. The proximal
     offset is -b_err/(1 - alpha_p); the rule trace y1 decays at tau_v.
     """
@@ -50,7 +50,6 @@ class ReadoutParams:
     neuron: NeuronParams = field(default_factory=NeuronParams)
     w_tgt: float = 2.0
     baseline_period: int = 20
-    b_err: float | None = None
 
     def __post_init__(self):
         if self.w_tgt <= 0.0:
@@ -59,10 +58,6 @@ class ReadoutParams:
             raise ValueError("baseline_period must be >= 2 steps")
         if self.neuron.alpha_p == 1.0:  # the proximal offset divides by 1 - alpha_p
             raise ValueError(f"tau_v={self.neuron.tau_v} is so long that its decay exp(-1/tau_v) rounds to 1")
-
-    def baseline_bias(self) -> float:
-        """``b_err``, or ``solve_baseline_bias``'s when it is unset."""
-        return self.b_err if self.b_err is not None else solve_baseline_bias(self)
 
     def y1_config(self) -> TraceConfig:
         return TraceConfig(tau=self.neuron.tau_v)
@@ -120,11 +115,11 @@ def calibrate_bias(params: ReadoutParams, b_err: float, window: int) -> Calibrat
     """
     spikes = _free_run_spikes(params, b_err, window)
     if not spikes:
-        raise CalibrationError("calibration failure: error compartment never fired (b_err too small)")
+        raise CalibrationError(f"calibration failure: error compartment never fired in {window} steps")
     if len(spikes) < 11:
         raise CalibrationError(
             f"calibration failure: only {len(spikes)} baseline spikes in {window} steps; "
-            "need >= 10 full periods (enlarge window or raise b_err)"
+            "need >= 10 full periods (lengthen episode.calibration_window or shorten readout.baseline_period)"
         )
     n = params.neuron
     a_q, a_p, a_y = n.alpha_q, n.alpha_p, params.y1_config().alpha
@@ -219,7 +214,7 @@ class ReadoutLayer:
         self.n_out = n_out
         self.store = store
         self.params = params
-        self.b_err = params.baseline_bias()
+        self.b_err = solve_baseline_bias(params)
         n = params.neuron
         self.b_out = -self.b_err / (1.0 - n.alpha_p)
         self.x1_cfg, self.x2_cfg = params.pre_trace_configs()

@@ -22,7 +22,7 @@ from spikeshot.weightio import save_weights
 
 NEURON = NeuronParams(tau_u=2, tau_v=4, v_th=0.5)
 READOUT = ReadoutParams(neuron=NeuronParams(tau_u=2, tau_v=4))
-BUILD = dict(frozen_scale_exp=-5, frozen_init_lo=-20, frozen_init_hi=100)
+BUILD = dict(frozen_init_lo=-20, frozen_init_hi=100)
 
 # (input shape, layer tokens, readout size)
 TOPOLOGIES = {
@@ -80,6 +80,13 @@ def test_one_stacked_draw_is_k_matrix_draws(k, n, m):
     assert str(one.bit_generator.state) == str(many.bit_generator.state)
 
 
+def _at_frozen_scale(net, scale_exp=-5):
+    """``net`` with its frozen weights kept at ``2**scale_exp``, twice a built network's 2**-6, so that they spike."""
+    for layer in net.weighted_layers()[:-1]:
+        layer.set_weights(layer.weights, scale_exp)
+    return net
+
+
 @st.composite
 def samples(draw, n_in):
     duration = draw(st.integers(0, 12))
@@ -97,7 +104,8 @@ def samples(draw, n_in):
 def test_batched_equals_per_sample(data):
     input_shape, tokens, n_out = TOPOLOGIES[data.draw(st.sampled_from(sorted(TOPOLOGIES)))]
     seed = data.draw(st.integers(0, 2**16))
-    net = build_network(parse_topology(input_shape, tokens, n_out), NEURON, READOUT, BuildConfig(seed=seed, **BUILD))
+    net = _at_frozen_scale(build_network(parse_topology(input_shape, tokens, n_out), NEURON, READOUT,
+                                         BuildConfig(seed=seed, **BUILD)))
     net.readout.store.weights = np.random.default_rng(seed).integers(-80, 81, size=net.readout.store.shape)
     batch = data.draw(st.lists(samples(net.n_in), min_size=1, max_size=6))
 
@@ -136,7 +144,8 @@ def test_batched_equals_per_sample(data):
 
 
 def _conv_batch(n_b, seed=3):
-    net = build_network(parse_topology(*TOPOLOGIES["conv"]), NEURON, READOUT, BuildConfig(seed=seed, **BUILD))
+    net = _at_frozen_scale(build_network(parse_topology(*TOPOLOGIES["conv"]), NEURON, READOUT,
+                                         BuildConfig(seed=seed, **BUILD)))
     rng = np.random.default_rng(seed)
     batch = [LabeledSample(shape=(net.n_in,), duration=d, label=0,
                            events=np.argwhere(rng.random((d, net.n_in)) < 0.3))
@@ -211,11 +220,11 @@ def test_simulate_equals_stepping_each_sample_alone(name, tmp_path):
         "weights": {"plastic_scale_exp": -5, **BUILD},
     }))
     cfg = cfgmod.load_config(str(config))
-    net = build_network(cfgmod.topology(cfg), cfgmod.neuron_params(cfg), cfgmod.readout_params(cfg),
-                        cfgmod.build_config(cfg, 5))
+    net = _at_frozen_scale(build_network(cfgmod.topology(cfg), cfgmod.neuron_params(cfg), cfgmod.readout_params(cfg),
+                                         cfgmod.build_config(cfg, 5)))
     rng = np.random.default_rng(5)
     net.readout.store.weights = rng.integers(-80, 81, size=net.readout.store.shape)
-    weights = tmp_path / "w.ssw"
+    weights = tmp_path / "w.ssw"  # it carries the frozen scale to simulate
     save_weights(net, weights)
     batch = []
     for k, duration in enumerate([9, 0, 1, 12, 4, 1]):

@@ -11,7 +11,7 @@ import yaml
 
 import spikeshot
 from spikeshot.cli import main
-from spikeshot.config import DEFAULT_CONFIG, _PATH_KEYS
+from spikeshot.config import DEFAULT_CONFIG
 from spikeshot.events import read_events
 
 SMALL_CONFIG = """
@@ -87,7 +87,7 @@ def test_calibrate_writes_manifest(cfg_file, tmp_path, capsys):
 
 def test_calibrate_failure_exit_code(tmp_path, capsys):
     p = tmp_path / "c.yaml"
-    p.write_text("readout:\n  b_err: 0.0\n")
+    p.write_text("episode:\n  calibration_window: 100\n")  # ~5 baseline periods of 20 steps; 10 are needed
     rc = main(["calibrate", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 4
     assert "calibration failure" in capsys.readouterr().err
@@ -354,6 +354,24 @@ def test_unusable_config_or_out_path_is_config_error(cfg_file, tmp_path, capsys,
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+NOT_A_PATH = {"3": 3, "true": True, "1.5": 1.5}  # 3 would open file descriptor 3 if it reached open()
+PATH_KEY_COMMANDS = [(key, command) for key in ("data.path", "weights.path", "output.dir")
+                     for command in (("train",), ("train", "--dry-run"))] + [("output.dir", ("calibrate",))]
+
+
+@pytest.mark.parametrize("value", NOT_A_PATH.values(), ids=list(NOT_A_PATH))
+@pytest.mark.parametrize("key, command", PATH_KEY_COMMANDS, ids=[f"{k}-{' '.join(c)}" for k, c in PATH_KEY_COMMANDS])
+def test_path_key_that_is_not_a_string_is_config_error(tmp_path, monkeypatch, capsys, key, command, value):
+    monkeypatch.chdir(tmp_path)  # where a run would write if output.dir were dropped
+    section, leaf = key.split(".")
+    cfg = _small_config_with(tmp_path, {section: {leaf: value, **({"kind": "file"} if section == "data" else {})}})
+    out = [] if section == "output" else ["--out", str(tmp_path / "o")]  # --out would replace output.dir
+    assert main([*command, "--config", cfg, *out]) == 2
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"config error: config.{key}: expected a path") and "Traceback" not in stdout + err
+    assert [p.name for p in tmp_path.iterdir()] == ["changed.yaml"]  # nothing written
+
+
 def test_seed_flag_overrides_seed_list(cfg_file, tmp_path):
     out = tmp_path / "s7"
     assert main(["train", "--config", cfg_file, "--seed", "7", "--out", str(out)]) == 0
@@ -372,6 +390,22 @@ def test_each_seed_of_a_run_writes_what_it_writes_alone(tmp_path):
         assert main(["train", "--config", str(p), "--seed", str(seed), "--out", str(alone)]) == 0
         for name in (f"report_seed{seed}.txt", f"weights_seed{seed}.ssw"):
             assert (both / name).read_bytes() == (alone / name).read_bytes()
+
+
+@pytest.mark.parametrize("config", [SMALL_CONFIG, SMALL_CONFIG.replace("n_way: 3", "n_way: 3\n  m_pretrained: 2")],
+                         ids=["few-shot", "m-plus-n"])
+@pytest.mark.filterwarnings("ignore:frozen weights carry no pretraining provenance")  # M+N on random features
+def test_train_on_the_generated_event_file_writes_what_synthetic_train_writes(tmp_path, config):
+    # the path that recorded event files take: gen-data writes seed 0's task, and train reads it back
+    synthetic, events = tmp_path / "synthetic.yaml", tmp_path / "task.events"
+    synthetic.write_text(config)
+    assert main(["gen-data", "--config", str(synthetic), "--seed", "0", "--out", str(events)]) == 0
+    from_file = tmp_path / "file.yaml"
+    from_file.write_text(config + f"  kind: file\n  path: {events}\n")
+    for name, cfg in (("synthetic", synthetic), ("file", from_file)):
+        assert main(["train", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path / name)]) == 0
+    for name in ("weights_seed0.ssw", "report_seed0.txt"):
+        assert (tmp_path / "synthetic" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", [["train"], ["train", "--dry-run"], ["eval", "--weights", "w.ssw"], ["gen-data"]],
@@ -448,17 +482,17 @@ def test_refused_value_is_config_error_naming_its_key(tmp_path, capsys, key, val
 
 
 def _numeric_keys(block=DEFAULT_CONFIG, path=()):
-    """Every numeric key of the default config, including those whose None default stands for a number."""
+    """Every numeric key of the default config."""
     for key, ref in block.items():
         if isinstance(ref, dict):
             yield from _numeric_keys(ref, path + (key,))
-        elif (isinstance(ref, (int, float)) and not isinstance(ref, bool)) or (ref is None and key not in _PATH_KEYS):
+        elif isinstance(ref, (int, float)) and not isinstance(ref, bool):
             yield path + (key,)
 
 
 # numeric keys that were removed: a config from an old manifest that still sets one ends in exit 2, "unknown key"
 REMOVED_KEYS = (("neuron", "tau_r"), ("readout", "tau_r"), ("readout", "b_out"), ("readout", "y1_tau"),
-                ("readout", "y1_increment"))
+                ("readout", "y1_increment"), ("readout", "b_err"), ("weights", "frozen_scale_exp"))
 SWEPT_KEYS = list(_numeric_keys()) + list(REMOVED_KEYS)
 
 
@@ -501,7 +535,6 @@ def test_dry_run_refuses_what_train_refuses(tmp_path, monkeypatch, capsys, chang
 CONFIG_VALUES_PAST_THEIR_RANGE = {  # (section, key, value): exit code under train and --dry-run, words of its error
     "weights.plastic_scale_exp=200": ("weights", "plastic_scale_exp", 200, 2, "plastic_scale_exp"),  # a file i8
     "weights.plastic_scale_exp=-129": ("weights", "plastic_scale_exp", -129, 2, "plastic_scale_exp"),
-    "weights.frozen_scale_exp=300": ("weights", "frozen_scale_exp", 300, 2, "frozen_scale_exp"),
     "learning.lr_exp=1023": ("learning", "lr_exp", 1023, 0, None),  # the largest finite 2.0**lr_exp
     "learning.lr_exp=1024": ("learning", "lr_exp", 1024, 2, "lr_exp"),  # 2.0**1024 overflows
     "weights.frozen_init_lo=-128": ("weights", "frozen_init_lo", -128, 0, None),  # the int8 minimum

@@ -30,7 +30,8 @@ def test_unknown_keys_rejected():
         merge_config({"turbo": True})
     # keys that were removed: a config that still sets one is refused, not ignored
     for section, key, value in (("neuron", "tau_r", 16.0), ("readout", "tau_r", 16.0), ("readout", "b_out", 0.5),
-                                ("readout", "y1_tau", 16.0), ("readout", "y1_increment", 1.0)):
+                                ("readout", "y1_tau", 16.0), ("readout", "y1_increment", 1.0),
+                                ("readout", "b_err", 1.5), ("weights", "frozen_scale_exp", -6)):
         with pytest.raises(ConfigError, match=rf"config\.{section}\.{key}: unknown key"):
             merge_config({section: {key: value}})
 
@@ -57,7 +58,7 @@ def test_bad_scalar_types_rejected():
     ({"episode": {"sample_duration": 30.0}}, "integer"),
     ({"data": {"separation": "wide"}}, "number"),
     ({"neuron": {"v_th": True}}, "number"),  # a bool is not a number
-    ({"readout": {"b_err": "x"}}, "number"),
+    ({"readout": {"w_tgt": "x"}}, "number"),
 ])
 def test_numbers_must_be_numbers(block, message):
     with pytest.raises(ConfigError, match=message):
@@ -65,10 +66,11 @@ def test_numbers_must_be_numbers(block, message):
 
 
 def test_numbers_and_optional_values_accepted():
-    cfg = merge_config({"neuron": {"tau_u": 8}, "readout": {"b_err": 3}, "data": {"path": "x.events"},
+    cfg = merge_config({"neuron": {"tau_u": 8}, "readout": {"w_tgt": 3}, "data": {"path": "x.events"},
                         "episode": {"seeds": [3, -1]}})
-    assert cfg["readout"]["b_err"] == 3 and cfg["episode"]["seeds"] == [3, -1]
-    assert merge_config({"readout": {"b_err": None}})["readout"]["b_err"] is None
+    assert cfg["readout"]["w_tgt"] == 3 and cfg["episode"]["seeds"] == [3, -1]
+    assert cfg["data"]["path"] == "x.events"
+    assert merge_config({"weights": {"path": None}})["weights"]["path"] is None
 
 
 def test_typed_views_validate_values():

@@ -41,7 +41,7 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fewshot.yaml"
 GOLDEN_SHA256 = {
     "weights_seed0.ssw": "0749fef4f67579995645f67a80a683e4a9fc253da65c065bca40fa8ca3b6595d",
     "report_seed0.txt": "2f63d6829f823dbcecd179785183ecdfe51518a974fcc0fdffa437c39afd68c1",
-    "manifest.yaml": "e3ee12e5af4ac7f89d5423854c422bc0afa662ae1fa6b7c3bb61d065e8de2769",
+    "manifest.yaml": "1ac392e3703b5f8af9cd9d4510b07db3276d079ecc36370965b3e706c2483e65",
 }
 
 W_RULE = "dw = -1*(y1*(x2 - x1) + {b}*(x1 - x2)) - 0.1*w*y1*x2"
@@ -49,7 +49,7 @@ W_RULE = "dw = -1*(y1*(x2 - x1) + {b}*(x1 - x2)) - 0.1*w*y1*x2"
 W_RULE_GOLDEN_SHA256 = {
     "weights_seed0.ssw": "871bc47da0b80c91853dcdc18422f3639c0dfff5ebf1b349e40950d354481421",
     "report_seed0.txt": "5752353451f6c1bbaa74620590de102f90c32fb5f0cae80a7edb7015530cf050",
-    "manifest.yaml": "7f661d5432c66ab04ee4a2477727a51a4326e3763a271e39ce44a12945d77ea1",
+    "manifest.yaml": "684badaf8e1fcc379907b00e004e3572ef9b069c8d72588e3f4af4c83df3d2f6",
 }
 
 
@@ -66,7 +66,7 @@ CONV_CONFIG = {
 CONV_GOLDEN_SHA256 = {
     "weights_seed0.ssw": "9a243cd35b06f3a9670edff99c93307363d56be53948d10ee82d2d3ab542bcb7",
     "report_seed0.txt": "cb3d386a8dd0562d4ca0fa2f10ec08f737f7235c099b53e92eda1ad8161096f8",
-    "manifest.yaml": "1d09800d4ed3024f638821fcea28f7c2948582ea7fa73abdec6fe004867ca710",
+    "manifest.yaml": "709c294d9957c3bbaa8b5877eb25cfeb4e455b29e586a5bf49e6bb250dc2957c",
 }
 
 
@@ -79,7 +79,7 @@ MPLUSN_CHANGES = {
 MPLUSN_GOLDEN_SHA256 = {
     "weights_seed0.ssw": "a0ec52784c7661cfc560dee3625e5b624902e9c76b4062c7a63cce8017548fe5",
     "report_seed0.txt": "816953f4f5e15bd27b0925ecf0eb749e14cd1e18d3a05ef285d49f94950ac072",
-    "manifest.yaml": "f14a5db10c3954b7f16f7874de3f646ad5c660bedf99312c04f239293d1c0cee",
+    "manifest.yaml": "385a23f9d230755fd41a51864a3735de270b8c1ee84c3fa0b3fa0d5f4f6b86a4",
 }
 
 MPLUSN_EVAL_LINE = "EVAL split=test seed=0 n=18 accuracy=0.611111"

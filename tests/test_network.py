@@ -26,7 +26,7 @@ from spikeshot.ruledsl import parse_rule
 
 
 NEURON = NeuronParams(tau_u=8, tau_v=16)
-READOUT = ReadoutParams(neuron=NEURON, b_err=1.5)
+READOUT = ReadoutParams(neuron=NEURON)
 
 
 def test_parse_shape():

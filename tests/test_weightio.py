@@ -15,7 +15,7 @@ from spikeshot.readout import ReadoutParams
 from spikeshot.weightio import WeightFileError, load_weights, read_weight_file, save_weights
 
 NEURON = NeuronParams(tau_u=8, tau_v=16)
-READOUT = ReadoutParams(neuron=NEURON, b_err=1.5)
+READOUT = ReadoutParams(neuron=NEURON)
 
 
 def fresh_net(seed=0, tokens=("6",)):
@@ -114,8 +114,15 @@ def test_provenance_travels(tmp_path):
 CONV_TOPOLOGY = parse_topology("8x8x2", ["2a", "4c3z", "8"], 3)
 
 
+def _at_frozen_scale(net, scale_exp: int):
+    """``net`` with every frozen layer's weights kept and its scale set to ``scale_exp``."""
+    for layer in net.weighted_layers()[:-1]:
+        layer.set_weights(layer.weights, scale_exp)
+    return net
+
+
 def test_conv_layers_roundtrip(tmp_path):
-    net = build_network(CONV_TOPOLOGY, NEURON, READOUT, BuildConfig(seed=2, frozen_scale_exp=-4))
+    net = _at_frozen_scale(build_network(CONV_TOPOLOGY, NEURON, READOUT, BuildConfig(seed=2)), -4)
     path = tmp_path / "conv.ssw"
     save_weights(net, path)
     other = build_network(CONV_TOPOLOGY, NEURON, READOUT, BuildConfig(seed=11))
@@ -267,7 +274,7 @@ def test_out_of_range_weights_or_scale_are_refused_everywhere(value, scale_exp, 
 
 
 def test_mismatched_last_layer_leaves_every_layer_as_it_was(tmp_path):
-    saved = build_network(CONV_TOPOLOGY, NEURON, READOUT, BuildConfig(seed=2, frozen_scale_exp=-4))
+    saved = _at_frozen_scale(build_network(CONV_TOPOLOGY, NEURON, READOUT, BuildConfig(seed=2)), -4)
     path = tmp_path / "w.ssw"
     save_weights(saved, path)
     other_topology = parse_topology("8x8x2", ["2a", "4c3z", "8"], 4)  # one more output: only the readout differs
