@@ -52,7 +52,7 @@ from .fewshot import (
     split_shots,
 )
 from .network import TopologyError, build_network
-from .readout import CalibrationError, calibrate_bias, solve_baseline_bias
+from .readout import CalibrationError, calibrate_bias
 from .ruledsl import RuleError
 from .weightio import FILE_VERSION, WeightFileError, load_weights, save_weights
 
@@ -133,7 +133,7 @@ def _setup(cfg: dict, seed: int) -> tuple:
     return _build_net(cfg, seed), ecfg, _build_dataset(cfg, ecfg)
 
 
-def _write_manifest(cfg: dict, out: str, extra: dict) -> str:
+def _write_manifest(cfg: dict, out: str, extra: dict) -> None:
     manifest = {
         "config_hash": cfgmod.config_hash(cfg),
         "config": cfgmod.reproducible_view(cfg),
@@ -147,7 +147,6 @@ def _write_manifest(cfg: dict, out: str, extra: dict) -> str:
     path = os.path.join(out, "manifest.yaml")
     with open(path, "w") as f:
         yaml.safe_dump(manifest, f, sort_keys=True, default_flow_style=False)
-    return path
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -155,8 +154,7 @@ def _write_manifest(cfg: dict, out: str, extra: dict) -> str:
 
 def cmd_calibrate(cfg: dict, args) -> int:
     out = _out_dir(cfg)
-    params = cfgmod.readout_params(cfg)
-    report = calibrate_bias(params, solve_baseline_bias(params), int(cfg["episode"]["calibration_window"]))
+    report = calibrate_bias(cfgmod.readout_params(cfg), int(cfg["episode"]["calibration_window"]))
     _write_manifest(cfg, out, {"calibration": dataclasses.asdict(report)})
     print(f"calibration: b={report.b!r} b_y1={report.b_y1!r} b_err={report.b_err!r} "
           f"period={report.period!r} n_spikes={report.n_spikes}")

@@ -124,6 +124,8 @@ def _check_block(block: dict, defaults: dict, path: str):
             _check_number(val, ref, f"{path}.{key}")
         elif ref is None and not isinstance(val, (str, type(None))):  # every None default is a path
             raise ConfigError(f"{path}.{key}: expected a path, got {val!r}")
+        elif isinstance(ref, str) and not isinstance(val, str) and key != "input":  # topology() checks the input
+            raise ConfigError(f"{path}.{key}: expected a string, got {val!r}")
 
 
 def merge_config(overrides: dict | None) -> dict:

@@ -89,7 +89,6 @@ class LabeledSample:
             if not 0 <= ev_neuron < self.size:
                 raise EventFormatError(f"neuron index {ev_neuron} outside shape {self.shape}")
             raise EventFormatError(f"event times decrease at t={ev_t}")
-        return self
 
     def to_dense(self) -> np.ndarray:
         """[duration, n_channels] float array of spike counts per step. Only

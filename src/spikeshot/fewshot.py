@@ -130,7 +130,6 @@ class EpisodeReport:
     test_accuracy: float
     train_confusion: np.ndarray
     confusion: np.ndarray
-    spike_counts: np.ndarray
     all_zero_fraction: float
     calibration: CalibrationReport
     weights: np.ndarray
@@ -419,7 +418,6 @@ def run_episode(net, cfg: EpisodeConfig, dataset: list[LabeledSample]) -> Episod
         test_accuracy=float(np.trace(confusion) / max(1, confusion.sum())),
         train_confusion=train_confusion,
         confusion=confusion,
-        spike_counts=test_counts,
         all_zero_fraction=zero / max(1, len(test)),
         calibration=calibration,
         weights=np.asarray(net.plastic_weights()),

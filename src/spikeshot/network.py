@@ -90,10 +90,9 @@ def _sizes(tok: str, m: re.Match) -> list[int]:
     return sizes
 
 
-def parse_topology(input_shape, layer_tokens: list[str], n_out: int) -> Topology:
+def parse_topology(input_shape: str, layer_tokens: list[str], n_out: int) -> Topology:
     """Build a Topology from notation tokens, propagating shapes."""
-    in_shape = parse_shape(input_shape) if isinstance(input_shape, str) else tuple(input_shape)
-    shape = in_shape
+    shape = in_shape = parse_shape(input_shape)
     specs: list[LayerSpec] = []
     for tok in layer_tokens:
         tok = str(tok).strip()
@@ -370,7 +369,7 @@ class Network:
 
     def calibrate(self, window: int):
         # looked up on the module at call time, where a tracer may wrap it
-        return readout_mod.calibrate_bias(self.readout.params, self.readout.b_err, window)
+        return readout_mod.calibrate_bias(self.readout.params, window)
 
     def plastic_weights(self) -> np.ndarray:
         return self.readout.store.weights.copy()

@@ -102,20 +102,19 @@ def _free_run_spikes(params: ReadoutParams, b_err: float, steps: int) -> list[in
     return spikes
 
 
-def calibrate_bias(params: ReadoutParams, b_err: float, window: int) -> CalibrationReport:
+def calibrate_bias(params: ReadoutParams, window: int) -> CalibrationReport:
     """Measure the baseline trace averages of a free-running error compartment.
 
-    Runs ``window`` steps with zero input and no label drive, filters the
-    spike train into the two-stage post trace P_err and the rule trace y1,
-    then averages both over an integer number of inter-spike periods in the
-    steady portion of the run (initial transient discarded). Raises
-    CalibrationError when the compartment never fires or fires too rarely
-    for ten full periods to fit in the window. The scalar loop gives bit for
-    bit what stepping a silent ``ReadoutLayer`` gives, far faster.
+    Runs ``window`` steps at the bias ``solve_baseline_bias(params)`` with
+    zero input and no label drive, filters the spike train into the
+    two-stage post trace P_err and the rule trace y1, then averages both
+    over an integer number of inter-spike periods in the steady portion of
+    the run (initial transient discarded). Raises CalibrationError when too
+    few spikes fit in the window for ten full periods. The scalar loop gives
+    bit for bit what stepping a silent ``ReadoutLayer`` gives, far faster.
     """
+    b_err = solve_baseline_bias(params)  # above v_th, so the compartment fires at t = 0
     spikes = _free_run_spikes(params, b_err, window)
-    if not spikes:
-        raise CalibrationError(f"calibration failure: error compartment never fired in {window} steps")
     if len(spikes) < 11:
         raise CalibrationError(
             f"calibration failure: only {len(spikes)} baseline spikes in {window} steps; "

@@ -110,8 +110,8 @@ def read_weight_file(path) -> tuple[str, list[tuple[str, np.ndarray, int]]]:
     return provenance, entries
 
 
-def load_weights(net, path) -> str:
-    """Load a weight file into a built network; returns the provenance string.
+def load_weights(net, path) -> None:
+    """Load a weight file into a built network, and its provenance string into ``net.provenance``.
 
     Every stored layer must match the network's weighted layers in order,
     kind and shape, and each takes its scale from the file. All are checked
@@ -128,4 +128,3 @@ def load_weights(net, path) -> str:
     for (_, weights, scale_exp), layer in zip(entries, targets):
         layer.set_weights(weights, scale_exp)
     net.provenance = provenance
-    return provenance

@@ -140,7 +140,7 @@ def test_criterion_4_zero_error_stationarity():
     store = QuantizedWeightStore((1, 1), -6, 0)
     layer = ReadoutLayer(1, 1, store, READOUT_PARAMS)
     traces = StepTraces(layer)
-    cal = calibrate_bias(layer.params, layer.b_err, 1200)
+    cal = calibrate_bias(layer.params, 1200)
     rule = parse_rule(f"dw = -1*(y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2))")
 
     period = cal.period
@@ -172,7 +172,7 @@ def test_criterion_5_delta_rule_sign():
         store = QuantizedWeightStore((1, 1), -6, 0, init=np.array([[weight]]))
         layer = ReadoutLayer(1, 1, store, READOUT_PARAMS)
         traces = StepTraces(layer)
-        cal = calibrate_bias(layer.params, layer.b_err, 1200)
+        cal = calibrate_bias(layer.params, 1200)
         rule = parse_rule(f"dw = y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2)")
         deltas, drives = [], label_drives(layer, 0, 4 if with_target else 0, 1200)
         for t in range(1200):

@@ -451,10 +451,11 @@ def test_readout_tau_u_not_below_tau_v_is_config_error(tmp_path, capsys, command
 
 
 def _small_config_with(tmp_path, changes: dict) -> str:
-    """SMALL_CONFIG with ``{section: {key: value}}`` changes, written to a file."""
+    """SMALL_CONFIG with ``{section: {key: value}}`` changes, written to a file;
+    a section given as a non-mapping replaces the section."""
     cfg = yaml.safe_load(SMALL_CONFIG)
     for section, block in changes.items():
-        cfg.setdefault(section, {}).update(block)
+        cfg[section] = {**cfg.get(section, {}), **block} if isinstance(block, dict) else block
     p = tmp_path / "changed.yaml"
     p.write_text(yaml.safe_dump(cfg))
     return str(p)
@@ -517,6 +518,10 @@ PROBED_CONFIGS = {  # each refused before the first step: (changes, exit code)
     "weights.path-missing": ({"weights": {"path": "missing.ssw"}}, 3),
     "rule-dangling-plus": ({"learning": {"rule": "dw = x1 +"}}, 2),
     "episode.calibration_window": ({"episode": {"calibration_window": 0}}, 4),
+    "data.kind-bogus": ({"data": {"kind": "bogus"}}, 2),  # unknown data.kind
+    "data.kind-file-without-path": ({"data": {"kind": "file"}}, 2),
+    "neuron-not-a-mapping": ({"neuron": 5}, 2),
+    "conv-on-flat-input": ({"topology": {"input": "32", "layers": ["4c3z"]}}, 2),  # needs an HxWxC input
 }
 
 
@@ -549,6 +554,10 @@ CONFIG_VALUES_PAST_THEIR_RANGE = {  # (section, key, value): exit code under tra
     "topology.input=null": ("topology", "input", None, 2, "topology.input"),
     "topology.input=10**19": ("topology", "input", 10**19, 2, "u32"),  # past the weight file's dimensions
     "topology.output=10**19": ("topology", "output", 10**19, 2, "u32"),
+    # a key whose default is a string takes only a string (topology.input also takes an integer)
+    **{f"{section}.{key}={value}": (section, key, value, 2, f"config.{section}.{key}: expected a string")
+       for section, key, value in (("learning", "rule", 3), ("learning", "rule", None), ("learning", "rule", True),
+                                   ("data", "kind", 3), ("data", "mode", 3), ("weights", "plastic_init", 3))},
     # counts one past the weight file's u32 sizes: refused at load, before anything runs
     **{f"{section}.{key}=2**32": (section, key, 2**32, 2, f"{section}.{key}") for section, key in (
         ("data", "n_per_class"), ("episode", "n_way"), ("episode", "m_pretrained"), ("episode", "epochs"),

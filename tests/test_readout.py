@@ -91,24 +91,25 @@ def test_error_rate_monotonicity_in_input_and_target(params):
 
 
 def test_calibration_failure_without_bias(params):
-    with pytest.raises(CalibrationError, match="calibration failure"):
-        calibrate_bias(params, 0.0, 600)
+    # the solved bias fires at t = 0, so only a window with no steps has no spike
+    with pytest.raises(CalibrationError, match="calibration failure.*lengthen episode.calibration_window"):
+        calibrate_bias(params, 0)
 
 
-def test_calibration_needs_ten_periods(params, b_err):
+def test_calibration_needs_ten_periods(params):
     with pytest.raises(CalibrationError):
-        calibrate_bias(params, b_err, 100)  # only ~5 periods fit
+        calibrate_bias(params, 100)  # only ~5 periods fit
 
 
-def test_calibration_deterministic(params, b_err):
-    r1 = calibrate_bias(params, b_err, 1200)
-    r2 = calibrate_bias(params, b_err, 1200)
+def test_calibration_deterministic(params):
+    r1 = calibrate_bias(params, 1200)
+    r2 = calibrate_bias(params, 1200)
     assert r1 == r2
     assert r1.b > 0 and r1.b_y1 > 0
 
 
 def test_calibration_matches_independent_oracle(params, b_err):
-    ours = calibrate_bias(params, b_err, 1200)
+    ours = calibrate_bias(params, 1200)
     ref = oracle_calibrate(params, b_err, 1200)
     assert ours.b == pytest.approx(ref.b, abs=1e-9)
     assert ours.b_y1 == pytest.approx(ref.b_y1, abs=1e-9)
@@ -118,10 +119,10 @@ def test_calibration_matches_independent_oracle(params, b_err):
 def test_calibration_changes_with_tau():
     slow = make_params(neuron=NeuronParams(tau_u=8, tau_v=32))
     b_err_slow = solve_baseline_bias(slow)
-    rep = calibrate_bias(slow, b_err_slow, 1600)
+    rep = calibrate_bias(slow, 1600)
     ref = oracle_calibrate(slow, b_err_slow, 1600)
     assert rep.b == pytest.approx(ref.b, abs=1e-9)
-    base = calibrate_bias(make_params(), solve_baseline_bias(make_params()), 1600)
+    base = calibrate_bias(make_params(), 1600)
     assert rep.b != pytest.approx(base.b, abs=1e-3)
 
 
@@ -131,6 +132,15 @@ def test_solve_baseline_bias_hits_requested_period():
         spikes = run_free(prm, period * 40)  # at b_err = solve_baseline_bias(prm)
         isis = np.diff(spikes[len(spikes) // 2 :])
         assert abs(isis.mean() - period) <= 1.0
+
+
+def test_solve_baseline_bias_widens_its_bracket():
+    # a one-step tau_u and a 2-step period: at the first bracket's top, 4 * v_th,
+    # the compartment fires only every 5 steps, so the solver must widen it
+    prm = make_params(neuron=NeuronParams(tau_u=1, tau_v=16), baseline_period=2)
+    assert readout_module._free_run_period(prm, 4.0 * prm.neuron.v_th, 400) == 5.0
+    spikes = run_free(prm, 80)  # at b_err = solve_baseline_bias(prm)
+    assert np.diff(spikes[len(spikes) // 2 :]).mean() <= prm.baseline_period
 
 
 def test_solve_baseline_bias_is_cached_per_params(monkeypatch):
@@ -205,7 +215,7 @@ def test_layer_matches_scalar_compartment():
                 spikes.append(t)
         warmup = max(2, len(spikes) // 4)
         t_a, t_b = spikes[warmup], spikes[-1]
-        rep = calibrate_bias(layer.params, layer.b_err, window)
+        rep = calibrate_bias(layer.params, window)
         assert rep.n_spikes == len(spikes)
         assert rep.period == (t_b - t_a) / (len(spikes) - 1 - warmup)
         assert rep.b == p_err[t_a:t_b].mean()  # bit for bit
@@ -236,7 +246,7 @@ def test_delta_rule_sign_flip():
     def mean_delta(weights, with_target):
         layer = make_layer(n_out=1, fan_in=1, weights=np.array([[weights]]))
         traces = StepTraces(layer)
-        cal = calibrate_bias(layer.params, layer.b_err, 1200)
+        cal = calibrate_bias(layer.params, 1200)
         rule = parse_rule(f"dw = y1*(x2 - x1) + {cal.b_y1!r}*(x1 - x2)")
         deltas, drives = [], label_drives(layer, 0, 4 if with_target else 0, 1200)
         for t in range(1200):

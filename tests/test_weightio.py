@@ -157,12 +157,14 @@ def _weight_file(provenance: bytes, layers) -> bytes:
     # dims whose product wraps a 64-bit integer
     (_weight_file(b"", [(1, -6, (2**32 - 1, 2**32 - 1, 2**20), b"\x01" * 8)]), "truncated"),
     (_weight_file(b"\xff\xfe", []), "UTF-8"),
-], ids=["dims-product-overflows-int64", "provenance-not-utf8"])
+    (_weight_file(b"", []) + b"\x00", "trailing bytes after checksum"),
+    (_weight_file(b"", []), "file has 0 weighted layers, network has 2"),  # a well-formed file for another network
+], ids=["dims-product-overflows-int64", "provenance-not-utf8", "byte-after-checksum", "layer-count"])
 def test_malformed_header_is_weight_file_error(tmp_path, data, message):
     path = tmp_path / "bad.ssw"
     path.write_bytes(data)
     with pytest.raises(WeightFileError, match=message):
-        read_weight_file(path)
+        load_weights(fresh_net(), path)  # reads the file, then matches it against the network
 
 
 @pytest.fixture(scope="module")
