@@ -153,7 +153,8 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             raw = yaml.safe_load(f)
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:
+    # ValueError: bad UTF-8, a date like 2024-13-45, an int past Python's digit limit; RecursionError: deep nesting
+    except (OSError, ValueError, RecursionError, yaml.YAMLError) as e:
         raise ConfigError(f"cannot read {path}: {e}") from None
     if raw is None:
         raw = {}

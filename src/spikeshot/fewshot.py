@@ -13,16 +13,17 @@ runs it too. Only the readout learns, so the stepping runs in three phases:
 1. Frozen pass. Every sample, train and test, goes through the frozen
    layers once, samples stepped together along a leading batch axis. The
    batch is cut into contiguous sample groups, one per usable CPU that the
-   BLAS does not already run on, and the groups step at the same time,
-   each in its own thread on its own copy of the layer state; numpy
-   releases the interpreter lock inside the contractions and elementwise
-   loops that make up a step. A group must hold at least ``GROUP_GRAIN``
-   neuron updates per step, so the desk stacks run as one group, and
-   conv-dvs128's nine samples as two on two CPUs with a one-thread BLAS.
-   Each step's input counts come from one time-sorted index of the group's
-   event arrays, into which a leading pool's window sum is folded: the
-   pool then only filters. The readout's input spike streams are cached,
-   ``[B, T, fan_in]``.
+   BLAS does not already run on. A lone group steps in the calling thread;
+   with more, group 0 steps there and the rest at the same time in a
+   ``concurrent.futures`` thread pool, each on its own copy of the layer
+   state; numpy releases the interpreter lock inside the contractions and
+   elementwise loops that make up a step. A group must
+   hold at least ``GROUP_GRAIN`` neuron updates per step, so the desk
+   stacks run as one group, and conv-dvs128's nine samples as two on two
+   CPUs with a one-thread BLAS. Each step's input counts come from one
+   time-sorted index of the group's event arrays, into which a leading
+   pool's window sum is folded: the pool then only filters. The readout's
+   input spike streams are cached, ``[B, T, fan_in]``.
 2. Training. ``ReadoutLayer.train`` runs an epoch's training samples in
    their shuffled order, one after another, since the weights carry over;
    it reads each sample's cached stream in place. What no weight reaches is
@@ -61,7 +62,6 @@ import copy
 import math
 import os
 import re
-import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -213,26 +213,15 @@ GROUP_GRAIN = 2**17
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _free_cpus() -> int:
-    """The usable CPUs over the threads the BLAS runs each call on."""
-    cpus = _usable_cpus()
-    for var in _BLAS_THREAD_VARS:
-        threads = os.environ.get(var, "")
-        if threads.isdigit() and int(threads) > 0:
-            return max(1, cpus // int(threads))
-    return 1
-
-
 def _group_count(net, n_b: int) -> int:
-    """How many sample groups the frozen pass steps at once: one per CPU the
-    BLAS leaves free, at most one per sample, and each at least
+    """How many sample groups the frozen pass steps at once: one per usable
+    CPU that the BLAS leaves free, at most one per sample, and each at least
     ``GROUP_GRAIN`` neuron updates per step."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    values = [os.environ.get(var, "") for var in _BLAS_THREAD_VARS]
+    blas = [int(v) for v in values if v.isdigit() and int(v) > 0]
     updates = n_b * sum(math.prod(layer.spec.out_shape) for layer in net.layers)
-    return max(1, min(_free_cpus(), n_b, updates // GROUP_GRAIN))
+    return max(1, min(cpus // blas[0] if blas else 1, n_b, updates // GROUP_GRAIN))
 
 
 def _step_group(layers, index, out: np.ndarray):
@@ -254,13 +243,14 @@ def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     A stream past its sample's duration is padding and is never read. The
     streams are spikes (bool), or input counts when there is no frozen layer.
 
-    The batch is cut into contiguous sample groups (``_group_count``) that
-    step at the same time: group 0 steps ``net.layers`` in the calling
-    thread, each other group shallow copies of them, with their own state,
-    in a worker thread. The first error of a group reaches the caller, and
-    no thread outlives the call. The copies share the read-only weights, and
-    each group writes only its own samples' streams. Every sample follows
-    its own bits in any batch, so the split never changes a stream.
+    The batch is cut into contiguous sample groups (``_group_count``).
+    Group 0 steps ``net.layers`` in the calling thread; groups 1… step at
+    the same time in a thread pool, each on shallow copies of the layers
+    with their own state. The first error of a group reaches the caller,
+    and no thread outlives the call. The copies share the read-only
+    weights, and each group writes only its own samples' streams. Every
+    sample follows its own bits in any batch, so the split never changes a
+    stream.
     """
     _check_input_size(net, samples)
     n_b, n_t = len(samples), max((s.duration for s in samples), default=0)
@@ -268,36 +258,24 @@ def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     streams = np.zeros((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
     n_g = _group_count(net, n_b)
     cuts = [g * n_b // n_g for g in range(n_g + 1)]
-    groups = list(zip(cuts[:-1], cuts[1:]))
-    indices = [_event_index(samples[a:b], net) for a, b in groups]  # all before any layer state
+    indices = [_event_index(samples[a:b], net) for a, b in zip(cuts, cuts[1:])]  # all before any layer state
     net.reset_state(batch=cuts[1])
-    stacks = [net.layers]
-    for a, b in groups[1:]:
-        stack = [copy.copy(layer) for layer in net.layers]
-        for layer in stack:
-            layer.reset_state(batch=b - a)  # new state arrays: nothing is shared but the weights
-        stacks.append(stack)
-    # plain threads: concurrent.futures would import logging, 0.6 MB resident on every run
-    errors: list[BaseException] = []
+    if n_g == 1:
+        _step_group(net.layers, indices[0], streams)
+        return streams
+    # imported here only: its logging import costs every one-group run 0.25-0.4 MB resident
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(g):
-        try:
-            _step_group(stacks[g], indices[g], streams[slice(*groups[g])])
-        except BaseException as e:  # re-raised in the calling thread
-            errors.append(e)
-
-    threads = []
-    try:
+    with ThreadPoolExecutor(n_g - 1, thread_name_prefix="frozen-pass") as pool:
+        futures = []
         for g in range(1, n_g):
-            th = threading.Thread(target=run, args=(g,), name=f"frozen-pass-{g}")
-            th.start()
-            threads.append(th)
-        run(0)
-    finally:
-        for th in threads:
-            th.join()
-    if errors:
-        raise errors[0]
+            stack = [copy.copy(layer) for layer in net.layers]
+            for layer in stack:
+                layer.reset_state(batch=cuts[g + 1] - cuts[g])  # new state arrays: only the weights are shared
+            futures.append(pool.submit(_step_group, stack, indices[g], streams[cuts[g] : cuts[g + 1]]))
+        _step_group(net.layers, indices[0], streams[: cuts[1]])
+        for future in futures:
+            future.result()  # a worker's error, re-raised here; leaving the block joins every worker
     return streams
 
 

@@ -1,7 +1,10 @@
 """Batched stepping: every sample of a batch follows its solo trajectory, bit for bit."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -185,6 +188,27 @@ def test_a_group_error_reaches_the_caller_and_no_thread_outlives_the_pass(failin
         with pytest.raises(RuntimeError, match=f"boom in the {failing}"):
             frozen_pass(net, batch)
     assert threading.active_count() == before
+
+
+def test_a_one_group_pass_starts_no_thread_and_imports_no_executor(tmp_path):
+    # the thread pool's logging import costs resident memory, so the one-group
+    # pass that every desk run takes must not load it; a fresh interpreter shows it
+    code = (
+        "import sys, threading\n"
+        "started, start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]\n"
+        "from spikeshot.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(started, 'concurrent.futures' in sys.modules)\n"
+    )
+    src = Path(fewshot.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+           "OPENBLAS_NUM_THREADS": "1"}  # every CPU is free of the BLAS: the grain alone keeps one group
+    config = Path(__file__).resolve().parent.parent / "configs" / "fewshot.yaml"
+    proc = subprocess.run([sys.executable, "-c", code, "train", "--config", str(config), "--seed", "0",
+                           "--out", str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] False"
 
 
 @pytest.mark.parametrize("cpus, blas, desk, conv", [

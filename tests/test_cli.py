@@ -247,13 +247,18 @@ def test_missing_dataset_file_is_data_error(tmp_path, capsys):
     assert main(["train", "--config", str(p)]) == 3
 
 
-@pytest.mark.parametrize("text", [b"episode: [1, 2\n", b"episode:\n  n_way: 3\n  k_shot: \xff\n"],
-                         ids=["yaml-syntax", "not-utf8"])
+@pytest.mark.parametrize("text", [
+    b"episode: [1, 2\n",
+    b"episode:\n  n_way: 3\n  k_shot: \xff\n",
+    b"data: {path: 2024-13-45}\n",  # PyYAML's date constructor raises ValueError
+    b"episode: {seeds: [" + b"1" * 4301 + b"]}\n",  # past Python's int-string limit: ValueError
+    b"episode: {seeds: " + b"[" * 5000 + b"]" * 5000 + b"}\n",  # RecursionError
+], ids=["yaml-syntax", "not-utf8", "month-13", "int-past-digit-limit", "nested-5000-deep"])
 def test_malformed_yaml_is_config_error(tmp_path, capsys, text):
     p = tmp_path / "bad.yaml"
     p.write_bytes(text)
     assert main(["train", "--config", str(p), "--dry-run"]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {p}: ")
 
 
 @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
