@@ -13,9 +13,9 @@ writes nothing: for every seed it builds the network and dataset, reading the
 weight and event files, calibrates and parses the rule.
 
 Exit codes: 0 success, 2 config error (also a config file or output
-directory that cannot be used, and a network or dataset too large to
-allocate), 3 data/weights error (also any other path that cannot be read or
-written), 4 calibration failure.
+directory that cannot be used, a synthetic task that cannot be generated, and
+a network or dataset too large to allocate), 3 data/weights error (also any
+other path that cannot be read or written), 4 calibration failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .config import ConfigError
 from .events import (
     EventFormatError,
     LabeledSample,
-    SeparationError,
     gen_synthetic_task,
     read_events,
     write_events,
@@ -280,7 +279,7 @@ def main(argv=None) -> int:
     except (ConfigError, TopologyError, RuleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EventFormatError, DatasetError, WeightFileError, SeparationError, OSError) as e:
+    except (EventFormatError, DatasetError, WeightFileError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as e:  # a size within the config's bounds that this machine cannot allocate

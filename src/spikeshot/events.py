@@ -12,25 +12,28 @@ diffability; round-tripping write -> read is exact.
 
 In memory a sample's events are one ``[N, 2]`` int64 array of ``(t, neuron)``
 rows in time order, which every consumer takes whole. ``read_events`` reads
-the file in blocks of whole lines (about 1 MiB of text) and converts each run
-of canonical event lines (two fields of at most 18 digits, one space) in one
-``np.fromstring`` call. Every other line (headers, comments, blank lines,
-other spellings of an event, malformed lines) is classified on its own, with
-the line number that any error names. It holds one block of text at a time,
-plus the samples' arrays. ``SpikeEvent`` names one row: callers outside the
+the file once, in blocks of whole lines (about 1 MiB of text), and converts
+each run of canonical event lines (two fields of at most 18 digits, one space)
+in one ``np.fromstring`` call. Every other line (headers, comments, blank
+lines, other spellings of an event, malformed lines) is classified on its own,
+with the line number that any error names; a byte that is not UTF-8 is refused
+on its own line like any other fault, so the first fault in file order is
+named. It holds one block of text at a time, plus the samples' arrays, on
+every path. ``SpikeEvent`` names one row: callers outside the
 package, such as perfbench's event generator, still build samples from lists
 of them, and any sequence of pairs converts.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .network import DIM_MAX
 
 PROTOTYPE_MODES = ("balanced",)  # data.mode's one value, kept as a key; see gen_synthetic_task
 BALANCED_HI = 0.85
@@ -42,6 +45,9 @@ _BLOCK_CHARS = 1 << 20  # characters of the event file read at a time
 # below 2**63, where it would saturate instead of failing. The matcher keeps
 # ~200 bytes of backtracking state per line, so a run stops at 1,024 lines.
 _EVENT_RUN = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n){1,1024}")
+# A byte that is not UTF-8, as the surrogateescape handler decodes it; valid
+# UTF-8 never decodes to a lone surrogate, and a run holds only digits.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 class EventFormatError(ValueError):
@@ -77,6 +83,8 @@ class LabeledSample:
         """Raise EventFormatError naming the first offending event, in event order."""
         if self.duration < 0:
             raise EventFormatError(f"negative duration {self.duration}")
+        if self.duration > DIM_MAX:
+            raise EventFormatError(f"duration {self.duration} past {DIM_MAX}, the largest sample duration")
         if any(d < 1 for d in self.shape):
             raise EventFormatError(f"shape {self.shape} has a dimension below 1")
         t, neuron = self.events.T
@@ -105,19 +113,6 @@ def write_events(samples: list[LabeledSample], path) -> None:
         for s in samples:
             f.write(f"shape={'x'.join(map(str, s.shape))} duration={s.duration} label={s.label}\n")
             f.writelines(f"{t} {neuron}\n" for t, neuron in s.events.tolist())
-
-
-def _undecodable_line(path) -> int:
-    """Number of the line holding the first bytes of ``path`` that are not UTF-8."""
-    with open(path, "rb") as f:
-        data = f.read()
-    start = len(data)
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        start = e.start
-    head = data[:start].decode("utf-8") + "?"  # the bad byte's line counts as a line
-    return len(io.StringIO(head, newline=None).readlines())
 
 
 def _line_blocks(f):
@@ -157,47 +152,46 @@ def _sample_events(chunks: list[np.ndarray]) -> np.ndarray:
 def read_events(path) -> list[LabeledSample]:
     samples: list[LabeledSample] = []
     chunks: list[np.ndarray] = []  # the open sample's (t, neuron) values, flat, one array per run or field
-    with open(path, encoding="utf-8") as f:
-        try:
-            for lineno, is_run, text in _pieces(f):
-                line = text.strip()  # a run starts with a digit: not blank, a comment or a header
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("shape="):
-                    if samples:
-                        samples[-1].events = _sample_events(chunks)
-                        chunks = []
-                    try:
-                        fields = dict(part.split("=", 1) for part in line.split())
-                        shape = tuple(int(d) for d in fields["shape"].split("x"))
-                        samples.append(LabeledSample(
-                            shape=shape,
-                            duration=int(fields["duration"]),
-                            label=int(fields["label"]),
-                        ))
-                    except (KeyError, ValueError):
-                        raise EventFormatError(f"line {lineno}: bad sample header {line!r}")
-                    continue
-                if not samples:
-                    raise EventFormatError(f"line {lineno}: event before any sample header")
-                if is_run:
-                    n = text.count("\n")
-                    values = np.fromstring(text, dtype=np.int64, sep=" ")
-                    if values.size != 2 * n:
-                        raise EventFormatError(
-                            f"lines {lineno}-{lineno + n - 1}: read {values.size} event fields, expected {2 * n}")
-                    chunks.append(values)
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise EventFormatError(f"line {lineno}: expected '<t> <neuron>', got {line!r}")
-                for tok in parts:
-                    try:
-                        chunks.append(np.array([tok], dtype=np.int64))
-                    except (ValueError, OverflowError):
-                        raise EventFormatError(f"line {lineno}: event field {tok!r} is not an int64") from None
-        except UnicodeDecodeError:  # raised by the decoding read
-            raise EventFormatError(f"line {_undecodable_line(path)}: bytes that are not UTF-8 text") from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, is_run, text in _pieces(f):
+            if not is_run and _NOT_UTF8.search(text):
+                raise EventFormatError(f"line {lineno}: bytes that are not UTF-8 text")
+            line = text.strip()  # a run starts with a digit: not blank, a comment or a header
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("shape="):
+                if samples:
+                    samples[-1].events = _sample_events(chunks)
+                    chunks = []
+                try:
+                    fields = dict(part.split("=", 1) for part in line.split())
+                    shape = tuple(int(d) for d in fields["shape"].split("x"))
+                    samples.append(LabeledSample(
+                        shape=shape,
+                        duration=int(fields["duration"]),
+                        label=int(fields["label"]),
+                    ))
+                except (KeyError, ValueError):
+                    raise EventFormatError(f"line {lineno}: bad sample header {line!r}")
+                continue
+            if not samples:
+                raise EventFormatError(f"line {lineno}: event before any sample header")
+            if is_run:
+                n = text.count("\n")
+                values = np.fromstring(text, dtype=np.int64, sep=" ")
+                if values.size != 2 * n:
+                    raise EventFormatError(
+                        f"lines {lineno}-{lineno + n - 1}: read {values.size} event fields, expected {2 * n}")
+                chunks.append(values)
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise EventFormatError(f"line {lineno}: expected '<t> <neuron>', got {line!r}")
+            for tok in parts:
+                try:
+                    chunks.append(np.array([tok], dtype=np.int64))
+                except (ValueError, OverflowError):
+                    raise EventFormatError(f"line {lineno}: event field {tok!r} is not an int64") from None
     if samples:
         samples[-1].events = _sample_events(chunks)
     for s in samples:
@@ -227,10 +221,6 @@ def rate_encode(features: np.ndarray, duration: int, r_max: float = 0.2) -> np.n
         interval = np.minimum(np.maximum(1.0, np.round(1.0 / (feats * r_max))), max(len(t), 1))
     steps, channels = np.divmod(np.flatnonzero((feats > 0.0) & (t % interval.astype(np.int64) == 0)), feats.size)
     return np.stack([steps, channels], axis=1)
-
-
-class SeparationError(RuntimeError):
-    """Could not place class prototypes at the requested pairwise distance."""
 
 
 def gen_synthetic_task(
@@ -272,7 +262,7 @@ def gen_synthetic_task(
         else:
             tries += 1
             if tries > _MAX_TRIES:
-                raise SeparationError(
+                raise ValueError(
                     f"failed to place {n_classes} prototypes at separation {separation} in dim {dim}"
                 )
     samples = []

@@ -66,12 +66,13 @@ def psp_matched_trace_configs(tau_u: float, tau_v: float) -> tuple[TraceConfig, 
     (decay a_p) with increments a_q*c and a_p*c, c = 1/(tau_u*tau_v*(a_p-a_q)),
     so that x2 - x1 equals P for any spike train.
 
-    Requires tau_v > tau_u so both increments are positive.
+    Requires a_p > a_q, that is tau_v > tau_u with decays that stay apart
+    as floats, so both increments are positive and finite.
     """
-    if tau_v <= tau_u:
-        raise ValueError("PSP decomposition needs tau_v > tau_u (slow PSP, fast PSC)")
     a_q = math.exp(-1.0 / tau_u)
     a_p = math.exp(-1.0 / tau_v)
+    if a_p <= a_q:
+        raise ValueError("PSP decomposition needs tau_v > tau_u (slow PSP, fast PSC), with distinct decays")
     c = 1.0 / (tau_u * tau_v * (a_p - a_q))
     return (
         TraceConfig(tau=tau_u, increment=a_q * c),

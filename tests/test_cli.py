@@ -230,6 +230,20 @@ def test_non_utf8_event_file_is_data_error(tmp_path, capsys, command):
     assert err.startswith("data error:") and "line 3" in err
 
 
+@pytest.mark.parametrize("command", [["train"], ["train", "--dry-run"], ["simulate"]],
+                         ids=["run", "dry-run", "simulate"])
+@pytest.mark.parametrize("duration", [2**32, 10**20, 2**63], ids=["2**32", "10**20", "2**63"])
+def test_event_file_duration_past_u32_is_data_error(tmp_path, capsys, command, duration):
+    path = tmp_path / "long.events"
+    path.write_text("".join(f"shape=16 duration={duration} label={c}\n0 1\n" for c in range(3) for _ in range(4)))
+    cfg = tmp_path / "file.yaml"
+    cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {path}\n")
+    args = ["--events", str(path)] if command == ["simulate"] else []
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith(f"data error: sample with label 0: duration {duration} past") and "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("event", ["99999999999999999999 0", "1.5 0"])
 def test_unparsable_event_field_is_data_error(tmp_path, capsys, event):
     path = tmp_path / "bad.events"
@@ -449,10 +463,12 @@ def test_negative_seed_is_config_error(tmp_path, capsys, dry_run, flags, old, ne
                          ids=["run", "dry-run", "calibrate"])
 def test_readout_tau_u_not_below_tau_v_is_config_error(tmp_path, capsys, command):
     p = tmp_path / "run.yaml"
-    p.write_text(SMALL_CONFIG + "readout:\n  tau_u: 20.0\n")  # tau_v stays 16
-    assert main([*command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("config error: readout:") and "tau_v > tau_u" in err and "Traceback" not in out + err
+    # tau_v stays 16 in the first; in the second the two decays round to one float
+    for taus in ("{tau_u: 20.0}", "{tau_u: 1.0e+15, tau_v: 1.0000001e+15}"):
+        p.write_text(SMALL_CONFIG + f"readout: {taus}\n")
+        assert main([*command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: readout:") and "tau_v > tau_u" in err and "Traceback" not in out + err
 
 
 def _small_config_with(tmp_path, changes: dict) -> str:
@@ -519,7 +535,8 @@ PROBED_CONFIGS = {  # each refused before the first step: (changes, exit code)
     "rule-400-parentheses": ({"learning": {"rule": "dw = " + "(" * 400 + "x1" + ")" * 400}}, 2),
     "rule-2000-unary-minus": ({"learning": {"rule": "dw = " + "-" * 2000 + "x1"}}, 2),
     "episode.k_shot": ({"episode": {"k_shot": 9}}, 3),  # 4 samples per class
-    "data.dim": ({"data": {"dim": 0}}, 3),
+    "data.dim": ({"data": {"dim": 0}}, 2),  # no prototypes can be placed
+    "data.separation-unplaceable": ({"data": {"separation": 10}}, 2),  # 3 prototypes 10 apart in [0, 1]**16
     "weights.path-missing": ({"weights": {"path": "missing.ssw"}}, 3),
     "rule-dangling-plus": ({"learning": {"rule": "dw = x1 +"}}, 2),
     "episode.calibration_window": ({"episode": {"calibration_window": 0}}, 4),

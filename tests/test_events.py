@@ -1,6 +1,8 @@
 """Event file format, rate encoding, synthetic task generation."""
 
+import contextlib
 import hashlib
+import io
 import math
 import re
 import tracemalloc
@@ -17,7 +19,6 @@ from spikeshot.config import load_config
 from spikeshot.events import (
     EventFormatError,
     LabeledSample,
-    SeparationError,
     SpikeEvent,
     gen_synthetic_task,
     rate_encode,
@@ -175,6 +176,42 @@ def test_bad_field_is_named_before_undecodable_bytes_a_block_later(tmp_path):
         read_events(path)
 
 
+def test_bad_field_is_named_before_undecodable_bytes_in_the_same_block(tmp_path):
+    path = tmp_path / "bad.events"
+    path.write_bytes(b"shape=3 duration=5 label=0\n1 x\n3 \xff\n")
+    with pytest.raises(EventFormatError, match="^line 2: event field 'x'"):
+        read_events(path)
+
+
+UNDECODABLE_LINES = [  # (file bytes, the line named): a comment, a header, before any header, CR line ends,
+    (b"# \xff\nshape=3 duration=5 label=0\n", 1),  # and UTF-8-encoded surrogates, which are not UTF-8
+    (b"shape=3 duration=5 label=0\xff\n0 1\n", 1),
+    (b"\xe2\x82\n", 1),
+    (b"shape=3 duration=5 label=0\r0 1\r\r1 \xed\xa0\x80\n", 4),
+]
+
+
+@pytest.mark.parametrize("data, lineno", UNDECODABLE_LINES)
+def test_undecodable_bytes_are_refused_on_their_own_line(tmp_path, data, lineno):
+    path = tmp_path / "bad.events"
+    path.write_bytes(data)
+    with pytest.raises(EventFormatError, match=f"^line {lineno}: bytes that are not UTF-8 text$"):
+        read_events(path)
+    assert _undecodable_line(path) == lineno
+
+
+def _undecodable_line(path) -> int:
+    """Number of the line holding the first bytes of ``path`` that are not UTF-8."""
+    data = path.read_bytes()
+    start = len(data)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        start = e.start
+    head = data[:start].decode("utf-8") + "?"  # the bad byte's line counts as a line
+    return len(io.StringIO(head, newline=None).readlines())
+
+
 def _parse_events_reference(tokens, linenos):
     try:
         return np.array(tokens, dtype=np.int64).reshape(-1, 2)
@@ -222,7 +259,7 @@ def read_events_reference(path):
                 tokens += parts
                 linenos.append(lineno)
         except UnicodeDecodeError:
-            raise EventFormatError(f"line {events._undecodable_line(path)}: bytes that are not UTF-8 text") from None
+            raise EventFormatError(f"line {_undecodable_line(path)}: bytes that are not UTF-8 text") from None
     if samples:
         samples[-1].events = _parse_events_reference(tokens, linenos)
     for s in samples:
@@ -318,7 +355,7 @@ def test_event_run_not_two_fields_per_line_is_format_error(tmp_path):
 
 def test_read_events_holds_one_block_of_text(tmp_path):
     """Peak memory of a read is its output arrays plus a few blocks of text,
-    not the whole file's text."""
+    not the whole file's text, also when the file's last line is refused."""
     block = 1 << 16
     rng = np.random.default_rng(0)
     samples = []
@@ -328,16 +365,23 @@ def test_read_events_holds_one_block_of_text(tmp_path):
     path = tmp_path / "big.events"
     write_events(samples, path)
     assert path.stat().st_size > 40 * block
-    with mock.patch.object(events, "_BLOCK_CHARS", block):
-        tracemalloc.start()
-        try:
-            back = read_events(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    output = sum(s.events.nbytes for s in samples)
+    text = path.read_bytes()
+    bad = tmp_path / "bad-last-line.events"
+    bad.write_bytes(text + b"0 \xff")
+    last = text.count(b"\n") + 1
+    refused = pytest.raises(EventFormatError, match=f"^line {last}: bytes that are not UTF-8 text$")
+    for read_path, expect in ((path, contextlib.nullcontext()), (bad, refused)):
+        with mock.patch.object(events, "_BLOCK_CHARS", block):
+            tracemalloc.start()
+            try:
+                with expect:
+                    back = read_events(read_path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < output + 16 * block, (read_path.name, peak, output)
     assert_same_samples(back, samples)
-    output = sum(s.events.nbytes for s in back)
-    assert peak < output + 16 * block, (peak, output)
 
 
 def test_non_positive_shape_rejected(tmp_path):
@@ -497,7 +541,7 @@ def test_two_class_low_dim_feasible():
 
 
 def test_separation_infeasible_raises():
-    with pytest.raises(SeparationError):
+    with pytest.raises(ValueError, match="failed to place 10 prototypes"):
         gen_synthetic_task(10, 1, 2, separation=5.0, seed=0)
 
 

@@ -63,6 +63,12 @@ def test_matched_configs_require_slower_psp():
         psp_matched_trace_configs(16, 8)
 
 
+def test_matched_configs_refuse_decays_that_round_to_one_float():
+    assert math.exp(-1.0 / 1.0e15) == math.exp(-1.0 / 1.0000001e15)
+    with pytest.raises(ValueError, match="distinct decays"):
+        psp_matched_trace_configs(1.0e15, 1.0000001e15)
+
+
 def unit_dense(params):
     """One neuron behind one synapse of weight 1: its p is the input's PSP."""
     return DenseLayer(LayerSpec("dense", (1,), (1,)), params, np.ones((1, 1)), 0)
