@@ -13,9 +13,9 @@ writes nothing: for every seed it builds the network and dataset, reading the
 weight and event files, calibrates and parses the rule.
 
 Exit codes: 0 success, 2 config error (also a config file or output
-directory that cannot be used, a synthetic task that cannot be generated, and
-a network or dataset too large to allocate), 3 data/weights error (also any
-other path that cannot be read or written), 4 calibration failure.
+directory that cannot be used, and a synthetic task or network that cannot
+be made), 3 data/weights error (also any other path that cannot be read or
+written, and samples whose streams do not fit in memory), 4 calibration failure.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ runs it too. Only the readout learns, so the stepping runs in three phases:
    pre-synaptic filters and x traces, the rule's constant-times-x factors,
    the rounding uniforms and the label drive. Each step then runs only the
    drive, the distal compartment, one advance of a stack of the y traces
-   and the reset term, and one stacked evaluation of the rule, into buffers
-   made once per ``train`` call: a block allocates nothing, so no freed
-   page faults in again. The proximal compartment is not stepped.
+   and the reset term, and one stacked evaluation of the rule, over
+   buffers, views and methods bound once per ``train`` call, so a step
+   allocates and looks up nothing. The proximal compartment is not stepped.
 3. Evaluation. ``readout_steps`` steps every stream at once with plasticity
    off and no label drive. ``spikeshot eval`` and ``simulate`` run phases 1
    and 3 too, so every subcommand runs one forward implementation.
@@ -255,7 +255,10 @@ def frozen_pass(net, samples: list[LabeledSample]) -> np.ndarray:
     _check_input_size(net, samples)
     n_b, n_t = len(samples), max((s.duration for s in samples), default=0)
     # zeroed: a group shorter than the batch leaves its tail unwritten, and evaluation steps over it
-    streams = np.zeros((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
+    try:  # the first allocation that the data file sizes
+        streams = np.zeros((n_b, n_t, net.readout.fan_in), dtype=bool if net.layers else np.float64)
+    except MemoryError as e:
+        raise DatasetError(f"the streams of {n_b} samples of up to {n_t} steps do not fit in memory: {e}") from None
     n_g = _group_count(net, n_b)
     cuts = [g * n_b // n_g for g in range(n_g + 1)]
     indices = [_event_index(samples[a:b], net) for a, b in zip(cuts, cuts[1:])]  # all before any layer state

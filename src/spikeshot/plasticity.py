@@ -21,7 +21,9 @@ from .ruledsl import RuleError, SumOfProductsRule
 
 WEIGHT_MIN = -128
 WEIGHT_MAX = 127
-_BOUNDS = np.array(float(WEIGHT_MIN)), np.array(float(WEIGHT_MAX))
+_LO, _HI = np.array(float(WEIGHT_MIN)), np.array(float(WEIGHT_MAX))
+# module names for what a learning step calls: np.<name> costs about what a small operation does
+_add, _mul, _sub, _floor, _ceil, _fmin, _fmax = np.add, np.multiply, np.subtract, np.floor, np.ceil, np.fmin, np.fmax
 
 
 @functools.cache
@@ -55,17 +57,18 @@ class NonFiniteUpdateError(ValueError):
 class QuantizedWeightStore:
     """Signed 8-bit weight matrix with a power-of-two scale and rounding stream.
 
-    The store learns on a float64 copy of the integer weights and caches the
-    effective weights, so that a learning step converts nothing. ``weights``
-    is a read-only int8 array, rebuilt from the float copy when it is read
-    after an update. ``set_weights`` changes the weights and the scale, and
-    is the one way to change the scale; assigning ``weights`` keeps it.
+    The store learns on a float64 copy of the integer weights and keeps the
+    effective weights in one buffer, which every update refreshes in place,
+    so that a learning step converts and allocates nothing. ``weights`` is a
+    read-only int8 array, rebuilt from the float copy when it is read after
+    an update. ``set_weights`` changes the weights and the scale, in new
+    arrays, and is the one way to change the scale; assigning ``weights``
+    keeps it.
     """
 
     def __init__(self, shape: tuple[int, int], scale_exp: int, seed: int, init: np.ndarray | None = None):
         self.shape = tuple(shape)
         self.rng_seed = int(seed)
-        self._frac, self._floor = np.empty((2,) + self.shape)  # the rounding's buffers
         self.set_weights(np.zeros(self.shape, dtype=np.int8) if init is None else init, scale_exp)
         self.reseed()
 
@@ -88,14 +91,16 @@ class QuantizedWeightStore:
         self._weights = int8_weights(weights, self.shape, scale_exp)
         self._scale_exp = int(scale_exp)
         self._float = self._weights.astype(np.float64)
-        self._eff = None
+        eff = np.multiply(self._float, _pow2(self._scale_exp))
+        self._view = eff.view()
+        self._view.flags.writeable = False
+        # all an update reads, the rounding's two buffers first: one lookup costs about what a small operation does
+        self._update = *np.empty((2,) + self.shape), self._float, eff, _pow2(self._scale_exp)
 
     def effective(self) -> np.ndarray:
-        """Real-valued weights: integer * 2**scale_exp (read-only, cached)."""
-        if self._eff is None:
-            self._eff = np.multiply(self._float, _pow2(self._scale_exp))
-            self._eff.flags.writeable = False
-        return self._eff
+        """Real-valued weights, integer * 2**scale_exp: a read-only view that follows
+        the updates until ``set_weights``, after which it keeps the weights it showed."""
+        return self._view
 
     def reseed(self):
         """Rewind the rounding stream; weights are untouched."""
@@ -120,27 +125,23 @@ class QuantizedWeightStore:
     def apply_update_matrix(self, raw_deltas: np.ndarray, lr_exp: int, draws: np.ndarray):
         """Stochastically round every synapse toward w + raw_delta * 2**lr_exp.
 
-        Synapse (i, j) rounds up when ``draws[i, j]`` falls below the
-        candidate's fractional part. A candidate that is not finite refuses
-        the whole update and leaves the store as it was.
+        ``raw_deltas`` and ``draws`` have the store's shape; synapse (i, j)
+        rounds up when ``draws[i, j]`` falls below the candidate's fractional
+        part. A non-finite candidate refuses the whole update and leaves the store as it was.
         """
-        if raw_deltas.shape != self.shape:
-            raise ValueError(f"delta shape {raw_deltas.shape} != store shape {self.shape}")
-        # buffers and positional outputs: an allocation or a keyword costs
-        # about what a small operation does
-        frac, floor, sub = self._frac, self._floor, np.subtract
-        np.add(self._float, np.multiply(raw_deltas, _pow2(lr_exp), frac), frac)
-        sub(frac, np.floor(frac, floor), frac)
+        # buffers and positional outputs: an allocation or a keyword costs about what a small operation does
+        frac, floor, w, eff, scale = self._update
+        _add(w, _mul(raw_deltas, _pow2(lr_exp), frac), frac)
+        _sub(frac, _floor(frac, floor), frac)
         # frac lies in [0, 1] where the candidate is finite and is NaN where it is not
         if math.isnan(np.vdot(frac, frac)):  # numpy's cheapest sum
-            bad = np.count_nonzero(np.isnan(frac))
-            raise NonFiniteUpdateError(f"{bad} of {frac.size} weight updates are not finite")
+            raise NonFiniteUpdateError(f"{np.isnan(frac).sum()} of {frac.size} weight updates are not finite")
         # frac - draw > 0 exactly where draw < frac, so its ceiling is the carry, 1 or ±0
-        np.add(floor, np.ceil(sub(frac, draws, frac), frac), floor)
+        _add(floor, _ceil(_sub(frac, draws, frac), frac), floor)
         # clamped: integers in [-128, 127], never -0.0, so exactly the new int8 weights as floats
-        np.fmin(np.fmax(floor, _BOUNDS[0], floor), _BOUNDS[1], self._float)
+        _fmin(_fmax(floor, _LO, floor), _HI, w)
+        _mul(w, scale, eff)
         self._weights = None
-        self._eff = None
 
 
 class PlasticityEngine:
@@ -158,7 +159,9 @@ class PlasticityEngine:
     sums the products in order with one reduction and rounds the sum into
     the store. Per synapse these are the scalar rule's operations in the
     scalar rule's order, so the updates are bit for bit the same. A rule
-    whose updates are not finite is a ``RuleError`` naming the rule.
+    whose updates are not finite is a ``RuleError`` naming the rule. ``bind``
+    fixes, once per ``train`` call, all that a tick reads but its arguments,
+    the store's ``apply_update_matrix`` as looked up then among it.
     """
 
     def __init__(
@@ -176,12 +179,11 @@ class PlasticityEngine:
         # in one row per product and y factor position ("1" where a product
         # has fewer y factors), then a row per y that only whole products read
         self.x_names = tuple(v for v in ("x0", "x1", "x2") if v in rule.variables)
-        x_row = {v: r for r, v in enumerate(self.x_names)}
         self._leads, self._whole, ys = [], [], []
         for k, prod in enumerate(rule.products):
             names = [f.name for f in prod.factors]
             n_x = next((i for i, v in enumerate(names) if v[0] != "x"), len(names))
-            self._leads.append((k, prod.constant, [x_row[v] for v in names[:n_x]]))
+            self._leads.append((k, prod.constant, [self.x_names.index(v) for v in names[:n_x]]))
             if all(v[0] == "y" for v in names[n_x:]):
                 ys.append(names[n_x:])
             else:
@@ -191,44 +193,47 @@ class PlasticityEngine:
         y_rows = [y[d] if d < len(y) else "1" for d in range(self._depth) for y in ys]
         y_rows += sorted({v for _, rest in self._whole for v in rest if v[0] == "y"} - set(y_rows))
         self.y_rows = tuple(y_rows)
-        self._whole = [(k, [(v[0], x_row[v] if v[0] == "x" else y_rows.index(v) if v[0] == "y" else None)
-                            for v in rest]) for k, rest in self._whole]
-        self._terms = np.empty((len(ys),) + store.shape)
-        self._total = np.empty(store.shape)
-        # np.add.reduce sums over axis 0 elementwise, left to right, unless
-        # each term is one synapse: then it sums pairwise
-        self._lone = store.shape == (1, 1)
 
     def leads(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Every product's constant times its leading x factors at n learning
-        steps, from x values ``[n, len(x_names), fan_in]``, into ``out``,
-        ``[n, K, fan_in]``; returns it as ``[n, K, 1, fan_in]``."""
+        """Every product's constant times its leading x factors at n learning steps,
+        from x values ``[n, len(x_names), fan_in]``, into ``out``, ``[n, K, fan_in]``."""
         for k, c, rows in self._leads:
             out[:, k] = c
             for r in rows:
                 out[:, k] *= x[:, r]
-        return out[:, :, np.newaxis]
 
-    def tick(self, lead: np.ndarray, x: np.ndarray, y: np.ndarray, draws: np.ndarray):
-        """One learning step: evaluate the rule and round it into the store.
+    def bind(self, y: np.ndarray):
+        """Bind the ticks that follow to ``y``, the values of ``y_rows`` (and
+        maybe more rows after them) as columns, ``[rows, n_out, 1]``, which
+        the caller updates in place, and to the store as it is now."""
+        store, n = self.store, len(self._leads)
+        terms, w_eff = np.empty((n,) + store.shape), store.effective()
+        # a whole product starts from its constant when no x leads it; each
+        # factor is the effective weights or a y row, or None and an x row
+        whole = tuple((terms[k], k, None if self._leads[k][2] else np.array(self._leads[k][1]),
+                       tuple((w_eff, None) if v == "w" else (None, self.x_names.index(v)) if v[0] == "x"
+                             else (y[self.y_rows.index(v)], None) for v in rest)) for k, rest in self._whole)
+        # np.add.reduce sums over axis 0 elementwise, left to right, unless each term is one synapse: then pairwise
+        total = (functools.partial(functools.reduce, np.add, tuple(terms)) if store.shape == (1, 1)
+                 else functools.partial(np.add.reduce, terms, 0, None, np.empty(store.shape)))
+        ys = tuple(y[d * n : (d + 1) * n] for d in range(self._depth))
+        self._bound = terms, ys[0], ys[1:], whole, total, store.apply_update_matrix, self.lr_exp
 
-        ``lead`` is this step's ``leads`` row, ``x`` its x values, ``[len(x_names),
-        fan_in]``, ``y`` its values of ``y_rows`` (and maybe more rows after
-        them) as columns, ``[rows, n_out, 1]``, and ``draws`` its rounding uniforms.
-        """
+    def tick(self, lead: np.ndarray, x: np.ndarray, draws: np.ndarray):
+        """One learning step on the y values ``bind`` bound: evaluate the rule
+        and round it into the store. ``lead`` is this step's ``leads`` row as
+        ``[K, 1, fan_in]``, ``x`` its x values, ``[len(x_names), fan_in]``, and
+        ``draws`` its rounding uniforms."""
         # positional outputs: a keyword costs about what a small multiply does
-        terms, mul, n = self._terms, np.multiply, len(self._terms)
-        mul(lead, y[:n], terms)
-        for d in range(1, self._depth):
-            mul(terms, y[d * n : (d + 1) * n], terms)
-        if self._whole:
-            w_eff = self.store.effective()
-            for k, rest in self._whole:
-                term, acc = terms[k], lead[k]
-                for kind, r in rest:
-                    acc = mul(acc, w_eff if kind == "w" else x[r] if kind == "x" else y[r], term)
-        total = functools.reduce(np.add, terms) if self._lone else np.add.reduce(terms, 0, None, self._total)
+        terms, first, later, whole, total, apply, lr_exp = self._bound
+        _mul(lead, first, terms)
+        for y in later:
+            _mul(terms, y, terms)
+        for term, k, acc, factors in whole:
+            acc = lead[k] if acc is None else acc
+            for fixed, r in factors:
+                acc = _mul(acc, x[r] if fixed is None else fixed, term)
         try:
-            self.store.apply_update_matrix(total, self.lr_exp, draws)
+            apply(total(), lr_exp, draws)
         except NonFiniteUpdateError as e:
             raise RuleError(f"rule {self.rule.pretty()!r} gives non-finite weight updates: {e}") from None

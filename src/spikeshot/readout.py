@@ -12,8 +12,11 @@ drive, below baseline the opposite.
 
 The proximal compartment integrates the current copied from the distal one
 (its synaptic drive term, pre-reset) and receives the same label drive with
-the opposite sign through the same integration path, so the label cancels
-exactly and never contaminates the spike counts used for classification. A
+the opposite sign through the same integration path. That cancels the label
+only up to rounding: with drive d and label drive l, ((d - l) + b_err) + l
+differs from d + b_err in float64 in 22% of draws (d normal, l uniform in
+[0, 2), the shipped b_err). No spike count carries the residue: evaluation
+and ``simulate`` pass l = 0, and training steps no proximal compartment. A
 constant offset on the proximal potential cancels the steady-state
 contribution of b_err to the integrated current; without it every neuron
 would saturate at one spike per step and spike counts would carry no signal.
@@ -255,15 +258,6 @@ class ReadoutLayer:
         q = self._a_q * q + drive
         return q, self._a_p * p + q / self.params.neuron.tau_v
 
-    def _distal(self, drive, label_drive, r, b_err, v_th, out=(None, None, None)):
-        """One step of the distal compartment from the synaptic drive,
-        effective() @ p_pre, the label drive (see ``_label_drive``) and the
-        reset term ``r``, already past the previous step's spikes. Returns
-        the potential without and with ``r`` and the spikes, into ``out``."""
-        base = np.add(np.subtract(drive, label_drive, out[0]), b_err, out[0])
-        v = np.add(base, r, out[1])
-        return base, v, np.greater_equal(v, v_th, out[2])
-
     def step(self, in_spikes: np.ndarray, label_drive=0.0) -> np.ndarray:
         """One plasticity-off timestep; returns the proximal (output) spike vector.
 
@@ -283,11 +277,11 @@ class ReadoutLayer:
         # one gemv per sample, bit-identical to effective() @ p_pre
         drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
         self.r_err = self._a_p * self.r_err - self.spiked_err * n.v_th
-        u_err, self.v_err, self.spiked_err = self._distal(drive, label_drive, self.r_err, self.b_err, n.v_th)
+        u_err, self.v_err, self.spiked_err = _distal(drive, label_drive, self.r_err, self.b_err, n.v_th)
 
         # proximal compartment: integrates the copied current; the label
         # drive re-enters with opposite sign through the same filter, so
-        # the label cancels exactly
+        # the label cancels up to rounding (see the module docstring)
         self.p_out = self._a_p * self.p_out + u_err + label_drive
         self.r_out = self._a_p * self.r_out - self.spiked_out * n.v_th
         self.v_out = self.p_out + self.r_out + self.b_out
@@ -320,16 +314,15 @@ class ReadoutLayer:
         What no weight reaches is done ahead of the steps, over whole
         stretches of a sample: the PSC filter and the x traces as one
         recursion over their stacked rows, the PSP filter as a second, the
-        rule's leading factors at every learning step and the rounding
-        uniforms; the label drive is filtered once per call. A step then
-        runs only the weight-dependent work, in about 20 numpy calls for
-        the shipped rule: the drive (one gemv), the distal compartment, one
-        decay-and-jump of a stack that holds the y traces and the reset term
-        r_err, and at learning steps the engine's tick; the proximal
-        compartment is not stepped. All of it writes into buffers made once
-        per call (see ``_present``). The weights and the rounding stream are
-        bit for bit those of ``step`` with the rule applied after every
-        learning step to traces of the step's input and error spikes
+        rule's leading factors at every learning step, the rounding uniforms
+        and the label drive. A step then runs only the weight-dependent
+        work, about 20 ufunc calls for the shipped rule over names bound
+        once per call (see ``_present``): the drive (one gemv), the distal
+        compartment, one decay-and-jump of a stack of the y traces and the
+        reset term r_err, and at learning steps the engine's tick; the
+        proximal compartment is not stepped. The weights and the rounding
+        stream are bit for bit those of ``step`` with the rule applied after
+        every learning step to traces of the step's input and error spikes
         (``StepTraces`` in ``tests/oracle.py``). A rule whose updates are
         not finite raises ``RuleError`` at that step, leaving the weights
         and the stream as the steps before it left them; numpy's overflow
@@ -352,12 +345,11 @@ class ReadoutLayer:
         The pre-work runs in blocks of whole learning periods whose arrays
         take about ``_BLOCK_BYTES``, so that a wide readout adds little
         memory and the block stays in cache; the filters carry their state
-        from block to block. A block allocates nothing: the pre-work and the
-        steps write, through views and positional outputs, into buffers made
-        once per call and sized for the longest block. Fresh arrays of a
-        block's size (about 1 MB at desk scale) go back to the kernel when
-        freed, so their pages would fault and be zeroed again on every
-        block. Constants are 0-d arrays, which numpy takes faster than floats.
+        from block to block. The buffers, sized for the longest block, their
+        row views, the engine's ``bind`` and the methods a step calls are made
+        or looked up once per call, so a step allocates, views and looks up
+        nothing (fresh block-sized arrays would fault in on every block).
+        Constants are 0-d arrays, which numpy takes faster than floats.
         """
         engine, store, period, n = self.engine, self.store, self.engine.learn_period, self.params.neuron
         # (decay, jump) of each trace: x0 and y0 are the spikes themselves,
@@ -371,7 +363,7 @@ class ReadoutLayer:
         block = period * max(1, _BLOCK_BYTES // (8 * self.fan_in * (len(decays) * period + n_k + self.n_out)))
         rows, wave = min(block, n_max), self._label_drive(target_period, n_max)
         filt_buf, leads_buf = np.empty((rows, len(decays), self.fan_in)), np.empty((rows // period, n_k, self.fan_in))
-        draws_buf, label_drive = np.empty((rows // period,) + store.shape), np.empty((n_max, self.n_out))
+        draws_buf, label_buf = np.empty((rows // period,) + store.shape), np.empty((rows, self.n_out))
         filt_state, psp_state = np.empty_like(decays), np.empty(self.fan_in)
         # y rows step as traces of the error spikes; the last one, the reset
         # term, decays by alpha_p and jumps by -v_th (a*r + s*(-v_th) is
@@ -380,44 +372,60 @@ class ReadoutLayer:
         y_decays, y_incs = np.array(y_cfgs).T[:, :, np.newaxis] * np.ones(self.n_out)
         y0 = np.array([[float(k == "1")] * self.n_out for k in engine.y_rows] + [[0.0] * self.n_out])
         y, jump, drive = np.empty_like(y0), np.empty_like(y0), np.empty(self.n_out)
-        y_cols, r = y[:, :, np.newaxis], y[-1]
-        out = np.zeros(self.n_out), np.zeros(self.n_out), np.zeros(self.n_out, dtype=bool)
+        base, v, spiked = np.zeros(self.n_out), np.zeros(self.n_out), np.zeros(self.n_out, dtype=bool)
         b_err, v_th, a_p = np.array(self.b_err), np.array(n.v_th), np.array(self._a_p)
+        engine.bind(y[:, :, np.newaxis])  # the y values as columns
+        r, tick, dot, add, mul = y[-1], engine.tick, store.effective().dot, np.add, np.multiply
+        last, filts, psps, label_drives = period - 1, list(filt_buf), list(filt_buf[:, 0]), list(label_buf)
+        ticks = list(zip(leads_buf[:, :, np.newaxis], filt_buf[last::period, 1:], draws_buf))
         for stream, label in zip(streams, labels):
-            filt_state[...], psp_state[...], y[...], label_drive[...] = 0.0, 0.0, y0, 0.0
-            label_drive[:, label] = wave
+            filt_state[...], psp_state[...], y[...], label_buf[...] = 0.0, 0.0, y0, 0.0
             for t0 in range(0, len(stream), block):
                 seg = stream[t0 : t0 + block]
                 filt = filt_buf[: len(seg)]
+                label_buf[: len(seg), label] = wave[t0 : t0 + len(seg)]
                 np.divide(seg, n.tau_u, out=filt[:, 0])
                 for k, name in enumerate(engine.x_names, 1):
                     np.multiply(seg, cfgs[name][1], out=filt[:, k])
-                _recur(filt, decays, filt_state)
-                psp = filt[:, 0]  # the PSC row becomes the PSP
-                _recur(np.divide(psp, n.tau_v, out=psp), a_p, psp_state)
-                x = filt[period - 1 :: period, 1:]
-                leads, draws = engine.leads(x, leads_buf[: len(x)]), store.uniforms(draws_buf[: len(x)])
-                tick, eff = 0, store.effective()
+                _recur(filts[: len(seg)], decays, filt_state)
+                np.divide(filt[:, 0], n.tau_v, out=filt[:, 0])  # the PSC row becomes the PSP
+                _recur(psps[: len(seg)], a_p, psp_state)
+                x = filt[last::period, 1:]
+                engine.leads(x, leads_buf[: len(x)])
+                store.uniforms(draws_buf[: len(x)])
+                i = 0
                 try:
-                    for t, (p, lab) in enumerate(zip(psp, label_drive[t0 : t0 + block])):
-                        self._distal(eff.dot(p, drive), lab, r, b_err, v_th, out)  # a gemv, as in step
-                        np.add(np.multiply(y, y_decays, y), np.multiply(out[2], y_incs, jump), y)
-                        if t % period == period - 1:
-                            engine.tick(leads[tick], x[tick], y_cols, draws[tick])
-                            tick, eff = tick + 1, store.effective()
+                    for t, (p, lab) in enumerate(zip(psps[: len(seg)], label_drives)):
+                        _distal(dot(p, drive), lab, r, b_err, v_th, base, v, spiked)  # a gemv, as in step
+                        add(mul(y, y_decays, y), mul(spiked, y_incs, jump), y)
+                        if t % period == last:
+                            tick(*ticks[i])
+                            i += 1
                 except RuleError:
-                    store.unread(tick)
+                    store.unread(i)
                     raise
 
 
 # bytes of pre-work arrays per block of a sample's training steps
 _BLOCK_BYTES = 1 << 20
 
+_add, _sub, _ge = np.add, np.subtract, np.greater_equal  # in a step, np.<name> costs about a small operation
 
-def _recur(a: np.ndarray, decay, state: np.ndarray):
-    """In place along axis 0: a[t] = decay * a[t - 1] + a[t], where a[-1]
-    is ``state``, which then takes the last row: the next state."""
+
+def _distal(drive, label_drive, r, b_err, v_th, base=None, v=None, spiked=None):
+    """One step of the distal compartment from the synaptic drive,
+    effective() @ p_pre, the label drive (see ``_label_drive``) and the
+    reset term ``r``, already past the previous step's spikes: the potential
+    without and with ``r`` and the spikes, into ``base``, ``v`` and ``spiked``."""
+    base = _add(_sub(drive, label_drive, base), b_err, base)
+    v = _add(base, r, v)
+    return base, v, _ge(v, v_th, spiked)
+
+
+def _recur(rows: list, decay, state: np.ndarray):
+    """In place over the arrays ``rows``: rows[t] = decay * rows[t - 1] + rows[t],
+    where rows[-1] is ``state``, which then takes the last row: the next state."""
     add, mul = np.add, np.multiply
-    for prev, cur in zip([state] + list(a), a):
+    for prev, cur in zip([state] + rows, rows):
         add(mul(decay, prev, state), cur, cur)  # positional out: keywords cost more than the add
-    state[...] = a[-1]
+    state[...] = rows[-1]

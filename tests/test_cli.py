@@ -663,23 +663,46 @@ def test_seed_flag_of_gen_data_and_simulate_is_a_seed_list_of_one(tmp_path):
     assert all(a != b for a, b in zip(outputs["flag"], outputs["zero"]))
 
 
-@pytest.mark.parametrize("topology, words", [
-    ({"input": "4294967295"}, "TiB"),  # ~1 TiB of weights to draw
-    ({"input": "4294967295", "layers": ["4294967295"]}, "numpy's largest array"),
-], ids=["past-memory", "past-numpy"])
-def test_oversized_network_is_config_error(tmp_path, topology, words):
-    # the address space is capped, so that no run starts a real TiB allocation
-    cfg = _small_config_with(tmp_path, {"topology": topology})
+def _capped_main(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess whose address space is capped at 4 GiB, so
+    that no run starts a real TiB allocation."""
     limit = 4 << 30
     code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
             "from spikeshot.cli import main; sys.exit(main(sys.argv[1:]))")
     src = os.path.dirname(os.path.dirname(spikeshot.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", code, "train", "--dry-run", "--config", cfg],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("topology, words", [
+    ({"input": "4294967295"}, "TiB"),  # ~1 TiB of weights to draw
+    ({"input": "4294967295", "layers": ["4294967295"]}, "numpy's largest array"),
+], ids=["past-memory", "past-numpy"])
+def test_oversized_network_is_config_error(tmp_path, topology, words):
+    cfg = _small_config_with(tmp_path, {"topology": topology})
+    proc = _capped_main("train", "--dry-run", "--config", cfg)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error:") and words in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "simulate"])
+def test_event_file_too_large_to_hold_is_data_error(tmp_path, cfg_file, command):
+    # durations within the u32 bound, but 12 samples' streams of 32 spikes would take 1.5 TiB
+    # (eval steps only the 6 test samples); only the capped subprocess may run this
+    path = tmp_path / "huge.events"
+    path.write_text("".join(f"shape=16 duration=4294967295 label={c}\n0 1\n" for c in range(3) for _ in range(4)))
+    cfg = tmp_path / "file.yaml"
+    cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {path}\n")
+    args = {"train": ["--out", str(tmp_path / "o")], "simulate": ["--out", str(tmp_path / "o"), "--events", str(path)]}
+    if command == "eval":
+        assert main(["train", "--config", cfg_file, "--out", str(tmp_path / "w")]) == 0
+        args["eval"] = ["--weights", str(tmp_path / "w" / "weights_seed0.ssw")]
+    proc = _capped_main(command, "--config", str(cfg), *args[command])
+    assert proc.returncode == 3, proc.stderr
+    n = 6 if command == "eval" else 12
+    assert proc.stderr.startswith(f"data error: the streams of {n} samples of up to 4294967295 steps do not fit")
+    assert "Traceback" not in proc.stderr
 
 
 def test_paths_with_a_non_utf8_byte_run_as_ascii_paths(cfg_file, tmp_path):

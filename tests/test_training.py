@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from spikeshot import readout
 from spikeshot.dynamics import NeuronParams
-from spikeshot.plasticity import QuantizedWeightStore
+from spikeshot.plasticity import PlasticityEngine, QuantizedWeightStore
 from spikeshot.readout import ReadoutLayer, ReadoutParams
 from spikeshot.ruledsl import RULE_VARS, Factor, Product, RuleError, SumOfProductsRule, parse_rule
 
@@ -161,6 +161,30 @@ def test_train_leaves_the_layer_state_as_it_found_it():
     for name, before in state.items():
         after = getattr(layer, name)
         assert after.dtype == before.dtype and np.array_equal(after, before), name
+
+
+@pytest.mark.parametrize("learn_period", [1, 3])
+def test_class_wrappers_see_each_learning_step_once(learn_period, monkeypatch):
+    # a meter wraps these two methods on their classes after the engine is
+    # attached, as the benchmark's tracer does; train must look them up when
+    # it starts, call each once per learning step and learn as it does unwrapped
+    rng = np.random.default_rng(9)
+    streams = [rng.integers(0, 3, size=(n, 3)).astype(float) for n in (10, 7)]
+    init = rng.integers(-128, 128, size=(2, 3))
+    plain, wrapped = (_layer(3, 2, init, ALL_FORMS, 0, learn_period) for _ in range(2))
+    plain.train(streams, [1, 0], [0, 1], 4)
+    calls = {}
+    for cls, name in ((PlasticityEngine, "tick"), (QuantizedWeightStore, "apply_update_matrix")):
+        def counted(*args, _inner=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    wrapped.train(streams, [1, 0], [0, 1], 4)
+    n_ticks = 10 // learn_period + 7 // learn_period
+    assert calls == {"tick": n_ticks, "apply_update_matrix": n_ticks}
+    assert not np.array_equal(plain.store.weights, init)
+    assert np.array_equal(wrapped.store.weights, plain.store.weights)
+    assert _stream_position(wrapped.store) == _stream_position(plain.store)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 1 << 18])  # a block per step, one per sample
