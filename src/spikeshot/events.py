@@ -5,23 +5,26 @@ header line
 
     shape=<dims> duration=<steps> label=<int>
 
-followed by one event per line, ``<t> <neuron>``, with t a timestep in
-[0, duration) and neuron a flat row-major index into the declared shape.
-Times must be non-decreasing within a sample. The format is text for
-diffability; round-tripping write -> read is exact.
+(shape first, each key once, no other key), followed by one event per line,
+``<t> <neuron>``, with t a timestep in [0, duration) and neuron a flat
+row-major index into the declared shape. Times must be non-decreasing within
+a sample. The format is text for diffability; round-tripping write -> read
+is exact.
 
 In memory a sample's events are one ``[N, 2]`` int64 array of ``(t, neuron)``
 rows in time order, which every consumer takes whole. ``read_events`` reads
-the file once, in blocks of whole lines (about 1 MiB of text), and converts
-each run of canonical event lines (two fields of at most 18 digits, one space)
-in one ``np.fromstring`` call. Every other line (headers, comments, blank
-lines, other spellings of an event, malformed lines) is classified on its own,
-with the line number that any error names; a byte that is not UTF-8 is refused
-on its own line like any other fault, so the first fault in file order is
-named. It holds one block of text at a time, plus the samples' arrays, on
-every path. ``SpikeEvent`` names one row: callers outside the
-package, such as perfbench's event generator, still build samples from lists
-of them, and any sequence of pairs converts.
+the file once, in blocks of whole lines (about 64 KiB of text). A numpy scan
+finds a block's odd lines, with a character other than a digit, a space or a
+newline; one ``np.fromstring`` call converts each stretch between them whose
+lines are all canonical events (two fields below 10**18, one space). Other
+stretches and the odd lines go once through the run pattern and the line loop,
+which classifies each line outside a run (headers, comments, blank lines, other
+spellings of an event, malformed lines) on its own, with the line number that
+any error names; a byte that is not UTF-8 is refused on its own line like any
+other fault, so the first fault in file order is named. It holds one block of
+text at a time, plus the samples' arrays, on every path. ``SpikeEvent`` names
+one row: callers outside the package, such as perfbench's event generator,
+still build samples from lists of them, and any sequence of pairs converts.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ BALANCED_HI = 0.85
 BALANCED_LO = 0.05
 
 _MAX_TRIES = 2000  # rejected prototypes before gen_synthetic_task gives up
-_BLOCK_CHARS = 1 << 20  # characters of the event file read at a time
+_BLOCK_CHARS = 1 << 16  # characters of the event file read at a time; a block's scan arrays stay small
 # A run of event lines that np.fromstring converts exactly: 18 digits stay
 # below 2**63, where it would saturate instead of failing. The matcher keeps
 # ~200 bytes of backtracking state per line, so a run stops at 1,024 lines.
@@ -48,6 +51,8 @@ _EVENT_RUN = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n){1,1024}")
 # A byte that is not UTF-8, as the surrogateescape handler decodes it; valid
 # UTF-8 never decodes to a lone surrogate, and a run holds only digits.
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
+# 1 for each byte that no event line holds (anything but a digit, a space or a newline), else 0
+_ODD_BYTES = bytes(c not in b"0123456789 \n" for c in range(256))
 
 
 class EventFormatError(ValueError):
@@ -115,33 +120,58 @@ def write_events(samples: list[LabeledSample], path) -> None:
             f.writelines(f"{t} {neuron}\n" for t, neuron in s.events.tolist())
 
 
-def _line_blocks(f):
-    """The text of ``f`` in blocks of whole lines, about ``_BLOCK_CHARS`` each;
-    only the last block may lack its final newline."""
-    tail = ""
-    for block in iter(lambda: f.read(_BLOCK_CHARS), ""):
-        cut = block.rfind("\n") + 1
-        if cut:
-            yield tail + block[:cut]
-            tail = block[cut:]
-        else:
-            tail += block
-    if tail:
-        yield tail
+def _bulk_values(stretch: bytes, n: int):
+    """The ``2 n`` int64 fields of ``n`` whole lines of digits, spaces and
+    newlines when each is ``<t> <neuron>``, both fields below 10**18; else None."""
+    if stretch.translate(None, b"0123456789") == b" \n" * n:
+        values = np.fromstring(stretch, dtype=np.int64, sep=" ")  # saturates at 2**63 - 1
+        # a field of 10**18 has 19 digits: a stretch with fewer needs no max
+        if values.size == 2 * n and (len(stretch) - 2 * n < 19 or values.max() < 10**18):
+            return values
+
+
+def _text_pieces(block: str, pos: int, stop: int, lineno: int):
+    """The pieces of the lines ``block[pos:stop]``, from line ``lineno`` on:
+    each run that ``_EVENT_RUN`` matches, as its fields, and each other line."""
+    while pos < stop:
+        run = _EVENT_RUN.match(block, pos, stop)
+        end = run.end() if run else block.find("\n", pos, stop) + 1 or stop
+        k = block.count("\n", pos, end)
+        piece = np.fromstring(block[pos:end], dtype=np.int64, sep=" ") if run else block[pos:end]
+        if run and piece.size != 2 * k:
+            raise EventFormatError(
+                f"lines {lineno}-{lineno + k - 1}: read {piece.size} event fields, expected {2 * k}")
+        yield lineno, run is not None, piece
+        lineno += k
+        pos = end
 
 
 def _pieces(f):
-    """``(lineno, is_run, text)`` of each run of canonical event lines in
-    ``f`` and of each other line, in file order; lineno is the first line's."""
-    lineno = 1
-    for block in _line_blocks(f):
-        pos = 0
-        while pos < len(block):
-            run = _EVENT_RUN.match(block, pos)
-            end = run.end() if run else block.find("\n", pos) + 1 or len(block)
-            yield lineno, run is not None, block[pos:end]
-            lineno += block.count("\n", pos, end)
-            pos = end
+    """``(lineno, is_run, piece)`` of each run of canonical event lines in
+    ``f``, as its int64 fields, and of each other line, as its text, in file
+    order; lineno is the first line's."""
+    lineno, tail, more = 1, "", True
+    while more:
+        chunk = f.read(_BLOCK_CHARS)
+        block, more = tail + chunk, chunk != ""  # the last block's part line, then the next characters
+        data = block.encode("latin-1", "replace")  # a byte a character; any past latin-1 becomes "?"
+        # line i is block[at[i]:at[i + 1]], as Python ints; the last, n, lacks a newline and may be empty
+        bounds = np.concatenate(([0], np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + 1, [len(block)]))
+        n, at, done = bounds.size - 2, memoryview(bounds), 0  # done: the first line not yet yielded
+        odd_chars = np.flatnonzero(np.frombuffer(data.translate(_ODD_BYTES), dtype=bool))
+        odd = np.zeros(n + 2, dtype=bool)  # odd[i + 1]: line i holds an odd character; lines -1 and n count as odd
+        odd[np.searchsorted(bounds, odd_chars, "right")] = True
+        odd[[0, -1]] = True
+        edges = iter(memoryview(np.flatnonzero(odd[1:] != odd[:-1])))  # each stretch between odd lines: start, end
+        for s, e in zip(edges, edges):
+            values = _bulk_values(data[at[s]:at[e]], e - s)
+            if values is not None:  # the lines before it go through the run pattern and the line loop
+                yield from _text_pieces(block, at[done], at[s], lineno + done)
+                yield lineno + s, True, values
+                done = e
+        stop = at[n] if more else len(block)  # line n is whole only at the end of the file
+        yield from _text_pieces(block, at[done], stop, lineno + done)
+        tail, lineno = block[stop:], lineno + n
 
 
 def _sample_events(chunks: list[np.ndarray]) -> np.ndarray:
@@ -153,36 +183,34 @@ def read_events(path) -> list[LabeledSample]:
     samples: list[LabeledSample] = []
     chunks: list[np.ndarray] = []  # the open sample's (t, neuron) values, flat, one array per run or field
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, is_run, text in _pieces(f):
-            if not is_run and _NOT_UTF8.search(text):
-                raise EventFormatError(f"line {lineno}: bytes that are not UTF-8 text")
-            line = text.strip()  # a run starts with a digit: not blank, a comment or a header
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("shape="):
-                if samples:
-                    samples[-1].events = _sample_events(chunks)
-                    chunks = []
-                try:
-                    fields = dict(part.split("=", 1) for part in line.split())
-                    shape = tuple(int(d) for d in fields["shape"].split("x"))
-                    samples.append(LabeledSample(
-                        shape=shape,
-                        duration=int(fields["duration"]),
-                        label=int(fields["label"]),
-                    ))
-                except (KeyError, ValueError):
-                    raise EventFormatError(f"line {lineno}: bad sample header {line!r}")
-                continue
+        for lineno, is_run, piece in _pieces(f):
+            if not is_run:
+                if _NOT_UTF8.search(piece):
+                    raise EventFormatError(f"line {lineno}: bytes that are not UTF-8 text")
+                line = piece.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("shape="):
+                    if samples:
+                        samples[-1].events = _sample_events(chunks)
+                        chunks = []
+                    parts = line.split()
+                    fields = dict(part.partition("=")[::2] for part in parts)
+                    try:
+                        if len(parts) != 3 or fields.keys() != {"shape", "duration", "label"}:  # each key once
+                            raise ValueError
+                        samples.append(LabeledSample(
+                            shape=tuple(int(d) for d in fields["shape"].split("x")),
+                            duration=int(fields["duration"]),
+                            label=int(fields["label"]),
+                        ))
+                    except ValueError:
+                        raise EventFormatError(f"line {lineno}: bad sample header {line!r}")
+                    continue
             if not samples:
                 raise EventFormatError(f"line {lineno}: event before any sample header")
             if is_run:
-                n = text.count("\n")
-                values = np.fromstring(text, dtype=np.int64, sep=" ")
-                if values.size != 2 * n:
-                    raise EventFormatError(
-                        f"lines {lineno}-{lineno + n - 1}: read {values.size} event fields, expected {2 * n}")
-                chunks.append(values)
+                chunks.append(piece)
                 continue
             parts = line.split()
             if len(parts) != 2:

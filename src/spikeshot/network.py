@@ -265,9 +265,10 @@ class PoolLayer(_FrozenLayer):
 
     def pool_index(self, neuron: np.ndarray) -> np.ndarray:
         """The flat output neuron ``(y//k, x//k, c)`` of each flat input neuron ``(y, x, c)``."""
-        y, x, c = np.unravel_index(neuron, self.spec.in_shape)
+        _, w, c = self.spec.in_shape
         k = self.spec.kernel
-        return np.ravel_multi_index((y // k, x // k, c), self.spec.out_shape)
+        y, x = np.divmod(neuron // c, w)
+        return ((y // k) * (w // k) + x // k) * c + neuron % c
 
     def step(self, in_spikes):
         s = np.asarray(in_spikes)

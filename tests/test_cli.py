@@ -244,6 +244,17 @@ def test_event_file_duration_past_u32_is_data_error(tmp_path, capsys, command, d
     assert err.startswith(f"data error: sample with label 0: duration {duration} past") and "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("header", ["shape=16 duration=20 label=0 foo=1", "shape=16 duration=20 label=0 label=3"])
+def test_event_header_with_a_key_unknown_or_twice_is_data_error(tmp_path, capsys, header):
+    path = tmp_path / "bad.events"
+    path.write_text(f"{header}\n0 1\n")
+    cfg = tmp_path / "file.yaml"
+    cfg.write_text(SMALL_CONFIG + f"  kind: file\n  path: {path}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith(f"data error: line 1: bad sample header {header!r}") and "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("event", ["99999999999999999999 0", "1.5 0"])
 def test_unparsable_event_field_is_data_error(tmp_path, capsys, event):
     path = tmp_path / "bad.events"

@@ -155,6 +155,16 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         read_events(path)
 
 
+@pytest.mark.parametrize("header", ["shape=8 duration=5 label=0 foo=1", "shape=8 duration=5 label=0 label=3",
+                                    "shape=8 shape=16 duration=5 label=0", "shape=8 duration=5 duration=5 label=0"])
+def test_header_with_a_key_unknown_or_twice_is_refused(tmp_path, header):
+    # each once read without error, a repeated key keeping its last value
+    path = tmp_path / "bad.events"
+    path.write_text(f"# two samples\nshape=8 duration=5 label=1\n0 1\n{header}\n1 2\n")
+    with pytest.raises(EventFormatError, match=f"^line 4: bad sample header {re.escape(repr(header))}$"):
+        read_events(path)
+
+
 def test_unparsable_event_fields_name_their_line(tmp_path):
     path = tmp_path / "bad.events"
     for line, field in [("99999999999999999999 0", "99999999999999999999"),
@@ -240,7 +250,10 @@ def read_events_reference(path):
                         samples[-1].events = _parse_events_reference(tokens, linenos)
                         tokens, linenos = [], []
                     try:
-                        fields = dict(part.split("=", 1) for part in line.split())
+                        pairs = [part.split("=", 1) for part in line.split()]
+                        if sorted(key for key, _ in pairs) != ["duration", "label", "shape"]:
+                            raise KeyError("a key unknown, repeated or missing")
+                        fields = dict(pairs)
                         shape = tuple(int(d) for d in fields["shape"].split("x"))
                         samples.append(LabeledSample(
                             shape=shape,
@@ -317,7 +330,9 @@ def event_file_text(draw):
             lines.append(draw(st.sampled_from([c + event(), event() + c, f"{t}{c}1 2", f"1 {c}2{c}"])))
         else:
             lines.append(draw(st.sampled_from([f"{t} 1 2", f"{t}", "1.5 2", "x 1", "shape=8 duration=64",
-                                               "shape=8x duration=64 label=0", "label=0 shape=8 duration=64"])))
+                                               "shape=8x duration=64 label=0", "label=0 shape=8 duration=64",
+                                               "shape=8 duration=64 label=0 label=1", "shape=8 duration=64 label=0 x=1",
+                                               "shape=8 label=0 duration=64"])))
     ends = [draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"])) for _ in lines]
     if ends and draw(st.booleans()):
         ends[-1] = ""  # no final newline
@@ -329,6 +344,13 @@ def event_file_text(draw):
 @example(text="shape=8 duration=64 label=0\n1 2\n9223372036854775808 0\n3 4\n", block=1 << 20)
 @example(text="shape=8 duration=64 label=0\n0 1\n999999999999999999 0\n", block=1 << 20)
 @example(text="shape=8 duration=64 label=0\r\n0 1\r2 3\x0c4 5\x1c\n6\x857\n", block=3)
+# at the edges of the bulk check: a multi-byte comment between two stretches of one block, a trailing
+# space and a blank line inside a stretch, 19 digits below 10**18, and a field of exactly 10**18
+@example(text="shape=8 duration=64 label=0\n0 1\n1 2\n# \u00e9t\u00e9 \u6f22 \U0001f600\n3 4\n5 6\n", block=1 << 20)
+@example(text="shape=8 duration=64 label=0\n0 1\n1 2 \n3 4\n", block=1 << 20)
+@example(text="shape=8 duration=64 label=0\n0 1\n\n2 3\n", block=1 << 20)
+@example(text="shape=8 duration=64 label=0\n0 1\n0999999999999999999 1\n", block=1 << 20)
+@example(text="shape=8 duration=64 label=0\n0 1\n2 1000000000000000000\n", block=1 << 20)
 def test_read_events_equals_line_loop_reference(tmp_path_factory, text, block):
     """Small blocks make runs and lines straddle block boundaries."""
     path = tmp_path_factory.mktemp("diff") / "e.events"
@@ -351,6 +373,31 @@ def test_event_run_not_two_fields_per_line_is_format_error(tmp_path):
     with mock.patch.object(events, "_EVENT_RUN", re.compile(r"(?:[0-9 ]+\n)+")):
         with pytest.raises(EventFormatError, match="^lines 2-4: read 7 event fields, expected 6$"):
             read_events(path)
+
+
+def test_bulk_check_sees_each_byte_at_most_once(tmp_path):
+    """A stretch that fails the bulk check goes once through the run pattern
+    and the line loop, not back through the check: here a blank line after
+    every line puts each block's event lines in one stretch that fails."""
+    rng = np.random.default_rng(1)
+    samples = []
+    for label in range(4):
+        t = np.sort(rng.integers(0, 100, 500))
+        samples.append(LabeledSample((64,), 100, label, np.stack([t, rng.integers(0, 64, t.size)], 1)))
+    path = tmp_path / "blank.events"
+    write_events(samples, path)
+    path.write_text(path.read_text().replace("\n", "\n\n"))
+    seen = []
+    check = events._bulk_values
+
+    def spy(stretch, n):
+        seen.append(len(stretch))
+        return check(stretch, n)
+
+    with mock.patch.object(events, "_BLOCK_CHARS", 1 << 10), mock.patch.object(events, "_bulk_values", spy):
+        back = read_events(path)
+    assert_same_samples(back, samples)
+    assert seen and sum(seen) <= path.stat().st_size
 
 
 def test_read_events_holds_one_block_of_text(tmp_path):

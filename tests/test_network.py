@@ -108,6 +108,20 @@ def test_pool_block_equals_aggregated_weight():
         assert pool.spiked.ravel()[0] == dense.spiked[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 5), hk=st.integers(1, 6), wk=st.integers(1, 6), c=st.integers(1, 4), data=st.data())
+def test_pool_index_equals_unravel_form(k, hk, wk, c, data):
+    """The flat pooled neuron of each flat input neuron, in events' order and
+    with repeats, as ``np.unravel_index`` and ``np.ravel_multi_index`` give it."""
+    spec = LayerSpec("pool", (k * hk, k * wk, c), (hk, wk, c), kernel=k)
+    n_in = k * hk * k * wk * c
+    neuron = np.array(data.draw(st.lists(st.integers(0, n_in - 1), max_size=40)) + list(range(n_in)), dtype=np.int64)
+    y, x, ch = np.unravel_index(neuron, spec.in_shape)
+    got = PoolLayer(spec, NEURON).pool_index(neuron)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.ravel_multi_index((y // k, x // k, ch), spec.out_shape))
+
+
 def test_conv_equals_dense_expansion_small_shape():
     rng = np.random.default_rng(42)
     h = w = 6
