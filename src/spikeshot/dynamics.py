@@ -16,9 +16,9 @@ decrements, so r <= 0 always and a spike depresses v by at least v_th on the
 following step.
 
 The filters are linear, so filtering the weighted sum equals weighting the
-filtered inputs: ``network._FrozenLayer`` keeps q and p per output neuron
-(post-synaptic), while ``readout.ReadoutLayer``, whose weights change every
-step, keeps them per input channel and computes v from ``w . p``.
+filtered inputs. Every plasticity-off step keeps q and p per output neuron
+(post-synaptic); only ``readout.ReadoutLayer.train``, whose weights change
+every step, keeps them per input channel and computes v from ``w . p``.
 """
 
 from __future__ import annotations

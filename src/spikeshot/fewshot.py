@@ -42,8 +42,8 @@ Each sample's trajectory is bit-identical to stepping it alone, in any
 batch and so in any group. Frozen layers contract int8 weights with integer
 counts in float64, or with 0/1 spikes in float32 up to a fan-in of
 ``network.F32_EXACT_FAN_IN``; both sum exactly in any order, so one
-contraction over a whole batch gives each sample's bits; the readout's
-contraction is a stacked gemv, one per sample; training sums a rule's
+contraction over a whole batch gives each sample's bits; so does the
+readout's plasticity-off contraction, in float64; training sums a rule's
 products with one reduction over the stacked products, which adds them
 left to right; all else is elementwise. Samples shorter than the batch's
 longest are padded, with silent steps up to their group's longest and with

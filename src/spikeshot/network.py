@@ -15,8 +15,9 @@ in float64, and 0/1 spikes into a fan-in of at most ``F32_EXACT_FAN_IN``
 sum in float32, whose integers reach 2**24. So a batch of samples shares
 one contraction and still follows each sample's own bits. A leading pool's
 window sum is folded into the event index (``PoolLayer.pool_index``), so on
-events that pool only filters. The readout keeps the pre-synaptic form,
-since its weights change every step.
+events that pool only filters. The readout's plasticity-off step contracts
+and filters the same way; only its training, whose weights change every
+step, filters per input channel.
 """
 
 from __future__ import annotations

@@ -11,15 +11,11 @@ signed error: above baseline means the network drive exceeds the label
 drive, below baseline the opposite.
 
 The proximal compartment integrates the current copied from the distal one
-(its synaptic drive term, pre-reset) and receives the same label drive with
-the opposite sign through the same integration path. That cancels the label
-only up to rounding: with drive d and label drive l, ((d - l) + b_err) + l
-differs from d + b_err in float64 in 22% of draws (d normal, l uniform in
-[0, 2), the shipped b_err). No spike count carries the residue: evaluation
-and ``simulate`` pass l = 0, and training steps no proximal compartment. A
-constant offset on the proximal potential cancels the steady-state
-contribution of b_err to the integrated current; without it every neuron
-would saturate at one spike per step and spike counts would carry no signal.
+(its synaptic drive term, pre-reset); only plasticity-off steps, which carry
+no label, step it. A constant offset on the proximal potential cancels the
+steady-state contribution of b_err to the integrated current; without it
+every neuron would saturate at one spike per step and spike counts would
+carry no signal.
 """
 
 from __future__ import annotations
@@ -191,16 +187,17 @@ def solve_baseline_bias(params: ReadoutParams) -> float:
 class ReadoutLayer:
     """Plastic output layer of two-compartment neurons (vectorized).
 
-    Holds the quantized weight store, the shared pre-synaptic PSC/PSP
-    filters, per-neuron distal and proximal state and optionally a
-    plasticity engine.
+    Holds the quantized weight store, per-neuron PSC/PSP filters and distal
+    and proximal state, and optionally a plasticity engine.
 
-    ``step`` is the plasticity-off timestep, with an optional batch axis.
-    ``train`` presents samples one after another with plasticity on: it
-    filters stretches of a sample's input ahead of the steps, then steps
-    only what depends on the weights, and computes the traces the rule
-    reads. Both run the same distal compartment code, and their filters the
-    same operations.
+    ``step`` is the plasticity-off timestep, with an optional batch axis. Its
+    weights are fixed, so it accumulates post-synaptically, as the frozen
+    layers do: it contracts the input with the weights, then filters per
+    output neuron. ``train`` presents samples one after another with
+    plasticity on: it filters stretches of a sample's input per channel
+    ahead of the steps, then steps only what depends on the weights, and
+    computes the traces the rule reads. Both run the same PSC/PSP filter
+    and distal compartment code.
     """
 
     kind = "plastic-output"
@@ -239,10 +236,9 @@ class ReadoutLayer:
     def reset_state(self, batch: int | None = None):
         """Zero the state; ``batch`` prepends an axis of that many samples,
         which only plasticity-off steps accept."""
-        lead = () if batch is None else (batch,)
-        pre, post = lead + (self.fan_in,), lead + (self.n_out,)
-        self.q_pre = np.zeros(pre)
-        self.p_pre = np.zeros(pre)
+        post = (() if batch is None else (batch,)) + (self.n_out,)
+        self.q = np.zeros(post)
+        self.p = np.zeros(post)
         self.v_err = np.zeros(post)
         self.r_err = np.zeros(post)
         self.spiked_err = np.zeros(post, dtype=bool)
@@ -254,35 +250,33 @@ class ReadoutLayer:
 
     def _psp(self, q, p, drive):
         """PSC then PSP filter: q' = a_q*q + drive, p' = a_p*p + q'/tau_v,
-        where drive is the input spikes over tau_u. Returns (q', p')."""
+        where drive is the (weighted) input spikes over tau_u. Returns (q', p')."""
         q = self._a_q * q + drive
         return q, self._a_p * p + q / self.params.neuron.tau_v
 
-    def step(self, in_spikes: np.ndarray, label_drive=0.0) -> np.ndarray:
-        """One plasticity-off timestep; returns the proximal (output) spike vector.
+    def step(self, in_spikes: np.ndarray) -> np.ndarray:
+        """One plasticity-off timestep with no label; returns the proximal
+        (output) spike vector.
 
-        Inputs and outputs carry the batch axis of the state, if any.
-        ``label_drive`` holds each output neuron's label drive at this step,
-        ``_label_drive``'s value for a labelled one, and broadcasts over the
-        batch; 0 is no label. Besides the distal compartment it steps the
-        proximal one, whose spikes are counted for classification. The
-        rule's traces are not stepped: only ``train`` reads them.
+        Inputs and outputs carry the batch axis of the state, if any. The
+        inputs are integer counts or 0/1 spikes and each weight an int8 times
+        ``2**scale_exp``, so every partial sum of the contraction is exact
+        and any BLAS kernel or batch gives the same bits. Besides the distal
+        compartment it steps the proximal one, whose spikes are counted for
+        classification. The rule's traces are not stepped: only ``train``
+        reads them.
         """
-        s = np.asarray(in_spikes, dtype=np.float64)
-        if s.shape != self.q_pre.shape:
-            raise ValueError(f"readout input shape {s.shape} != {self.q_pre.shape}")
+        s, shape = np.asarray(in_spikes, dtype=np.float64), self.q.shape[:-1] + (self.fan_in,)
+        if s.shape != shape:
+            raise ValueError(f"readout input shape {s.shape} != {shape}")
         n = self.params.neuron
-        self.q_pre, self.p_pre = self._psp(self.q_pre, self.p_pre, s / n.tau_u)  # shared by all neurons
-
-        # one gemv per sample, bit-identical to effective() @ p_pre
-        drive = np.matmul(self.store.effective(), self.p_pre[..., None])[..., 0]
+        c = s @ self.store.effective().T
+        self.q, self.p = self._psp(self.q, self.p, c / n.tau_u)
         self.r_err = self._a_p * self.r_err - self.spiked_err * n.v_th
-        u_err, self.v_err, self.spiked_err = _distal(drive, label_drive, self.r_err, self.b_err, n.v_th)
+        u_err, self.v_err, self.spiked_err = _distal(self.p, 0.0, self.r_err, self.b_err, n.v_th)
 
-        # proximal compartment: integrates the copied current; the label
-        # drive re-enters with opposite sign through the same filter, so
-        # the label cancels up to rounding (see the module docstring)
-        self.p_out = self._a_p * self.p_out + u_err + label_drive
+        # proximal compartment: integrates the copied current
+        self.p_out = self._a_p * self.p_out + u_err
         self.r_out = self._a_p * self.r_out - self.spiked_out * n.v_th
         self.v_out = self.p_out + self.r_out + self.b_out
         self.spiked_out = self.v_out >= n.v_th
@@ -293,7 +287,7 @@ class ReadoutLayer:
         """A labelled neuron's label drive at each of ``n_t`` steps: as on
         chip, a label spike every ``period`` steps from t = 0 (none for 0)
         through the inputs' PSC/PSP filters, times w_tgt. The one label
-        filter: ``train`` and ``step`` take the label as this drive."""
+        filter: ``train`` takes the label as this drive."""
         drive, q, p = np.empty(n_t), 0.0, 0.0
         for t in range(n_t):
             q, p = self._psp(q, p, (1.0 if period > 0 and t % period == 0 else 0.0) / self.params.neuron.tau_u)
@@ -321,12 +315,13 @@ class ReadoutLayer:
         compartment, one decay-and-jump of a stack of the y traces and the
         reset term r_err, and at learning steps the engine's tick; the
         proximal compartment is not stepped. The weights and the rounding
-        stream are bit for bit those of ``step`` with the rule applied after
-        every learning step to traces of the step's input and error spikes
-        (``StepTraces`` in ``tests/oracle.py``). A rule whose updates are
-        not finite raises ``RuleError`` at that step, leaving the weights
-        and the stream as the steps before it left them; numpy's overflow
-        and invalid-value warnings on the way there are silenced.
+        stream are bit for bit those of a labelled pre-synaptic step with
+        the rule applied after every learning step to traces of the step's
+        input and error spikes (``StepTraces`` in ``tests/oracle.py``). A
+        rule whose updates are not finite raises ``RuleError`` at that step,
+        leaving the weights and the stream as the steps before it left them;
+        numpy's overflow and invalid-value warnings on the way there are
+        silenced.
         """
         if self.engine is None:
             raise RuntimeError("train() needs a learning rule: attach_engine() first")
@@ -396,7 +391,7 @@ class ReadoutLayer:
                 i = 0
                 try:
                     for t, (p, lab) in enumerate(zip(psps[: len(seg)], label_drives)):
-                        _distal(dot(p, drive), lab, r, b_err, v_th, base, v, spiked)  # a gemv, as in step
+                        _distal(dot(p, drive), lab, r, b_err, v_th, base, v, spiked)  # a gemv of the changing weights
                         add(mul(y, y_decays, y), mul(spiked, y_incs, jump), y)
                         if t % period == last:
                             tick(*ticks[i])
@@ -413,10 +408,10 @@ _add, _sub, _ge = np.add, np.subtract, np.greater_equal  # in a step, np.<name> 
 
 
 def _distal(drive, label_drive, r, b_err, v_th, base=None, v=None, spiked=None):
-    """One step of the distal compartment from the synaptic drive,
-    effective() @ p_pre, the label drive (see ``_label_drive``) and the
-    reset term ``r``, already past the previous step's spikes: the potential
-    without and with ``r`` and the spikes, into ``base``, ``v`` and ``spiked``."""
+    """One step of the distal compartment from the filtered synaptic drive,
+    the label drive (see ``_label_drive``; 0 in ``step``) and the reset term
+    ``r``, already past the previous step's spikes: the potential without
+    and with ``r`` and the spikes, into ``base``, ``v`` and ``spiked``."""
     base = _add(_sub(drive, label_drive, base), b_err, base)
     v = _add(base, r, v)
     return base, v, _ge(v, v_th, spiked)

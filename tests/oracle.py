@@ -4,12 +4,13 @@
 recursions with scalar Python loops and real-valued weights (no rounding, no
 clamping, no shared arithmetic code with the vectorized simulator), so
 transcription bugs in either side show up as trajectory divergence. The
-rule references below them are exact instead: the rule's traces beside the
-plasticity-off step, label timing, the rule evaluated synapse by synapse or
-as one plain matrix expression, and the store's rounding one synapse at a
-time, each in the order that ``ReadoutLayer.train`` must reproduce bit for
-bit. It lives in ``tests/oracle.py``, beside the tests that compare against
-it, and the ``spikeshot`` package does not ship it; speed is a non-goal.
+rule references below them are exact instead: the labelled pre-synaptic
+step and the rule's traces beside it, label timing, the rule evaluated
+synapse by synapse or as one plain matrix expression, and the store's
+rounding one synapse at a time, each in the order that
+``ReadoutLayer.train`` must reproduce bit for bit. It lives in
+``tests/oracle.py``, beside the tests that compare against it, and the
+``spikeshot`` package does not ship it; speed is a non-goal.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from spikeshot.dynamics import NeuronParams
 from spikeshot.plasticity import WEIGHT_MAX, WEIGHT_MIN, NonFiniteUpdateError, QuantizedWeightStore
-from spikeshot.readout import CalibrationReport, ReadoutLayer, ReadoutParams
+from spikeshot.readout import CalibrationReport, ReadoutLayer, ReadoutParams, _distal
 from spikeshot.ruledsl import SumOfProductsRule
 from spikeshot.traces import TraceConfig, update_trace
 
@@ -216,12 +217,18 @@ def evaluate_rule(rule: SumOfProductsRule, values: dict[str, float]) -> float:
 
 
 class StepTraces:
-    """The rule's traces beside a ``ReadoutLayer``'s plasticity-off steps.
+    """A ``ReadoutLayer``'s labelled pre-synaptic step, and the rule's traces beside it.
 
-    ``step`` steps the layer, then advances the traces with
-    ``update_trace``: x0-x2 from the step's input, y0-y2 from the layer's
-    error spikes. ``pre`` and ``post`` map the rule's variable names to
-    them; ``ReadoutLayer.train`` must compute the same values bit for bit.
+    ``step`` is the step that ``ReadoutLayer.train`` takes, with the
+    proximal compartment too: it filters the input per channel, takes the
+    drive as a gemv of the effective weights with the filtered input, and
+    adds the label drive to the distal compartment with one sign and to the
+    proximal one with the other. It writes the layer's distal and proximal
+    state, so tests read the layer as after its own ``step``. It then
+    advances the traces with ``update_trace``: x0-x2 from the step's input,
+    y0-y2 from the layer's error spikes. ``pre`` and ``post`` map the rule's
+    variable names to them; ``ReadoutLayer.train`` must compute the same
+    values bit for bit.
     """
 
     def __init__(self, layer: ReadoutLayer):
@@ -229,24 +236,34 @@ class StepTraces:
         self.reset()
 
     def reset(self):
-        """Zero the layer's state and the traces."""
+        """Zero the layer's state, the per-channel filters and the traces."""
         self.layer.reset_state()
         pre, post = np.zeros(self.layer.fan_in), np.zeros(self.layer.n_out)
+        self.q_pre, self.p_pre = pre, pre
         self.pre = {"x0": pre, "x1": pre, "x2": pre}
         self.post = {"y0": post, "y1": post, "y2": post}
 
     def step(self, in_spikes, label_drive=0.0) -> np.ndarray:
-        """One plasticity-off step of the layer, with ``label_drive`` (a row
-        of ``label_drives``), and of its traces; returns the layer's output
-        spikes."""
-        layer, pre, post = self.layer, self.pre, self.post
-        out = layer.step(in_spikes, label_drive)
-        s, err = np.asarray(in_spikes, dtype=np.float64), layer.spiked_err.astype(np.float64)
+        """One labelled pre-synaptic step of the layer, with ``label_drive``
+        (a row of ``label_drives``), and of its traces; returns the layer's
+        output spikes."""
+        layer, pre, post, n = self.layer, self.pre, self.post, self.layer.params.neuron
+        s = np.asarray(in_spikes, dtype=np.float64)
+        self.q_pre, self.p_pre = layer._psp(self.q_pre, self.p_pre, s / n.tau_u)
+        drive = layer.store.effective() @ self.p_pre
+        layer.r_err = layer._a_p * layer.r_err - layer.spiked_err * n.v_th
+        u_err, layer.v_err, layer.spiked_err = _distal(drive, label_drive, layer.r_err, layer.b_err, n.v_th)
+        layer.p_out = layer._a_p * layer.p_out + u_err + label_drive
+        layer.r_out = layer._a_p * layer.r_out - layer.spiked_out * n.v_th
+        layer.v_out = layer.p_out + layer.r_out + layer.b_out
+        layer.spiked_out = layer.v_out >= n.v_th
+        layer.spike_count += layer.spiked_out
+        err = layer.spiked_err.astype(np.float64)
         self.pre = {"x0": s, "x1": update_trace(pre["x1"], s, layer.x1_cfg),
                     "x2": update_trace(pre["x2"], s, layer.x2_cfg)}
         self.post = {"y0": err, "y1": update_trace(post["y1"], err, layer.y1_cfg),
                      "y2": update_trace(post["y2"], err, layer.y2_cfg)}
-        return out
+        return layer.spiked_out
 
 
 def label_drives(layer: ReadoutLayer, label: int, period: int, n_t: int) -> np.ndarray:

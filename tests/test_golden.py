@@ -24,10 +24,15 @@ The last case pins ``simulate``, the one output that dumps the readout's
 plasticity-off state at every step (``v_err``, ``v_out``, ``p_out`` and the
 output spikes); the ``train`` digests see that step only through spike
 counts. Random plastic weights at ``2**-3`` make every sample's readout
-spike.
+spike. The same case runs again in fresh interpreters under two other
+OpenBLAS kernels and with numpy's AVX-512 loops off: every output must keep
+its bytes, since the readout's plasticity-off contraction is exact.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,11 +92,11 @@ MPLUSN_EVAL_LINE = "EVAL split=test seed=0 n=18 accuracy=0.611111"
 
 SIMULATE_GOLDEN_SHA256 = {
     "raster.events": "cfb1bb7966fc8619509866593bb31ba38a5585b5a170771288717533891f0b76",
-    "trace_sample0.txt": "ff1af3875a6465b50ca5695eb4932581bf57c1b7710d8bea44e1453af67576fd",
-    "trace_sample1.txt": "ecb5b86c40be723a3fa32739919f91e079284d15d671beae869317e57e369381",
-    "trace_sample2.txt": "88e483f714c12401553819e19b36a59baf1d514e1301f8244f75964670e45279",
-    "trace_sample3.txt": "4e8ed08a36dd92e53d0c17264647776ed8aede5c874d6c3272bc329b62cd7a07",
-    "trace_sample4.txt": "524c7e365facde9a20d65558c68391d9b6b956a723a25a879170e713d6f5c802",
+    "trace_sample0.txt": "1f113b8238b9c6701411f1c8fb7d0d1f09ff2f65230189f5659616061767db6c",
+    "trace_sample1.txt": "f6e97b0abaec3311745879e113bc4ecc00ba7426828c18f46dafc9df0d6edc31",
+    "trace_sample2.txt": "cca1953ea7fde7a2e5ab179aec9e8dbf15e3ab4847f55d191bf9a528eaeb2927",
+    "trace_sample3.txt": "0ded883ac455192218737e8d3081975fbd41acf376f4ecd5077d80d5e0d3a139",
+    "trace_sample4.txt": "c749ab7b633e661aa47950f1b00d1ec18614b2afb66e199588785e196a45dd81",
 }
 
 
@@ -142,15 +147,67 @@ def test_m_plus_n_train_and_eval_match_golden(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == MPLUSN_EVAL_LINE
 
 
-def test_simulate_outputs_match_golden_digest(tmp_path):
+def _simulate_config(directory: Path) -> Path:
     cfg = yaml.safe_load(CONFIG.read_text())
     cfg["episode"]["sample_duration"] = 100
     cfg["data"]["n_per_class"] = 1  # one sample per class: 5 samples
     cfg["weights"] = {"plastic_init": "random", "plastic_scale_exp": -3}
-    config = tmp_path / "simulate.yaml"
+    config = directory / "simulate.yaml"
     config.write_text(yaml.safe_dump(cfg))
+    return config
+
+
+def test_simulate_outputs_match_golden_digest(tmp_path):
+    config = _simulate_config(tmp_path)
     data, out = tmp_path / "data.events", tmp_path / "out"
     assert main(["gen-data", "--config", str(config), "--seed", "0", "--out", str(data)]) == 0
     assert main(["simulate", "--config", str(config), "--seed", "0", "--events", str(data), "--out", str(out)]) == 0
     assert all(len(s.events) for s in read_events(out / "raster.events"))
     assert _digests(out, SIMULATE_GOLDEN_SHA256) == SIMULATE_GOLDEN_SHA256
+
+
+def _avx512_features() -> str:
+    """The AVX-512 features that numpy reports on this CPU and can switch off."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(name for name, on in umath.__cpu_features__.items()
+                    if on and name in umath.__cpu_dispatch__ and (name.startswith("AVX512") or name == "X86_V4"))
+
+
+def _simulate_in_subprocess(directory: Path, **env: str) -> dict[str, bytes]:
+    """``gen-data`` then ``simulate`` of the golden case in a fresh interpreter
+    with ``env`` added to a plain environment; returns the pinned outputs."""
+    code = ("import sys; from spikeshot.cli import main\n"
+            "config, data, out = sys.argv[1:]\n"
+            "assert main(['gen-data', '--config', config, '--seed', '0', '--out', data]) == 0\n"
+            "assert main(['simulate', '--config', config, '--seed', '0', '--events', data, '--out', out]) == 0\n")
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    directory.mkdir()
+    out = directory / "out"
+    proc = subprocess.run([sys.executable, "-c", code, str(_simulate_config(directory)), str(directory / "data.events"),
+                           str(out)], capture_output=True, text=True, env={**base, **env}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {name: (out / name).read_bytes() for name in SIMULATE_GOLDEN_SHA256}
+
+
+@pytest.fixture(scope="module")
+def plain_simulate_outputs(tmp_path_factory):
+    return _simulate_in_subprocess(tmp_path_factory.mktemp("simulate") / "plain")
+
+
+@pytest.mark.parametrize("var, value", [
+    ("OPENBLAS_CORETYPE", "Prescott"),
+    ("OPENBLAS_CORETYPE", "Sandybridge"),
+    ("NPY_DISABLE_CPU_FEATURES", None),  # the AVX-512 features this CPU has
+], ids=["prescott", "sandybridge", "avx512-off"])
+def test_simulate_outputs_do_not_follow_the_kernel(plain_simulate_outputs, tmp_path, var, value):
+    if value is None:
+        value = _avx512_features()
+        if not value:
+            pytest.skip("numpy reports no AVX-512 feature to switch off")
+    outputs = _simulate_in_subprocess(tmp_path / "run", **{var: value})
+    assert [name for name in outputs if outputs[name] != plain_simulate_outputs[name]] == []

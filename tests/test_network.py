@@ -21,7 +21,8 @@ from spikeshot.network import (
     parse_shape,
     parse_topology,
 )
-from spikeshot.readout import ReadoutParams
+from spikeshot.plasticity import QuantizedWeightStore
+from spikeshot.readout import ReadoutLayer, ReadoutParams
 from spikeshot.ruledsl import parse_rule
 
 
@@ -157,7 +158,7 @@ def test_conv_equals_dense_expansion_small_shape():
 def _reference_contraction(layer, s):
     """``W ⊛ s`` of one sample in int64, by another route than the layer's."""
     s = s.astype(np.int64)
-    if layer.kind == "dense":
+    if layer.kind in ("dense", KIND_PLASTIC):
         return layer.weights.astype(np.int64) @ s.ravel()
     k = layer.spec.kernel
     h, w, c = s.shape
@@ -177,8 +178,9 @@ def test_contraction_is_exact_integer_arithmetic(data):
     # Frozen layers contract integer counts with int8 weights, exactly: counts
     # in float64, spikes in float32 (conv fan-ins k*k*C_in reach 800 here);
     # so the contraction equals the int64 one bit for bit, batched or not,
-    # and the first step's PSC is that exact value over tau_u.
-    kind = data.draw(st.sampled_from(["dense", "conv", "pool"]))
+    # and the first step's PSC is that exact value over tau_u. So does the
+    # readout's plasticity-off step, which contracts in float64.
+    kind = data.draw(st.sampled_from(["dense", "conv", "pool", "readout"]))
     seed = data.draw(st.integers(0, 2**16))
     batch = data.draw(st.integers(1, 6))
     max_count = data.draw(st.integers(1, 3))
@@ -189,6 +191,11 @@ def test_contraction_is_exact_integer_arithmetic(data):
         n_in, n_out = int(rng.integers(1, 40)), int(rng.integers(1, 20))
         spec = LayerSpec("dense", (n_in,), (n_out,))
         layer = DenseLayer(spec, params, rng.integers(-128, 128, size=(n_out, n_in)), scale_exp)
+    elif kind == "readout":
+        n_in, n_out = int(rng.integers(1, 40)), int(rng.integers(1, 20))
+        spec = LayerSpec(KIND_PLASTIC, (n_in,), (n_out,))
+        store = QuantizedWeightStore((n_out, n_in), scale_exp, 0, init=rng.integers(-128, 128, size=(n_out, n_in)))
+        layer = ReadoutLayer(n_in, n_out, store, ReadoutParams(neuron=params))
     elif kind == "conv":
         h, w, c_in, c_out, k = (int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 33)),
                                 int(rng.integers(1, 5)), int(rng.choice([1, 3, 5])))
@@ -203,13 +210,14 @@ def test_contraction_is_exact_integer_arithmetic(data):
     s = s.astype(bool) if max_count == 1 else s.astype(np.float64)  # spikes, or event counts
     expect = [_reference_contraction(layer, x).astype(np.float64) * 2.0**scale_exp for x in s]
 
+    contracts = kind != "readout"  # the readout contracts inside its step
     layer.reset_state(batch)
-    assert np.array_equal(layer._contract(s), np.array(expect).reshape((batch,) + spec.out_shape))
+    assert not contracts or np.array_equal(layer._contract(s), np.array(expect).reshape((batch,) + spec.out_shape))
     layer.step(s)
     assert np.array_equal(layer.q, np.array(expect).reshape(layer.q.shape) / params.tau_u)
     for x, e in zip(s, expect):
         layer.reset_state()
-        assert np.array_equal(layer._contract(x), e.reshape(spec.out_shape))
+        assert not contracts or np.array_equal(layer._contract(x), e.reshape(spec.out_shape))
         layer.step(x)
         assert np.array_equal(layer.q, e.reshape(spec.out_shape) / params.tau_u)
 

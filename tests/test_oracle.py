@@ -105,6 +105,34 @@ def test_network_dense_layer_rasters_match_oracle_5_random_int8_configs():
         assert 0 < np.count_nonzero(raster) < np.size(raster)
 
 
+def test_readout_step_rasters_match_oracle_5_random_int8_configs():
+    # the readout's plasticity-off step that Network runs (post-synaptic, no
+    # label) against the scalar pre-synaptic oracle with the same real-valued
+    # weights and no label spikes
+    rng = np.random.default_rng(2025)
+    for _ in range(5):
+        fan_in, n_out = int(rng.integers(4, 17)), int(rng.integers(2, 7))
+        neuron = NeuronParams(tau_u=float(rng.uniform(2, 12)), tau_v=float(rng.uniform(12, 30)),
+                              v_th=float(rng.uniform(0.2, 1.0)))
+        params = ReadoutParams(neuron=neuron, baseline_period=int(rng.integers(5, 30)))
+        w = rng.integers(-128, 128, size=(n_out, fan_in))
+        w[:, : fan_in // 2] = np.abs(w[:, : fan_in // 2])  # excitatory enough to spike
+        store = QuantizedWeightStore((n_out, fan_in), int(rng.integers(-6, -3)), 0, init=w)
+        sim = ReadoutLayer(fan_in, n_out, store, params)
+        orc = OracleReadout(fan_in, n_out, params, solve_baseline_bias(params))
+        orc.w = store.effective().tolist()
+        no_label = [False] * n_out
+        inputs = rng.random((3000, fan_in)) < 0.2
+        raster = []
+        for t, s in enumerate(inputs):
+            raster.append(sim.step(s).copy())
+            expect = np.array(orc.step(s.astype(float).tolist(), no_label))
+            assert np.array_equal(raster[-1], expect), f"raster diverged at step {t}"
+            assert np.allclose(sim.v_err, orc.v_err, rtol=0, atol=1e-9)
+            assert np.allclose(sim.v_out, orc.v_out, rtol=0, atol=1e-9)
+        assert 0 < np.count_nonzero(raster) < np.size(raster)
+
+
 def test_readout_matches_oracle_readout():
     params = ReadoutParams(neuron=NeuronParams(tau_u=8, tau_v=16))
     b_err = solve_baseline_bias(params)

@@ -1,6 +1,8 @@
-"""Two-compartment readout: baseline, calibration, cancellation, delta-rule sign.
+"""Two-compartment readout: baseline, calibration, output offset, delta-rule sign.
 
-The compartment checks step ``ReadoutLayer``, the readout ``Network`` runs.
+The distal checks, which need a label, step ``ReadoutLayer`` through the
+labelled pre-synaptic step that ``train`` takes (``StepTraces``); the
+output compartment checks step its own ``step``, which ``Network`` runs.
 """
 
 import numpy as np
@@ -39,13 +41,14 @@ def readout(params, weights=((0,),), scale_exp=-6):
 
 
 def drive(layer, steps, inputs=None, target_period=0):
-    """Step ``layer`` with every channel carrying ``inputs[t]`` (silence if
-    None) and a label spike for neuron 0 every ``target_period`` steps (none
-    for 0); returns the steps at which neuron 0's distal compartment fires."""
-    spikes, drives = [], label_drives(layer, 0, target_period, steps)
+    """Step ``layer`` through ``StepTraces`` with every channel carrying
+    ``inputs[t]`` (silence if None) and a label spike for neuron 0 every
+    ``target_period`` steps (none for 0); returns the steps at which neuron
+    0's distal compartment fires."""
+    spikes, drives, traces = [], label_drives(layer, 0, target_period, steps), StepTraces(layer)
     for t in range(steps):
         s = np.full(layer.fan_in, 0.0 if inputs is None else inputs[t])
-        layer.step(s, drives[t])
+        traces.step(s, drives[t])
         if layer.spiked_err[0]:
             spikes.append(t)
     return spikes
@@ -222,24 +225,6 @@ def test_layer_matches_scalar_compartment():
         assert rep.b_y1 == y1[t_a:t_b].mean()
 
 
-def test_label_cancellation_proximal_trajectory_exact():
-    # train-mode proximal trajectory equals the no-label trajectory: the
-    # label drive entering through the distal current cancels the proximal
-    # label term exactly
-    a = make_layer(weights=np.full((3, 6), 15))
-    b = make_layer(weights=np.full((3, 6), 15))
-    rng = np.random.default_rng(7)
-    drives = label_drives(a, 0, 4, 400)
-    for t in range(400):
-        s = (rng.random(6) < 0.25).astype(float)
-        a.step(s, drives[t])
-        b.step(s)
-        assert np.allclose(a.p_out, b.p_out, atol=1e-9)
-        assert np.allclose(a.v_out, b.v_out, atol=1e-9)
-        assert np.array_equal(a.spiked_out, b.spiked_out)
-    assert np.array_equal(a.spike_count, b.spike_count)
-
-
 def test_delta_rule_sign_flip():
     # one active presynaptic channel; target-present vs input-dominant
     # training produce time-averaged raw updates of opposite sign
@@ -266,9 +251,9 @@ def test_delta_rule_sign_flip():
 def test_reset_state_zeroes_everything():
     layer = make_layer(weights=np.full((3, 6), 30))
     rng = np.random.default_rng(3)
-    for drive in label_drives(layer, 0, 1, 50):
-        layer.step((rng.random(6) < 0.5).astype(float), drive)
+    for _ in range(50):
+        layer.step((rng.random(6) < 0.5).astype(float))
     layer.reset_state()
-    for arr in (layer.p_pre, layer.q_pre, layer.v_err, layer.p_out, layer.v_out):
+    for arr in (layer.q, layer.p, layer.v_err, layer.p_out, layer.v_out):
         assert not np.asarray(arr).any()
     assert not layer.spike_count.any()
